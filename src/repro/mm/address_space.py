@@ -11,10 +11,10 @@ allocator and implements the fault path:
 
 Two access paths are provided.  ``touch()`` is the fully structural
 per-access path used by the microbenchmarks (it exercises TLBs and page
-tables).  ``record_batch()`` is the vectorized path used by the
+tables).  ``record_plan()`` is the vectorized path used by the
 epoch-driven co-location simulator: it updates frame access counters for
-whole numpy batches at once and leaves TLB effects to the statistical
-model, as DESIGN.md §4 describes.
+a whole epoch of numpy traffic at once and leaves TLB effects to the
+statistical model, as DESIGN.md §4 describes.
 """
 
 from __future__ import annotations
@@ -158,57 +158,17 @@ class AddressSpace:
                 mapped += 1
         return mapped
 
-    def record_batch(self, vpns: np.ndarray, is_write: np.ndarray, tid: int, cycle: int = 0) -> tuple[int, int]:
-        """Account a batch of accesses against frame counters.
+    def record_plan(self, plan, cycle: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Account one :class:`EpochPlan` against frame counters.
 
         Pages must already be mapped (the harness populates VMAs up
-        front, matching the paper's warmed-up workloads).  Returns
-        ``(fast_accesses, slow_accesses)`` for FTHR sampling.
-
-        The loop is over *unique* pages (bincount-compressed), not raw
-        accesses, so a 50k-access epoch over a few thousand pages costs a
-        few thousand dict hits.
-        """
-        if vpns.shape != is_write.shape:
-            raise ValueError("vpns and is_write must have identical shape")
-        if vpns.size == 0:
-            return (0, 0)
-        uniq, inverse = np.unique(vpns, return_inverse=True)
-        writes_per = np.bincount(inverse, weights=is_write.astype(np.float64)).astype(np.int64)
-        total_per = np.bincount(inverse)
-        repl = self.process.repl
-        flat = repl.flat
-        # Translate the whole batch through the flat PTE mirror.
-        idx = uniq - flat.base
-        oob = (idx < 0) | (idx >= flat.pfn.size)
-        if oob.any():
-            bad = int(uniq[oob][0])
-            raise KeyError(f"vpn {bad} not mapped; populate() the VMA first")
-        pfns = flat.pfn[idx]
-        missing = pfns < 0
-        if missing.any():
-            bad = int(uniq[missing][0])
-            raise KeyError(f"vpn {bad} not mapped; populate() the VMA first")
-        # Sharing transitions / leaf links (rare after warm-up).
-        self.minor_faults += repl.bulk_note_access(uniq, tid)
-        # Frame counters in one vectorized pass (pfns are unique: the
-        # simulator maps private anonymous memory, one frame per vpn).
-        reads_per = total_per - writes_per
-        self.allocator.store.record_batch(pfns, reads_per, writes_per, tid, cycle)
-        in_fast = pfns < self.allocator.store.fast_frames
-        fast = int(total_per[in_fast].sum())
-        slow = int(total_per.sum()) - fast
-        return (fast, slow)
-
-    def record_plan(self, plan, cycle: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Fused :meth:`record_batch` over a whole :class:`EpochPlan`.
-
-        One translation gather, one pair of bincounts, and one frame-
-        counter update cover the epoch; only the order-sensitive parts
-        (sharing transitions and tid-bit ORs, both per-thread) walk the
-        segments.  Returns per-segment ``(fast, slow)`` access-count
-        arrays — the same values the legacy loop returned batch by
-        batch (recovered from per-access tier membership via prefix
+        front, matching the paper's warmed-up workloads); an unmapped
+        vpn raises ``KeyError``.  One translation gather, one pair of
+        bincounts, and one frame-counter update cover the epoch; only
+        the order-sensitive parts (sharing transitions and tid-bit ORs,
+        both per-thread) walk the segments in order.  Returns
+        per-segment ``(fast, slow)`` access-count arrays for FTHR
+        sampling (recovered from per-access tier membership via prefix
         sums over the segment offsets).
         """
         offsets = plan.offsets

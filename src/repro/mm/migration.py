@@ -26,6 +26,14 @@ Vulcan's two mechanism optimizations are flags:
   ``lru_add_drain_all()``;
 * ``opt_tlb`` — per-thread page-table shootdown scoping via
   :func:`repro.mm.tlb_coherence.compute_scope`.
+
+There is one executor, :meth:`MigrationEngine.migrate_batch`.  Every
+order-sensitive effect — cost accounting, RNG draws, injected-fault
+rolls and their unwinds, free-list pops and appends, LRU and shadow
+bookkeeping, PTE stores, trace events and metrics — runs in one
+sequential per-page loop; the per-frame store and flat-mirror writes
+are deferred to grouped scatters.  Tracing, metrics and fault injection
+only add work inside that loop: they never select a different path.
 """
 
 from __future__ import annotations
@@ -39,19 +47,13 @@ import numpy as np
 from repro.machine.platform import Machine
 from repro.mm import pte as pte_mod
 from repro.mm.address_space import AddressSpace
-from repro.mm.frame_alloc import FrameAllocator, OutOfFramesError
+from repro.mm.frame_alloc import FrameAllocator
 from repro.mm.lru import LruSubsystem
 from repro.mm.migration_costs import MigrationCostModel
-from repro.mm.page_store import (
-    NONE_SENTINEL,
-    STATE_FREE,
-    STATE_MAPPED,
-    STATE_MIGRATING,
-    STATE_SHADOW,
-)
+from repro.mm.page_store import NONE_SENTINEL, STATE_FREE, STATE_MAPPED, STATE_SHADOW
 from repro.mm.page_table import LEVEL_BITS
 from repro.mm.shadow import ShadowTracker
-from repro.mm.tlb_coherence import ShootdownScope, compute_scope, execute_shootdown
+from repro.mm.tlb_coherence import trace_shootdown
 from repro.obs.events import EventKind
 from repro.obs.trace import get_tracer
 
@@ -152,9 +154,6 @@ class OptimizationFlags:
 #: Cost of the kernel trap / syscall entry for a migration call.
 TRAP_CYCLES = 600.0
 
-#: Outcomes after which the move commits (everything but FAILED).
-_OK_OUTCOMES = (MigrationOutcome.SUCCESS, MigrationOutcome.RETRIED, MigrationOutcome.FELL_BACK_SYNC)
-
 #: Precomputed phase-key strings (enum ``.value`` lookups were hot).
 _PREP_KEY = MigrationPhase.PREP.value
 _TRAP_KEY = MigrationPhase.TRAP.value
@@ -223,31 +222,31 @@ class MigrationEngine:
 
     # -- phase helpers -------------------------------------------------------
 
-    def _charge(self, phase: MigrationPhase, cycles: float) -> None:
-        self._charge_key(phase.value, cycles)
-
     def _charge_key(self, key: str, cycles: float) -> None:
-        """Charge a phase cost and, when tracing, emit it as an event.
+        """Charge a batch-level phase cost (trap, prep)."""
+        st = self.stats
+        st.phase_cycles[key] += cycles
+        st.total_cycles += cycles
+        if self._tracer.enabled:
+            self._trace_phase(key, cycles)
+
+    def _trace_phase(self, key: str, cycles: float) -> None:
+        """Emit one phase charge as an event (tracing on).
 
         The tracer's cycle clock advances by the charge so phase events
         and spans nest on the deterministic simulated timeline.
         """
-        st = self.stats
-        st.phase_cycles[key] += cycles
-        st.total_cycles += cycles
         tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(
-                EventKind.MIGRATION_PHASE,
-                key,
-                pid=self.space.process.pid,
-                dur=cycles,
-                args={"phase": key, "cycles": cycles},
-            )
-            tracer.advance(cycles)
-            tracer.metrics.counter(
-                "migration_phase_cycles", workload=self.space.process.pid, phase=key
-            ).inc(cycles)
+        pid = self.space.process.pid
+        tracer.emit(
+            EventKind.MIGRATION_PHASE,
+            key,
+            pid=pid,
+            dur=cycles,
+            args={"phase": key, "cycles": cycles},
+        )
+        tracer.advance(cycles)
+        tracer.metrics.counter("migration_phase_cycles", workload=pid, phase=key).inc(cycles)
 
     def _prepare(self, n_pages: int) -> float:
         """Phase 0: LRU drain + isolation (the Fig. 2 'preparation')."""
@@ -257,52 +256,6 @@ class MigrationEngine:
         else:
             self.lru.drain(None)
         return self._prep_cost
-
-    def _shootdown(self, vpn: int) -> tuple[float, int]:
-        """Phase ③: resolve scope, deliver IPIs, invalidate TLBs.
-
-        Returns ``(model_cycles, n_target_cpus)``.  The structural IPI
-        cost is folded into the model cost (the model is calibrated to
-        end-to-end measurements that already include it).
-
-        With tracing off, the scope is resolved through the cached fast
-        paths and the structural effects (IPI stats, TLB entry pops) are
-        applied directly — identical state to the event-emitting path.
-        """
-        repl = self.space.process.repl
-        cpu = self.machine.cpu
-        if self._tracer.enabled:
-            if self.flags.opt_tlb and repl.enabled:
-                scope = compute_scope(
-                    repl, cpu, vpn, thread_core_map=self.thread_core_map
-                )
-            else:
-                # Process-wide: every thread of the process is a target.
-                tids = repl.tids if repl.tids else set()
-                if self.thread_core_map is not None:
-                    cores = tuple(sorted({self.thread_core_map[t] for t in tids if t in self.thread_core_map}))
-                else:
-                    cores = tuple(sorted({c.core_id for c in cpu.cores_running(tids)}))
-                scope = ShootdownScope(vpn=vpn, target_core_ids=cores, sharing_tids=tuple(sorted(tids)), process_wide=True)
-            execute_shootdown(cpu, scope)
-            n_targets = max(scope.n_targets, 1)
-        else:
-            if self.flags.opt_tlb and repl.enabled:
-                cores = self._scope_cores(repl, cpu, vpn)
-            else:
-                cores = self._process_wide_cores(repl, cpu)
-            if cores:
-                cpu.deliver_ipis(cores)
-                for core_id in cores:
-                    tlb = cpu.cores[core_id].tlb
-                    if tlb._map:
-                        tlb.invalidate(vpn)
-            n_targets = max(len(cores), 1)
-        cost = self._tlb1_cache.get(n_targets)
-        if cost is None:
-            cost = self.costs.batch_tlb_cycles(1, n_targets)
-            self._tlb1_cache[n_targets] = cost
-        return (cost, n_targets)
 
     def _scope_cores(self, repl, cpu, vpn: int) -> tuple[int, ...]:
         """:func:`compute_scope`'s target cores, via the flat mirror."""
@@ -346,12 +299,6 @@ class MigrationEngine:
         self._pw_scope_cache = (len(tids), cores)
         return cores
 
-    def _alloc_dest(self, dest_tier: int) -> int | None:
-        try:
-            return self.allocator.allocate_pfn(dest_tier, fallback=False)
-        except OutOfFramesError:
-            return None
-
     # -- public API -----------------------------------------------------------
 
     def migrate(self, request: MigrationRequest) -> MigrationOutcome:
@@ -363,57 +310,32 @@ class MigrationEngine:
         """Migrate a batch; preparation is paid once per call, as in
         ``migrate_pages()``.
 
-        Dispatches to the fused (scatter-batched) implementation when
-        its preconditions hold, else to the per-page legacy loop.  Both
-        produce bit-identical state, stats and outcomes.
+        Every order-sensitive effect — cost accounting (float adds in
+        charge order), RNG draws, fault rolls, free-list pops/appends,
+        LRU and shadow bookkeeping, radix PTE stores, trace events —
+        runs in one sequential loop.  The per-frame stats-store and
+        flat-mirror writes are deferred and applied as grouped numpy
+        scatters, which needs each move to act on rows no other move
+        writes: sources are distinct pre-batch mappings and
+        destinations distinct pops, provided no vpn repeats — so a
+        batch that names a vpn twice is rejected.  The one overlap — a
+        frame freed by an earlier move and re-allocated by a later one
+        — is handled by applying the detach scatter before the
+        destination-row scatters.
         """
         if not requests:
             return []
-        tracer = self._tracer
-        if tracer.enabled or tracer.metrics.enabled or self.fault_injector is not None:
-            return self._migrate_batch_legacy(requests)
-        # The fused path defers store writes into grouped scatters,
-        # which needs each move to act on rows no other move writes —
-        # guaranteed by unique vpns (sources are distinct pre-batch
-        # mappings, destinations distinct pops).  The one overlap —
-        # a frame freed by an earlier move and re-allocated by a later
-        # one — is handled by applying the detach scatter before the
-        # destination-row scatters.
-        if len({r.vpn for r in requests}) != len(requests):
-            return self._migrate_batch_legacy(requests)
-        return self._migrate_batch_fused(requests)
+        n = len(requests)
+        vpns = [r.vpn for r in requests]
+        if len(set(vpns)) != n:
+            raise ValueError("migrate_batch: a vpn appears more than once in the batch")
 
-    def _migrate_batch_legacy(self, requests: list[MigrationRequest]) -> list[MigrationOutcome]:
-        """Per-page reference implementation (also the tracing path)."""
-        with self._tracer.span(
-            "migrate_batch", pid=self.space.process.pid, pages=len(requests)
-        ):
-            self._charge_key(_TRAP_KEY, TRAP_CYCLES)
-            self._charge_key(_PREP_KEY, self._prepare(len(requests)))
-
-            outcomes: list[MigrationOutcome] = []
-            for req in requests:
-                outcomes.append(self._migrate_one(req))
-            self.stats.migrations += 1
-        return outcomes
-
-    def _migrate_batch_fused(self, requests: list[MigrationRequest]) -> list[MigrationOutcome]:
-        """Batched :meth:`migrate_batch`: sequential bookkeeping, fused
-        frame-store writes.
-
-        Every order-sensitive effect — cost accounting (float adds in
-        the exact legacy order), RNG draws, free-list pops/appends, LRU
-        and shadow bookkeeping, radix PTE stores — runs in a sequential
-        loop exactly as the legacy path would.  The per-frame stats-store
-        and flat-mirror writes are deferred and applied as grouped numpy
-        scatters; the dispatcher guaranteed all written rows are
-        pairwise disjoint, so the scatter order cannot change the
-        result.
-        """
         st = self.stats
-        self._charge_key(_TRAP_KEY, TRAP_CYCLES)
-        self._charge_key(_PREP_KEY, self._prepare(len(requests)))
-
+        tracer = self._tracer
+        trace = tracer.enabled
+        metrics = tracer.metrics
+        metered = metrics.enabled
+        inj = self.fault_injector
         repl = self.space.process.repl
         flat = repl.flat
         store = self._store
@@ -426,7 +348,6 @@ class MigrationEngine:
         opt_tlb = self.flags.opt_tlb and repl.enabled
         retry_limit = self.flags.async_retry_limit
         tlb_cache = self._tlb1_cache
-        cores_of = self._scope_cores if opt_tlb else None
         cpu_cores = cpu.cores
         pte_with_pfn = pte_mod.pte_with_pfn
         pte_clear_flag = pte_mod.pte_clear_flag
@@ -436,15 +357,14 @@ class MigrationEngine:
         PTE_DIRTY = pte_mod.PTE_DIRTY
         PTE_SHADOW = pte_mod.PTE_SHADOW
         rng_random = self.rng.random
+        phase = self._trace_phase
 
         # One vectorized translate for the whole batch (identical to a
         # value_of() per request: the mirror is only mutated at apply
         # time, and in-batch PTE rewrites never change the fields a
         # later move's translate or shootdown scope reads).
-        n = len(requests)
         if flat.pfn.size:
-            vpns_np = np.fromiter((r.vpn for r in requests), dtype=np.int64, count=n)
-            idx_np = vpns_np - flat.base
+            idx_np = np.array(vpns, dtype=np.int64) - flat.base
             in_range = (idx_np >= 0) & (idx_np < flat.pfn.size)
             safe_idx = np.where(in_range, idx_np, 0)
             pfn_l = np.where(in_range, flat.pfn[safe_idx], -1).tolist()
@@ -453,188 +373,235 @@ class MigrationEngine:
             pfn_l = [-1] * n
             val_l = [0] * n
 
-        # Float accumulators: locals holding the running bucket values,
-        # updated with the same sequence of binary adds the legacy
-        # per-page charges perform, written back once at the end.
-        pc = st.phase_cycles
-        unmap_acc = pc[_UNMAP_KEY]
-        sd_acc = pc[_SHOOTDOWN_KEY]
-        copy_acc = pc[_COPY_KEY]
-        remap_acc = pc[_REMAP_KEY]
-        total = st.total_cycles
-        stall = st.stall_cycles
-        u1 = self._unmap1
-        r1 = self._remap1
-        c1 = self._copy1
+        with tracer.span("migrate_batch", pid=self.space.process.pid, pages=n):
+            self._charge_key(_TRAP_KEY, TRAP_CYCLES)
+            self._charge_key(_PREP_KEY, self._prepare(n))
 
-        def _sd(vpn: int) -> float:
-            """Fast-path shootdown: scope, IPIs, TLB pops, model cost."""
-            cores = cores_of(repl, cpu, vpn) if cores_of is not None else self._process_wide_cores(repl, cpu)
-            if cores:
-                cpu.deliver_ipis(cores)
-                for core_id in cores:
-                    tlb = cpu_cores[core_id].tlb
-                    if tlb._map:
-                        tlb.invalidate(vpn)
-            n_targets = len(cores) or 1
-            cost = tlb_cache.get(n_targets)
-            if cost is None:
-                cost = self.costs.batch_tlb_cycles(1, n_targets)
-                tlb_cache[n_targets] = cost
-            return cost
+            # Float accumulators: locals holding the running bucket values,
+            # updated with the same sequence of binary adds per-charge
+            # accounting performs, written back once at the end.
+            pc = st.phase_cycles
+            unmap_acc = pc[_UNMAP_KEY]
+            sd_acc = pc[_SHOOTDOWN_KEY]
+            copy_acc = pc[_COPY_KEY]
+            remap_acc = pc[_REMAP_KEY]
+            total = st.total_cycles
+            stall = st.stall_cycles
+            u1 = self._unmap1
+            r1 = self._remap1
+            c1 = self._copy1
 
-        # Deferred scatter groups.
-        fin_vpn: list[int] = []; fin_pid: list[int] = []
-        fin_src: list[int] = []; fin_dest: list[int] = []
-        sh_vpn: list[int] = []; sh_pid: list[int] = []
-        sh_src: list[int] = []; sh_dst: list[int] = []
-        mir_vpn: list[int] = []; mir_pfn: list[int] = []
-        mir_val: list[int] = []; mir_own: list[int] = []; mir_dirty: list[bool] = []
-        keep_src: list[int] = []  # sources retained as shadow rows
-        det_src: list[int] = []   # sources fully detached (freed)
-        txn_src: list[int] = []   # transactional sources (dirty reset)
-
-        outcomes: list[MigrationOutcome] = []
-        append_out = outcomes.append
-        SUCCESS = MigrationOutcome.SUCCESS
-        RETRIED = MigrationOutcome.RETRIED
-        FELL_BACK = MigrationOutcome.FELL_BACK_SYNC
-        FAILED = MigrationOutcome.FAILED
-
-        for req, src_pfn, value in zip(requests, pfn_l, val_l):
-            if src_pfn < 0:
-                st.failures += 1
-                append_out(FAILED)
-                continue
-            dest_tier = req.dest_tier
-            src_tier = 0 if src_pfn < fast_frames else 1
-            if src_tier == dest_tier:
-                append_out(SUCCESS)
-                continue
-
-            if (
-                shadow is not None
-                and dest_tier == 1
-                and shadow.can_remap_demote(src_pfn, dirty=pte_is_dirty(value))
-            ):
-                # Remap-only demotion onto the retained slow-tier twin.
-                shadow_pfn = shadow.shadow_of(src_pfn)
+            def window(vpn: int, copy: float | None) -> float:
+                """Unmap → shootdown → [copy] → remap of one page, the
+                window in which its accessors block; returns that stall."""
+                nonlocal unmap_acc, sd_acc, copy_acc, remap_acc, total
                 unmap_acc += u1; total += u1
-                tlb_cycles = _sd(req.vpn)
+                if trace:
+                    phase(_UNMAP_KEY, u1)
+                # Phase ③: resolve scope, deliver IPIs, invalidate TLBs.  The
+                # structural IPI cost is folded into the model cost (the
+                # model is calibrated to measurements that include it).
+                cores = self._scope_cores(repl, cpu, vpn) if opt_tlb else self._process_wide_cores(repl, cpu)
+                ipi_cycles = 0
+                if cores:
+                    ipi_cycles = cpu.deliver_ipis(cores)
+                    for core_id in cores:
+                        tlb = cpu_cores[core_id].tlb
+                        if tlb._map:
+                            tlb.invalidate(vpn)
+                if trace:
+                    trace_shootdown(vpn, len(cores), not opt_tlb, ipi_cycles)
+                n_targets = len(cores) or 1
+                tlb_cycles = tlb_cache.get(n_targets)
+                if tlb_cycles is None:
+                    tlb_cycles = self.costs.batch_tlb_cycles(1, n_targets)
+                    tlb_cache[n_targets] = tlb_cycles
                 sd_acc += tlb_cycles; total += tlb_cycles
+                if trace:
+                    phase(_SHOOTDOWN_KEY, tlb_cycles)
+                blocked = tlb_cycles
+                if copy is not None:
+                    copy_acc += copy; total += copy
+                    if trace:
+                        phase(_COPY_KEY, copy)
+                    blocked = tlb_cycles + copy
                 remap_acc += r1; total += r1
-                stall += tlb_cycles
-                nv = pte_clear_flag(pte_with_pfn(value, shadow_pfn), PTE_SHADOW)
-                pt_update(req.vpn, nv)
-                mir_vpn.append(req.vpn); mir_pfn.append(shadow_pfn)
-                mir_val.append(nv); mir_own.append(pte_tid(nv)); mir_dirty.append(pte_is_dirty(nv))
-                sh_vpn.append(req.vpn); sh_pid.append(req.pid)
-                sh_src.append(src_pfn); sh_dst.append(shadow_pfn)
-                shadow.consume(src_pfn)
-                lsrc = lru_lists[0]
-                if src_pfn in lsrc:
-                    lsrc.remove(src_pfn)
-                ldst = lru_lists[1]
-                if shadow_pfn not in ldst:
-                    ldst.insert(shadow_pfn)
-                tiers[src_tier].free_list.append(src_pfn)
-                det_src.append(src_pfn)
-                st.demotions += 1
-                st.pages_moved += 1
-                st.shadow_remaps += 1
-                append_out(SUCCESS)
-                continue
+                if trace:
+                    phase(_REMAP_KEY, r1)
+                return blocked
 
-            # Allocate the destination (fallback=False, as in _alloc_dest).
-            dest_list = tiers[dest_tier].free_list
-            if not dest_list:
-                st.failures += 1
-                append_out(FAILED)
-                continue
-            dest_pfn = dest_list.popleft()
-            if dest_pfn >= store.capacity:
-                store.ensure(dest_pfn + 1)
+            # Deferred scatter groups.
+            fin_vpn: list[int] = []; fin_pid: list[int] = []
+            fin_src: list[int] = []; fin_dest: list[int] = []
+            sh_vpn: list[int] = []; sh_pid: list[int] = []
+            sh_src: list[int] = []; sh_dst: list[int] = []
+            mir_vpn: list[int] = []; mir_pfn: list[int] = []
+            mir_val: list[int] = []; mir_own: list[int] = []; mir_dirty: list[bool] = []
+            keep_src: list[int] = []  # sources retained as shadow rows
+            det_src: list[int] = []   # sources fully detached (freed)
+            txn_src: list[int] = []   # transactional sources (dirty reset)
 
-            if req.sync:
-                unmap_acc += u1; total += u1
-                tlb_cycles = _sd(req.vpn)
-                sd_acc += tlb_cycles; total += tlb_cycles
-                copy_acc += c1; total += c1
-                remap_acc += r1; total += r1
-                stall += tlb_cycles + c1
-                outcome = SUCCESS
-            else:
-                txn_src.append(src_pfn)
-                lam = req.access_rate_per_kcycle * req.write_fraction / 1_000.0
-                retries = 0
-                outcome = SUCCESS
-                fell_back = False
-                if lam <= 0.0:
-                    copy_acc += c1; total += c1
+            outcomes: list[MigrationOutcome] = []
+            append_out = outcomes.append
+            SUCCESS = MigrationOutcome.SUCCESS
+            RETRIED = MigrationOutcome.RETRIED
+            FELL_BACK = MigrationOutcome.FELL_BACK_SYNC
+            FAILED = MigrationOutcome.FAILED
+
+            for req, vpn, src_pfn, value in zip(requests, vpns, pfn_l, val_l):
+                if src_pfn < 0:
+                    st.failures += 1
+                    append_out(FAILED)
+                    continue
+                dest_tier = req.dest_tier
+                src_tier = 0 if src_pfn < fast_frames else 1
+                if src_tier == dest_tier:
+                    append_out(SUCCESS)
+                    continue
+
+                if (
+                    shadow is not None
+                    and dest_tier == 1
+                    and shadow.can_remap_demote(src_pfn, dirty=pte_is_dirty(value))
+                ):
+                    if inj is not None and self._roll_fault(FaultKind.POISONED_SHADOW, req):
+                        # The retained twin is corrupt: discard it and
+                        # demote by a full copy.  The twin's row is not
+                        # any move's source, so it is freed right away;
+                        # a later move may pop it as its destination.
+                        stale = shadow.poison(src_pfn)
+                        if stale is not None:
+                            self.allocator.free(stale)
+                    else:
+                        # Remap-only demotion onto the retained slow-tier twin.
+                        shadow_pfn = shadow.shadow_of(src_pfn)
+                        stall += window(vpn, None)
+                        nv = pte_clear_flag(pte_with_pfn(value, shadow_pfn), PTE_SHADOW)
+                        pt_update(vpn, nv)
+                        mir_vpn.append(vpn); mir_pfn.append(shadow_pfn)
+                        mir_val.append(nv); mir_own.append(pte_tid(nv)); mir_dirty.append(pte_is_dirty(nv))
+                        sh_vpn.append(vpn); sh_pid.append(req.pid)
+                        sh_src.append(src_pfn); sh_dst.append(shadow_pfn)
+                        shadow.consume(src_pfn)
+                        lsrc = lru_lists[0]
+                        if src_pfn in lsrc:
+                            lsrc.remove(src_pfn)
+                        ldst = lru_lists[1]
+                        if shadow_pfn not in ldst:
+                            ldst.insert(shadow_pfn)
+                        tiers[src_tier].free_list.append(src_pfn)
+                        det_src.append(src_pfn)
+                        st.demotions += 1
+                        st.pages_moved += 1
+                        st.shadow_remaps += 1
+                        append_out(SUCCESS)
+                        continue
+
+                # Allocate the destination (no fallback to the other tier).
+                dest_list = tiers[dest_tier].free_list
+                if not dest_list:
+                    st.failures += 1
+                    append_out(FAILED)
+                    continue
+                dest_pfn = dest_list.popleft()
+                if dest_pfn >= store.capacity:
+                    store.ensure(dest_pfn + 1)
+
+                if inj is not None and self._roll_fault(
+                    FaultKind.ABORTED_SYNC if req.sync else FaultKind.LOST_ASYNC, req
+                ):
+                    if req.sync:
+                        # Aborted mid-copy: the page was unmapped and shot
+                        # down and half the copy ran, all of it stall; then
+                        # the PTE is restored at the unchanged source.
+                        stall += window(vpn, self._half_copy1)
+                    else:
+                        # Dropped before commit: a full background copy
+                        # wasted, no stall, the source stays mapped.
+                        copy_acc += c1; total += c1
+                        if trace:
+                            phase(_COPY_KEY, c1)
+                    # The destination was popped but never bound: no write
+                    # reached its row, which still reads free (its free-list
+                    # bit included, so allocator.free() would call this a
+                    # double free).  Putting it back on its list is the
+                    # whole unwind.
+                    dest_list.append(dest_pfn)
+                    st.failures += 1
+                    append_out(FAILED)
+                    continue
+
+                if req.sync:
+                    stall += window(vpn, c1)
+                    outcome = SUCCESS
                 else:
-                    p_dirty = 1.0 - float(np.exp(-lam * c1))
+                    # Nomad-style transactional copy: the page stays mapped
+                    # during the copy; a write inside the copy window
+                    # (Poisson, rate λ) aborts and retries it.
+                    txn_src.append(src_pfn)
+                    lam = req.access_rate_per_kcycle * req.write_fraction / 1_000.0
+                    p_dirty = 1.0 - float(np.exp(-lam * c1)) if lam > 0.0 else 0.0
+                    retries = 0
+                    outcome = SUCCESS
                     while True:
                         copy_acc += c1; total += c1
-                        if not (rng_random() < p_dirty):
+                        if trace:
+                            phase(_COPY_KEY, c1)
+                        if lam <= 0.0 or not (rng_random() < p_dirty):
                             break
                         retries += 1
                         st.retries += 1
                         if retries > retry_limit:
+                            # Give up: take the write-blocking sync path.
                             st.sync_fallbacks += 1
-                            unmap_acc += u1; total += u1
-                            tlb_cycles = _sd(req.vpn)
-                            sd_acc += tlb_cycles; total += tlb_cycles
-                            copy_acc += c1; total += c1
-                            remap_acc += r1; total += r1
-                            stall += tlb_cycles + c1
-                            fell_back = True
+                            stall += window(vpn, c1)
+                            outcome = FELL_BACK
                             break
                         outcome = RETRIED
-                if fell_back:
-                    outcome = FELL_BACK
+                    if outcome is not FELL_BACK:
+                        # Commit: brief write-protect window, shootdown, remap.
+                        stall += window(vpn, None)
+
+                # Finalize (every non-FAILED full copy commits).
+                keep_shadow = shadow is not None and dest_tier == 0 and src_tier == 1
+                nv = pte_clear_flag(pte_with_pfn(value, dest_pfn), PTE_DIRTY)
+                if keep_shadow:
+                    nv = pte_set_flag(nv, PTE_SHADOW)
+                pt_update(vpn, nv)
+                mir_vpn.append(vpn); mir_pfn.append(dest_pfn)
+                mir_val.append(nv); mir_own.append(pte_tid(nv)); mir_dirty.append(pte_is_dirty(nv))
+                fin_vpn.append(vpn); fin_pid.append(req.pid)
+                fin_src.append(src_pfn); fin_dest.append(dest_pfn)
+                lsrc = lru_lists[src_tier]
+                if src_pfn in lsrc:
+                    lsrc.remove(src_pfn)
+                ldst = lru_lists[dest_tier]
+                if dest_pfn not in ldst:
+                    ldst.insert(dest_pfn)
+                if keep_shadow:
+                    shadow.retain(fast_pfn=dest_pfn, shadow_pfn=src_pfn)
+                    keep_src.append(src_pfn)
                 else:
-                    unmap_acc += u1; total += u1
-                    tlb_cycles = _sd(req.vpn)
-                    sd_acc += tlb_cycles; total += tlb_cycles
-                    remap_acc += r1; total += r1
-                    stall += tlb_cycles
+                    tiers[src_tier].free_list.append(src_pfn)
+                    det_src.append(src_pfn)
+                st.pages_moved += 1
+                if dest_tier == 0:
+                    st.promotions += 1
+                else:
+                    st.demotions += 1
+                if metered:
+                    metrics.counter(
+                        "pages_moved", workload=req.pid, tier="fast" if dest_tier == 0 else "slow"
+                    ).inc()
+                append_out(outcome)
 
-            # Finalize (every non-FAILED full copy commits).
-            keep_shadow = shadow is not None and dest_tier == 0 and src_tier == 1
-            nv = pte_clear_flag(pte_with_pfn(value, dest_pfn), PTE_DIRTY)
-            if keep_shadow:
-                nv = pte_set_flag(nv, PTE_SHADOW)
-            pt_update(req.vpn, nv)
-            mir_vpn.append(req.vpn); mir_pfn.append(dest_pfn)
-            mir_val.append(nv); mir_own.append(pte_tid(nv)); mir_dirty.append(pte_is_dirty(nv))
-            fin_vpn.append(req.vpn); fin_pid.append(req.pid)
-            fin_src.append(src_pfn); fin_dest.append(dest_pfn)
-            lsrc = lru_lists[src_tier]
-            if src_pfn in lsrc:
-                lsrc.remove(src_pfn)
-            ldst = lru_lists[dest_tier]
-            if dest_pfn not in ldst:
-                ldst.insert(dest_pfn)
-            if keep_shadow:
-                shadow.retain(fast_pfn=dest_pfn, shadow_pfn=src_pfn)
-                keep_src.append(src_pfn)
-            else:
-                tiers[src_tier].free_list.append(src_pfn)
-                det_src.append(src_pfn)
-            st.pages_moved += 1
-            if dest_tier == 0:
-                st.promotions += 1
-            else:
-                st.demotions += 1
-            append_out(outcome)
-
-        pc[_UNMAP_KEY] = unmap_acc
-        pc[_SHOOTDOWN_KEY] = sd_acc
-        pc[_COPY_KEY] = copy_acc
-        pc[_REMAP_KEY] = remap_acc
-        st.total_cycles = total
-        st.stall_cycles = stall
-        st.migrations += 1
+            pc[_UNMAP_KEY] = unmap_acc
+            pc[_SHOOTDOWN_KEY] = sd_acc
+            pc[_COPY_KEY] = copy_acc
+            pc[_REMAP_KEY] = remap_acc
+            st.total_cycles = total
+            st.stall_cycles = stall
+            st.migrations += 1
 
         # -- apply deferred writes ---------------------------------------
         # All source rows are pristine pre-batch rows (a frame freed
@@ -642,7 +609,7 @@ class MigrationEngine:
         # as a source), so gather every src-carried column first, apply
         # the detach scatter, then rebuild destination rows — which
         # resolves freed-then-reallocated frames to their final (bound)
-        # row exactly as the legacy free-then-move_row sequence does.
+        # row, as freeing then binding one frame at a time would.
         if sh_dst:
             sdst = np.array(sh_dst, dtype=np.int64)
             sh_heat = store.heat[np.array(sh_src, dtype=np.int64)]
@@ -703,113 +670,6 @@ class MigrationEngine:
             flat.value[midx] = mir_val
         return outcomes
 
-    def _migrate_one(self, req: MigrationRequest) -> MigrationOutcome:
-        repl = self.space.process.repl
-        value = repl.value_of(req.vpn)
-        if value is None:
-            self.stats.failures += 1
-            return MigrationOutcome.FAILED
-        src_pfn = pte_mod.pte_pfn(value)
-        if self._store.tier_id[src_pfn] == req.dest_tier:
-            return MigrationOutcome.SUCCESS  # already there
-
-        # Shadow fast-path on demotion: a clean page that still has its
-        # slow-tier shadow can be "demoted" by a remap alone (§3.5).
-        if (
-            self.shadow is not None
-            and req.dest_tier == 1
-            and self.shadow.can_remap_demote(src_pfn, dirty=pte_mod.pte_is_dirty(value))
-        ):
-            if self._roll_fault(FaultKind.POISONED_SHADOW, req):
-                # The retained copy is corrupt: discard it and fall
-                # through to a full-copy demotion.
-                stale = self.shadow.poison(src_pfn)
-                if stale is not None:
-                    self.allocator.free(stale)
-            else:
-                return self._demote_via_shadow(req, value, src_pfn)
-
-        dest_pfn = self._alloc_dest(req.dest_tier)
-        if dest_pfn is None:
-            self.stats.failures += 1
-            return MigrationOutcome.FAILED
-
-        if req.sync and self._roll_fault(FaultKind.ABORTED_SYNC, req):
-            return self._abort_sync(req, dest_pfn)
-        if not req.sync and self._roll_fault(FaultKind.LOST_ASYNC, req):
-            return self._lose_async(req, src_pfn, dest_pfn)
-
-        if req.sync:
-            outcome = self._copy_sync(req, value, src_pfn, dest_pfn)
-        else:
-            outcome = self._copy_transactional(req, value, src_pfn, dest_pfn)
-
-        if outcome in _OK_OUTCOMES:
-            self._finalize_move(req, src_pfn, dest_pfn)
-        else:
-            self.allocator.free(dest_pfn)
-        return outcome
-
-    # -- copy disciplines -------------------------------------------------------
-
-    def _copy_sync(self, req: MigrationRequest, value: int, src_pfn: int, dest_pfn: int) -> MigrationOutcome:
-        """Blocking copy: unmap → shootdown → copy → remap; the app stalls."""
-        self._charge_key(_UNMAP_KEY, self._unmap1)
-        tlb_cycles, _ = self._shootdown(req.vpn)
-        self._charge_key(_SHOOTDOWN_KEY, tlb_cycles)
-        copy_cycles = self._copy1
-        self._charge_key(_COPY_KEY, copy_cycles)
-        self._charge_key(_REMAP_KEY, self._remap1)
-        # Everything after unmap is a stall for threads touching the page.
-        self.stats.stall_cycles += tlb_cycles + copy_cycles
-        return MigrationOutcome.SUCCESS
-
-    def _copy_transactional(self, req: MigrationRequest, value: int, src_pfn: int, dest_pfn: int) -> MigrationOutcome:
-        """Nomad-style transactional copy: page stays mapped during copy;
-        a concurrent write aborts and retries the transaction."""
-        store = self._store
-        store.state[src_pfn] = STATE_MIGRATING
-        copy_cycles = self._copy1
-        retries = 0
-        outcome = MigrationOutcome.SUCCESS
-        while True:
-            store.dirty_since_copy[src_pfn] = False
-            self._charge_key(_COPY_KEY, copy_cycles)
-            # Probability the page is written during this copy window.
-            dirtied = self._dirtied_during(copy_cycles, req)
-            if not dirtied and not store.dirty_since_copy[src_pfn]:
-                break
-            retries += 1
-            self.stats.retries += 1
-            if retries > self.flags.async_retry_limit:
-                # Give up: take the write-blocking sync path.
-                self.stats.sync_fallbacks += 1
-                self._copy_sync(req, value, src_pfn, dest_pfn)
-                store.state[src_pfn] = STATE_MAPPED
-                return MigrationOutcome.FELL_BACK_SYNC
-            outcome = MigrationOutcome.RETRIED
-        # Commit: brief write-protect window, scoped shootdown, remap.
-        self._charge_key(_UNMAP_KEY, self._unmap1)
-        tlb_cycles, _ = self._shootdown(req.vpn)
-        self._charge_key(_SHOOTDOWN_KEY, tlb_cycles)
-        self._charge_key(_REMAP_KEY, self._remap1)
-        # Only the commit window stalls the app.
-        self.stats.stall_cycles += tlb_cycles
-        store.state[src_pfn] = STATE_MAPPED
-        return outcome
-
-    def _dirtied_during(self, window_cycles: float, req: MigrationRequest) -> bool:
-        """Bernoulli draw: was the page written inside the copy window?
-
-        Writes arrive at ``rate * write_fraction`` per kilocycle; the
-        window survives clean with probability ``exp(-λ·w·window)``.
-        """
-        lam = req.access_rate_per_kcycle * req.write_fraction / 1_000.0
-        if lam <= 0.0:
-            return False
-        p_dirty = 1.0 - float(np.exp(-lam * window_cycles))
-        return bool(self.rng.random() < p_dirty)
-
     # -- injected faults ---------------------------------------------------------
 
     def _roll_fault(self, kind: FaultKind, req: MigrationRequest) -> bool:
@@ -835,119 +695,3 @@ class MigrationEngine:
         if tracer.metrics.enabled:
             tracer.metrics.counter("faults_injected", workload=req.pid, kind=kind.value).inc()
         return True
-
-    def _abort_sync(self, req: MigrationRequest, dest_pfn: int) -> MigrationOutcome:
-        """A blocking migration dies mid-copy and unwinds.
-
-        The page was already unmapped and shot down, and roughly half
-        the copy ran before the abort — all of it stall — then the PTE
-        is restored at the source.  The source frame never changed
-        state, so restoring is remap cost only; page state is intact.
-        """
-        self._charge_key(_UNMAP_KEY, self._unmap1)
-        tlb_cycles, _ = self._shootdown(req.vpn)
-        self._charge_key(_SHOOTDOWN_KEY, tlb_cycles)
-        wasted_copy = self._half_copy1
-        self._charge_key(_COPY_KEY, wasted_copy)
-        self._charge_key(_REMAP_KEY, self._remap1)
-        self.stats.stall_cycles += tlb_cycles + wasted_copy
-        self.allocator.free(dest_pfn)
-        self.stats.failures += 1
-        return MigrationOutcome.FAILED
-
-    def _lose_async(self, req: MigrationRequest, src_pfn: int, dest_pfn: int) -> MigrationOutcome:
-        """A transactional work item is dropped before commit.
-
-        The copy ran in the background (full copy cycles wasted, no
-        stall — the page stayed mapped the whole time) but the commit
-        never happened: the destination is freed and the source simply
-        remains the live mapping.
-        """
-        store = self._store
-        store.state[src_pfn] = STATE_MIGRATING
-        self._charge_key(_COPY_KEY, self._copy1)
-        store.state[src_pfn] = STATE_MAPPED
-        self.allocator.free(dest_pfn)
-        self.stats.failures += 1
-        return MigrationOutcome.FAILED
-
-    # -- shadow demotion ---------------------------------------------------------
-
-    def _demote_via_shadow(self, req: MigrationRequest, value: int, src_pfn: int) -> MigrationOutcome:
-        """Demotion by remapping to the retained slow-tier shadow copy."""
-        assert self.shadow is not None
-        shadow_pfn = self.shadow.shadow_of(src_pfn)
-        assert shadow_pfn is not None
-        self._charge_key(_UNMAP_KEY, self._unmap1)
-        tlb_cycles, _ = self._shootdown(req.vpn)
-        self._charge_key(_SHOOTDOWN_KEY, tlb_cycles)
-        self._charge_key(_REMAP_KEY, self._remap1)
-        self.stats.stall_cycles += tlb_cycles
-
-        repl = self.space.process.repl
-        repl.update(req.vpn, pte_mod.pte_clear_flag(pte_mod.pte_with_pfn(value, shadow_pfn), pte_mod.PTE_SHADOW))
-        store = self._store
-        store.pid[shadow_pfn] = req.pid
-        store.vpn[shadow_pfn] = req.vpn
-        store.state[shadow_pfn] = STATE_MAPPED
-        store.heat[shadow_pfn] = store.heat[src_pfn]
-        self.shadow.consume(src_pfn)
-        if src_pfn in self.lru.lists[0]:
-            self.lru.lists[0].remove(src_pfn)
-        if shadow_pfn not in self.lru.lists[1]:
-            self.lru.lists[1].insert(shadow_pfn)
-        self.allocator.free(src_pfn)
-        self.stats.demotions += 1
-        self.stats.pages_moved += 1
-        self.stats.shadow_remaps += 1
-        return MigrationOutcome.SUCCESS
-
-    # -- commit -----------------------------------------------------------------
-
-    def _finalize_move(self, req: MigrationRequest, src_pfn: int, dest_pfn: int) -> None:
-        """Repoint the PTE, move metadata, release or shadow the source."""
-        repl = self.space.process.repl
-        value = repl.value_of(req.vpn)
-        assert value is not None
-        store = self._store
-        src_tier = int(store.tier_id[src_pfn])
-
-        keep_shadow = (
-            self.shadow is not None
-            and req.dest_tier == 0  # promotion
-            and src_tier == 1
-        )
-
-        new_value = pte_mod.pte_with_pfn(value, dest_pfn)
-        new_value = pte_mod.pte_clear_flag(new_value, pte_mod.PTE_DIRTY)
-        if keep_shadow:
-            new_value = pte_mod.pte_set_flag(new_value, pte_mod.PTE_SHADOW)
-        repl.update(req.vpn, new_value)
-
-        store.move_row(src_pfn, dest_pfn, req.pid, req.vpn)
-
-        # LRU relink.
-        if src_pfn in self.lru.lists[src_tier]:
-            self.lru.lists[src_tier].remove(src_pfn)
-        if dest_pfn not in self.lru.lists[req.dest_tier]:
-            self.lru.lists[req.dest_tier].insert(dest_pfn)
-
-        if keep_shadow:
-            assert self.shadow is not None
-            self.shadow.retain(fast_pfn=dest_pfn, shadow_pfn=src_pfn)
-            store.state[src_pfn] = STATE_SHADOW
-        else:
-            self.allocator.free(src_pfn)
-
-        self.stats.pages_moved += 1
-        if req.dest_tier == 0:
-            self.stats.promotions += 1
-        else:
-            self.stats.demotions += 1
-        metrics = self._tracer.metrics
-        if metrics.enabled:
-            metrics.counter(
-                "pages_moved",
-                workload=req.pid,
-                tier="fast" if req.dest_tier == 0 else "slow",
-            ).inc()

@@ -145,26 +145,6 @@ class PageStatsStore:
 
     # -- vectorized hot-path updates -------------------------------------
 
-    def record_batch(
-        self,
-        pfns: np.ndarray,
-        n_reads: np.ndarray,
-        n_writes: np.ndarray,
-        tid: int,
-        cycle: int,
-    ) -> None:
-        """Account per-frame access counts for one thread's batch.
-
-        ``pfns`` must be unique (one row per frame); counts are added
-        one-per-row (exact for unique rows).
-        """
-        kernels.page_record_rows(
-            self.reads, self.writes, self.epoch_reads, self.epoch_writes,
-            self.last_access_cycle, self.touched, self.state,
-            self.dirty_since_copy, pfns, n_reads, n_writes, cycle,
-        )
-        self.or_tid_bit(pfns, tid)
-
     def or_tid_bit(self, pfns: np.ndarray, tid: int) -> None:
         """OR one thread's bit into the accessing-tid masks of ``pfns``."""
         if tid < 64:
@@ -179,14 +159,14 @@ class PageStatsStore:
         n_writes: np.ndarray,
         cycle: int,
     ) -> None:
-        """Fused-epoch counterpart of :meth:`record_batch`.
+        """Account one epoch's per-frame access counts.
 
-        ``pfns`` are the epoch's unique frames with counts already
-        summed across threads; the per-thread tid-bit ORs happen
-        separately (:meth:`or_tid_bit`).  Integer adds commute, states
-        are constant while traffic runs, and ``cycle`` is the same for
-        every batch of an epoch, so one fused pass lands bit-identical
-        to the per-batch path.
+        ``pfns`` are the epoch's unique frames (one row each) with
+        counts already summed across threads; the per-thread tid-bit
+        ORs happen separately (:meth:`or_tid_bit`).  Integer adds
+        commute, states are constant while traffic runs, and ``cycle``
+        is the same for every thread of an epoch, so one pass lands
+        exactly where per-thread updates would.
         """
         kernels.page_record_rows(
             self.reads, self.writes, self.epoch_reads, self.epoch_writes,
@@ -254,29 +234,6 @@ class PageStatsStore:
         return (int(hot), int(hot_fast), int(cold_fast), int(fast))
 
     # -- row lifecycle (attach/detach mirror PhysPage semantics) ---------
-
-    def move_row(self, src: int, dest: int, pid: int, vpn: int) -> None:
-        """Bind ``dest`` (a fresh FREE frame) and copy migration-carried
-        state from ``src`` — the fused equivalent of PhysPage attach +
-        the per-field copies the migration engine used to do one property
-        at a time.  ``last_access_cycle``, ``shadow_pfn`` and
-        ``dirty_since_copy`` deliberately do not transfer (they never
-        did).
-        """
-        self.pid[dest] = pid
-        self.vpn[dest] = vpn
-        self.state[dest] = STATE_MAPPED
-        self.heat[dest] = self.heat[src]
-        self.reads[dest] = self.reads[src]
-        self.writes[dest] = self.writes[src]
-        er = int(self.epoch_reads[src])
-        ew = int(self.epoch_writes[src])
-        self.epoch_reads[dest] = er
-        self.epoch_writes[dest] = ew
-        if er or ew:
-            self.touched[dest] = True
-        self.tids_lo[dest] = self.tids_lo[src]
-        self.tids_hi[dest] = self.tids_hi[src]
 
     def detach_row(self, pfn: int) -> None:
         """Unbind a frame and reset per-mapping statistics."""

@@ -88,20 +88,26 @@ def execute_shootdown(cpu: CpuComplex, scope: ShootdownScope, *, initiator_core:
         cpu.core(core_id).tlb.invalidate(scope.vpn)
     if initiator_core is not None:
         cpu.core(initiator_core).tlb.invalidate(scope.vpn)
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.emit(
-            EventKind.TLB_SHOOTDOWN,
-            "shootdown",
-            args={
-                "vpn": scope.vpn,
-                "n_targets": scope.n_targets,
-                "process_wide": scope.process_wide,
-                "ipi_cycles": cost,
-            },
-        )
-        tracer.metrics.histogram("shootdown_scope_cores").observe(scope.n_targets)
-        tracer.metrics.counter(
-            "shootdowns", scope="process_wide" if scope.process_wide else "scoped"
-        ).inc()
+    if get_tracer().enabled:
+        trace_shootdown(scope.vpn, scope.n_targets, scope.process_wide, cost)
     return cost
+
+
+def trace_shootdown(vpn: int, n_targets: int, process_wide: bool, ipi_cycles: int) -> None:
+    """Record one delivered shootdown as an event and in the metrics
+    (callers check ``tracer.enabled`` first)."""
+    tracer = get_tracer()
+    tracer.emit(
+        EventKind.TLB_SHOOTDOWN,
+        "shootdown",
+        args={
+            "vpn": vpn,
+            "n_targets": n_targets,
+            "process_wide": process_wide,
+            "ipi_cycles": ipi_cycles,
+        },
+    )
+    tracer.metrics.histogram("shootdown_scope_cores").observe(n_targets)
+    tracer.metrics.counter(
+        "shootdowns", scope="process_wide" if process_wide else "scoped"
+    ).inc()

@@ -5,8 +5,8 @@ Lifecycle per experiment::
     policy = SomePolicy(machine, allocator, lru, seed=...)
     rt = policy.register_workload(pid, name, space, service, core_map, ...)
     # each epoch:
-    policy.observe(batch)            # for every thread's access batch
-    policy.record_tier_sample(...)   # N times per epoch (FTHR sampling)
+    policy.observe_plan(plan)        # each workload's epoch traffic
+    policy.record_tier_samples(...)  # per-thread FTHR samples
     result = policy.end_epoch()      # policy migrates; harness reads result
 
 Each workload gets its *own* :class:`MigrationEngine` so stall cycles
@@ -28,7 +28,7 @@ from repro.mm.frame_alloc import FrameAllocator
 from repro.mm.lru import LruSubsystem
 from repro.mm.migration import MigrationEngine, OptimizationFlags
 from repro.mm.shadow import ShadowTracker
-from repro.profiling.base import AccessBatch, EpochPlan, Profiler
+from repro.profiling.base import EpochPlan, Profiler
 
 
 @dataclass
@@ -183,15 +183,8 @@ class TieringPolicy:
         re-derives GPTs and the CBFRP partition base.
         """
 
-    def observe(self, batch: AccessBatch) -> None:
-        """Feed one thread's epoch accesses to the workload's profiler."""
-        rt = self.workloads.get(batch.pid)
-        if rt is None:
-            return
-        rt.profiler.observe(batch)
-
     def observe_plan(self, plan: EpochPlan) -> None:
-        """Feed one process's whole epoch (batched :meth:`observe`)."""
+        """Feed one process's whole epoch to its profiler."""
         rt = self.workloads.get(plan.pid)
         if rt is None:
             return
@@ -218,11 +211,11 @@ class TieringPolicy:
         rt.epoch_slow_hits += slow
 
     def record_tier_samples(self, pid: int, fast: np.ndarray, slow: np.ndarray) -> None:
-        """Per-segment FTHR samples for one epoch (batched counterpart).
+        """Per-segment FTHR samples for one epoch.
 
         Sample windows are per-segment state (Vulcan's QoS tracker keeps
         the raw pairs), so this dispatches one :meth:`record_tier_sample`
-        per segment — exactly the legacy call sequence.
+        per segment, in segment order.
         """
         for f, s in zip(fast.tolist(), slow.tolist()):
             self.record_tier_sample(pid, f, s)

@@ -42,12 +42,10 @@ class AccessBatch:
 class EpochPlan:
     """One epoch of traffic for one process, all threads concatenated.
 
-    The vectorized successor to a ``list[AccessBatch]``: segment ``i``
-    covers ``vpns[offsets[i]:offsets[i+1]]`` and belongs to thread
-    ``tids[i]``.  Segments appear in the exact order the legacy
-    generator yielded batches (tid 0, 1, ...), so any consumer that
-    iterates :meth:`segments` reproduces the per-batch stream
-    bit-for-bit; fused consumers use the flat arrays plus
+    Segment ``i`` covers ``vpns[offsets[i]:offsets[i+1]]`` and belongs
+    to thread ``tids[i]``; segments appear in tid order (0, 1, ...).
+    Consumers either iterate :meth:`segments` as per-thread
+    :class:`AccessBatch` views or use the flat arrays plus
     ``np.add.reduceat``-style reductions over ``offsets``.
     """
 
@@ -74,7 +72,7 @@ class EpochPlan:
         return int(self.tids.size)
 
     def segment(self, i: int) -> AccessBatch:
-        """Segment ``i`` as a legacy :class:`AccessBatch` (array views)."""
+        """Segment ``i`` as an :class:`AccessBatch` (array views)."""
         lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
         return AccessBatch(
             pid=self.pid,
@@ -84,7 +82,7 @@ class EpochPlan:
         )
 
     def segments(self):
-        """Iterate the legacy per-thread batch stream, in order."""
+        """Iterate the per-thread batches, in segment order."""
         for i in range(self.n_segments):
             yield self.segment(i)
 
@@ -139,8 +137,8 @@ class Profiler:
     def observe_plan(self, plan: EpochPlan) -> None:
         """Ingest one process's whole epoch.
 
-        The default replays the legacy per-thread batch stream in order,
-        which is exact for every mechanism; subclasses with fused fast
+        The default feeds the per-thread batches to :meth:`observe` in
+        segment order, which is exact for every mechanism; subclasses with fused fast
         paths must preserve per-segment RNG draws, sequential state
         (poison windows), and per-segment heat-insertion order.
         """

@@ -1,10 +1,10 @@
 """Workload interface for the epoch-driven harness.
 
 A workload owns a virtual region (its RSS) inside a process the harness
-creates, and produces per-thread access batches each epoch.  Per-thread
-generation matters: Vulcan's page classification distinguishes *which*
-threads touch a page, so generators partition or share their working
-sets across threads explicitly.
+creates, and produces one :class:`EpochPlan` of per-thread traffic each
+epoch.  Per-thread generation matters: Vulcan's page classification
+distinguishes *which* threads touch a page, so generators partition or
+share their working sets across threads explicitly.
 
 The issue model separates *intent* from *achievement*: a workload asks
 to issue ``issue_rate(epoch)`` × budget accesses; the harness converts
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.classify import ServiceClass
 from repro.mm.address_space import Vma
-from repro.profiling.base import AccessBatch, EpochPlan
+from repro.profiling.base import EpochPlan
 
 
 @dataclass(frozen=True)
@@ -114,64 +114,15 @@ class Workload:
         epoch (1.0 = saturating).  Default: saturating (BE behaviour)."""
         return 1.0
 
-    def generate(self, epoch: int) -> list[AccessBatch]:
-        """Produce one access batch per thread for this epoch."""
-        if self.pid is None or self.vma is None:
-            raise RuntimeError(f"workload {self.name!r} not bound to a process")
-        batches: list[AccessBatch] = []
-        n = int(self.spec.accesses_per_thread * self.issue_rate(epoch))
-        for tid in range(self.spec.n_threads):
-            if n <= 0:
-                vpns = np.empty(0, dtype=np.int64)
-                writes = np.empty(0, dtype=bool)
-            else:
-                vpns, writes = self._thread_access(tid, n, epoch)
-            batches.append(AccessBatch(pid=self.pid, tid=tid, vpns=vpns, is_write=writes))
-        return batches
-
-    def plan_epoch(self, epoch: int) -> EpochPlan:
-        """Produce the epoch's traffic as one vectorized :class:`EpochPlan`.
-
-        Consumes exactly the RNG stream :meth:`generate` would — the
-        same single ``issue_rate`` call, then ``_thread_access`` per tid
-        in order — so batched and legacy runs are bit-identical.
-        """
-        if self.pid is None or self.vma is None:
-            raise RuntimeError(f"workload {self.name!r} not bound to a process")
-        n = int(self.spec.accesses_per_thread * self.issue_rate(epoch))
-        n_threads = self.spec.n_threads
-        offsets = np.zeros(n_threads + 1, dtype=np.int64)
-        if n <= 0:
-            return EpochPlan(
-                pid=self.pid,
-                vpns=np.empty(0, dtype=np.int64),
-                is_write=np.empty(0, dtype=bool),
-                offsets=offsets,
-                tids=np.arange(n_threads, dtype=np.int64),
-            )
-        parts_v: list[np.ndarray] = []
-        parts_w: list[np.ndarray] = []
-        for tid in range(n_threads):
-            vpns, writes = self._thread_access(tid, n, epoch)
-            parts_v.append(vpns)
-            parts_w.append(writes)
-            offsets[tid + 1] = offsets[tid] + vpns.size
-        return EpochPlan(
-            pid=self.pid,
-            vpns=np.concatenate(parts_v),
-            is_write=np.concatenate(parts_w),
-            offsets=offsets,
-            tids=np.arange(n_threads, dtype=np.int64),
-        )
-
     def planned_epoch(self, epoch: int) -> tuple[float, EpochPlan]:
-        """Burst-prefetching, allocation-free variant of the harness's
-        ``issue_rate(epoch)`` + ``plan_epoch(epoch)`` pair.
+        """The epoch's ``(issue_rate, EpochPlan)``: one batch of accesses
+        per thread, in tid order, ``_thread_access`` supplying each.
 
-        On a cache miss the next ``plan_horizon`` epochs of plans are
-        built back to back into a rotating pool of reusable buffers
-        (one slot per horizon step, so a cached plan is never
-        overwritten before its epoch consumes it).  RNG draw order is
+        Plans are burst-prefetched and allocation-free.  On a cache
+        miss the next ``plan_horizon`` epochs of plans are built back
+        to back into a rotating pool of reusable buffers (one slot per
+        horizon step, so a cached plan is never overwritten before its
+        epoch consumes it).  RNG draw order is
         preserved exactly: for each prefetched epoch the harness-side
         ``issue_rate`` draw happens first, then the plan's own internal
         draw — the same ``A_e, B_e, A_{e+1}, B_{e+1}, ...`` sequence a
@@ -195,8 +146,8 @@ class Workload:
 
     def _plan_into(self, slot_i: int, epoch: int) -> EpochPlan:
         """Build epoch ``epoch``'s plan into reusable buffer slot
-        ``slot_i`` — same traffic and RNG stream as :meth:`plan_epoch`,
-        without the per-epoch concatenate allocations."""
+        ``slot_i``: one ``issue_rate`` draw, then ``_thread_access`` per
+        tid in order, written without per-epoch allocations."""
         if self.pid is None or self.vma is None:
             raise RuntimeError(f"workload {self.name!r} not bound to a process")
         n = int(self.spec.accesses_per_thread * self.issue_rate(epoch))
@@ -235,6 +186,12 @@ class Workload:
         for tid in range(nt):
             vpns, writes = self._thread_access(tid, n, epoch)
             m = vpns.size
+            if pos + m > buf_v.size:
+                # A thread may emit more than ``n`` accesses (YCSB scans
+                # touch up to a run of pages per operation): grow.
+                grown = 2 * (pos + m)
+                buf_v = slot["vpns"] = np.concatenate([buf_v[:pos], np.empty(grown - pos, dtype=np.int64)])
+                buf_w = slot["writes"] = np.concatenate([buf_w[:pos], np.empty(grown - pos, dtype=bool)])
             buf_v[pos : pos + m] = vpns
             buf_w[pos : pos + m] = writes
             pos += m

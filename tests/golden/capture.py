@@ -7,8 +7,14 @@ Run from the repo root:
 The snapshots pin ``ExperimentResult.to_dict()`` bit-for-bit (JSON's
 shortest-round-trip float repr is exact), so any refactor of the
 frame/heat hot path can be checked against the pre-refactor behaviour.
+
+The ``trace_*.json`` snapshots pin what a *traced* run emits: the event
+count plus sha256 digests of the full ``tracer.events()`` stream and of
+the metrics registry, so a refactor that reorders, drops or re-times a
+single event (or changes one counter) is caught across commits.
 """
 
+import hashlib
 import json
 import pathlib
 import sys
@@ -43,6 +49,7 @@ def main() -> int:
         path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path.name}")
     capture_scenario()
+    capture_traces()
     return 0
 
 
@@ -61,6 +68,63 @@ def capture_scenario() -> None:
     }
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}")
+
+
+#: traced runs pinned by ``trace_<name>.json``: name -> zero-arg runner
+TRACE_ACCESSES_PER_THREAD = 800
+
+
+def _traced_vulcan_paper():
+    return _run_one("vulcan", "paper", 4, TRACE_ACCESSES_PER_THREAD, 3)
+
+
+def _traced_churn():
+    from repro.scenario import run_scenario
+
+    return run_scenario("churn")
+
+
+TRACE_CASES = {
+    "vulcan_paper": _traced_vulcan_paper,
+    "churn": _traced_churn,
+}
+
+
+def _canonical(obj) -> bytes:
+    """Deterministic JSON bytes (numpy scalars unwrapped, floats exact)."""
+    return json.dumps(
+        obj, sort_keys=True, default=lambda o: o.item() if hasattr(o, "item") else repr(o)
+    ).encode()
+
+
+def trace_digest(name: str) -> dict:
+    """Run one traced case; digest its event stream and metrics."""
+    from repro.obs.metrics import get_registry
+    from repro.obs.trace import get_tracer
+
+    tracer = get_tracer()
+    try:
+        tracer.enable()
+        TRACE_CASES[name]()
+        events = tracer.events()
+        metrics = get_registry().collect()
+    finally:
+        tracer.disable()
+        tracer.reset()
+    stream = [[e.kind.value, e.name, e.ts, e.dur, e.pid, e.args] for e in events]
+    return {
+        "n_events": len(events),
+        "events_sha256": hashlib.sha256(_canonical(stream)).hexdigest(),
+        "metrics_sha256": hashlib.sha256(_canonical(metrics)).hexdigest(),
+    }
+
+
+def capture_traces() -> None:
+    for name in TRACE_CASES:
+        path = GOLDEN_DIR / f"trace_{name}.json"
+        payload = {"case": name, "trace": trace_digest(name)}
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path.name}")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 def _digest(backend: str, goldens: int, fuzz_runs: int, timeout: float = 1800) -> dict:
     env = dict(os.environ, PYTHONPATH=SRC, REPRO_KERNELS=backend)
-    env.pop("REPRO_LEGACY_EPOCH", None)
     proc = subprocess.run(
         [
             sys.executable, str(WORKER),

@@ -1,10 +1,11 @@
-"""Processes, VMAs, demand paging, batch accounting."""
+"""Processes, VMAs, demand paging, epoch-plan accounting."""
 
 import numpy as np
 import pytest
 
 from repro.mm.address_space import AddressSpace, Process, Vma
 from repro.mm.frame_alloc import FrameAllocator
+from repro.profiling.base import EpochPlan
 from tests.conftest import make_process, populated_space
 
 
@@ -91,51 +92,87 @@ def test_populate_idempotent():
     assert space.populate(vma, tid=0) == 0
 
 
+def plan_of(pid, *segments):
+    """An :class:`EpochPlan` from ``(tid, vpns, writes)`` segments."""
+    vpns = [np.asarray(v, dtype=np.int64) for _, v, _ in segments]
+    writes = [np.asarray(w, dtype=bool) for _, _, w in segments]
+    sizes = [v.size for v in vpns]
+    return EpochPlan(
+        pid=pid,
+        vpns=np.concatenate(vpns) if vpns else np.empty(0, dtype=np.int64),
+        is_write=np.concatenate(writes) if writes else np.empty(0, dtype=bool),
+        offsets=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        tids=np.array([t for t, _, _ in segments], dtype=np.int64),
+    )
+
+
 def test_record_batch_tier_split():
+    """record_plan splits each segment's accesses by tier."""
     alloc = FrameAllocator(fast_frames=2, slow_frames=8)
     space = populated_space(alloc, n_pages=4)  # 2 fast + 2 slow
-    vma = space.process.vmas[0]
-    vpns = np.array([vma.start_vpn, vma.start_vpn + 1, vma.start_vpn + 3], dtype=np.int64)
-    fast, slow = space.record_batch(vpns, np.zeros(3, dtype=bool), tid=0)
-    assert fast == 2 and slow == 1
+    s = space.process.vmas[0].start_vpn
+    plan = plan_of(1, (0, [s, s + 1, s + 3], [False] * 3), (1, [s + 2, s + 3], [False] * 2))
+    fast, slow = space.record_plan(plan)
+    assert fast.tolist() == [2, 0]
+    assert slow.tolist() == [1, 2]
 
 
 def test_record_batch_counts_and_writes():
+    """Per-frame read/write counts sum across segments; cycle stamps."""
     alloc = FrameAllocator(fast_frames=8, slow_frames=8)
     space = populated_space(alloc, n_pages=2, n_threads=1)
-    vma = space.process.vmas[0]
-    vpns = np.array([vma.start_vpn] * 5 + [vma.start_vpn + 1] * 3, dtype=np.int64)
-    writes = np.array([True, False, False, False, True, False, False, False])
-    space.record_batch(vpns, writes, tid=0, cycle=3)
-    p0 = alloc.page(space.translate(vma.start_vpn))
-    p1 = alloc.page(space.translate(vma.start_vpn + 1))
+    s = space.process.vmas[0].start_vpn
+    plan = plan_of(
+        1,
+        (0, [s] * 3 + [s + 1] * 2, [True, False, False, False, False]),
+        (0, [s] * 2 + [s + 1], [False, True, False]),
+    )
+    space.record_plan(plan, cycle=3)
+    p0 = alloc.page(space.translate(s))
+    p1 = alloc.page(space.translate(s + 1))
     assert (p0.reads, p0.writes) == (3, 2)
     assert (p1.reads, p1.writes) == (3, 0)
+    assert (p0.epoch_reads, p0.epoch_writes) == (3, 2)
     assert p0.last_access_cycle == 3
 
 
 def test_record_batch_unmapped_rejected():
     space, proc, _ = make_space()
-    proc.mmap(2)
+    vma = proc.mmap(2)
+    space.fault(vma.start_vpn, tid=0)
     with pytest.raises(KeyError):
-        space.record_batch(np.array([proc.vmas[0].start_vpn]), np.array([False]), tid=0)
+        space.record_plan(plan_of(1, (0, [vma.start_vpn + 1], [False])))
+    with pytest.raises(KeyError):
+        space.record_plan(plan_of(1, (0, [vma.end_vpn + 100], [False])))
 
 
 def test_record_batch_shape_mismatch():
-    space, _, _ = make_space()
+    """An epoch plan's access arrays must agree in shape."""
     with pytest.raises(ValueError):
-        space.record_batch(np.array([1, 2]), np.array([False]), tid=0)
+        EpochPlan(
+            pid=1, vpns=np.array([1, 2]), is_write=np.array([False]),
+            offsets=np.array([0, 2]), tids=np.array([0]),
+        )
 
 
 def test_record_batch_empty():
     space, _, _ = make_space()
-    assert space.record_batch(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), tid=0) == (0, 0)
+    fast, slow = space.record_plan(plan_of(1, (0, [], []), (1, [], [])))
+    assert fast.tolist() == [0, 0] and slow.tolist() == [0, 0]
 
 
 def test_record_batch_promotes_sharing():
+    """A later segment's thread touching an earlier-owned page shares it."""
     alloc = FrameAllocator(fast_frames=8, slow_frames=8)
     space = populated_space(alloc, n_pages=2, n_threads=2)  # page i owned by tid i
-    vma = space.process.vmas[0]
-    vpns = np.array([vma.start_vpn + 1], dtype=np.int64)
-    space.record_batch(vpns, np.array([False]), tid=0)  # tid 0 touches tid 1's page
-    assert not space.process.repl.is_private(vma.start_vpn + 1)
+    s = space.process.vmas[0].start_vpn
+    repl = space.process.repl
+    plan = plan_of(1, (0, [s], [False]), (1, [s + 1], [False]))
+    space.record_plan(plan)
+    assert repl.is_private(s) and repl.is_private(s + 1)
+    plan = plan_of(1, (1, [s + 1], [False]), (0, [s + 1], [False]))
+    space.record_plan(plan)  # tid 0 touches tid 1's page
+    assert repl.is_private(s)
+    assert not repl.is_private(s + 1)
+    assert space.minor_faults == 1
+    assert alloc.store.tids_lo[space.translate(s + 1)] == np.uint64(0b11)

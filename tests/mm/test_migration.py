@@ -15,6 +15,7 @@ from repro.mm.migration import (
     MigrationRequest,
     OptimizationFlags,
 )
+from repro.mm.page import PageState
 from repro.mm.shadow import ShadowTracker
 from tests.conftest import make_process, small_machine_config
 
@@ -100,6 +101,24 @@ class TestBasicMoves:
         assert engine.stats.migrations == 1
         assert engine.stats.pages_moved == 4
 
+    def test_batch_with_repeated_vpn_rejected(self):
+        """The deferred row scatters need disjoint rows: a batch naming a
+        vpn twice is refused before anything is charged or moved."""
+        engine, space, alloc, _ = build()
+        vma = fault_pages(space, 2, tier=1)
+        v = vma.start_vpn
+        reqs = [
+            MigrationRequest(pid=1, vpn=v, dest_tier=0),
+            MigrationRequest(pid=1, vpn=v + 1, dest_tier=0),
+            MigrationRequest(pid=1, vpn=v, dest_tier=1),
+        ]
+        with pytest.raises(ValueError, match="more than once"):
+            engine.migrate_batch(reqs)
+        assert engine.stats.migrations == 0
+        assert engine.stats.total_cycles == 0.0
+        assert alloc.tier_of_pfn(space.translate(v)) == 1
+        alloc.check_consistency()
+
 
 class TestCopyDisciplines:
     def test_sync_copy_charges_stall(self):
@@ -138,9 +157,21 @@ class TestCopyDisciplines:
         assert engine.stats.pages_moved == 1
 
     def test_dirty_probability_zero_without_writes(self):
-        engine, _, _, _ = build()
-        req = MigrationRequest(pid=1, vpn=0, dest_tier=0, write_fraction=0.0, access_rate_per_kcycle=100.0)
-        assert not engine._dirtied_during(1e9, req)
+        """A read-only page is never dirtied mid-copy: one copy, no
+        retries, and no dirty-roll RNG draw however hot the page is."""
+        engine, space, _, _ = build()
+        vma = fault_pages(space, 1, tier=1)
+        rng_state = engine.rng.bit_generator.state
+        out = engine.migrate(
+            MigrationRequest(
+                pid=1, vpn=vma.start_vpn, dest_tier=0, sync=False,
+                write_fraction=0.0, access_rate_per_kcycle=100.0,
+            )
+        )
+        assert out is MigrationOutcome.SUCCESS
+        assert engine.stats.retries == 0
+        assert engine.stats.phase_cycles["copy"] == engine.costs.batch_copy_cycles(1)
+        assert engine.rng.bit_generator.state == rng_state
 
 
 class TestShadowing:
@@ -248,8 +279,6 @@ class TestFaultInjection:
         assert len(engine.fault_injector.records) == 1
 
     def test_lost_async_keeps_source_mapped_no_stall(self):
-        from repro.mm.page import PageState
-
         engine, space, alloc, _ = build()
         vma = fault_pages(space, 1, tier=1)
         vpn = vma.start_vpn
@@ -281,6 +310,51 @@ class TestFaultInjection:
         assert engine.shadow.stats.remap_demotions == 0
         assert engine.stats.faults_injected == {"poisoned_shadow": 1}
         alloc.check_consistency()
+
+    def test_aborted_move_returns_frame_freed_earlier_in_batch(self):
+        """An aborted move's destination was popped but never bound.  When
+        that frame was freed by an earlier move of the same batch, it goes
+        back on its list with a free row, and the earlier move's carried
+        state still lands intact."""
+        engine, space, alloc, _ = build(fast=2)
+        hot = fault_pages(space, 2, tier=0)  # fast tier now full
+        cold = fault_pages(space, 1, tier=1)
+        demoted_src = space.translate(hot.start_vpn)
+        alloc.page(demoted_src).heat = 5.0
+        engine.fault_injector = self._injector({"aborted_sync": 1.0})
+        outs = engine.migrate_batch([
+            # transactional: only lost_async is rolled, and it is unarmed
+            MigrationRequest(pid=1, vpn=hot.start_vpn, dest_tier=1, sync=False),
+            # pops the frame the demotion just freed, then aborts
+            MigrationRequest(pid=1, vpn=cold.start_vpn, dest_tier=0, sync=True),
+        ])
+        assert outs == [MigrationOutcome.SUCCESS, MigrationOutcome.FAILED]
+        assert engine.stats.faults_injected == {"aborted_sync": 1}
+        assert alloc.page(space.translate(hot.start_vpn)).heat == 5.0
+        assert alloc.tier_of_pfn(space.translate(cold.start_vpn)) == 1
+        assert list(alloc.tiers[0].free_list) == [demoted_src]
+        assert alloc.page(demoted_src).state is PageState.FREE
+        alloc.check_consistency()
+        alloc.store.check_row_invariants()
+
+    def test_poisoned_shadow_frame_reused_in_same_batch(self):
+        """A poisoned twin is freed at once; the full-copy demotion that
+        replaces the remap may pop that very frame as its destination."""
+        engine, space, alloc, _ = build(fast=2, slow=2, shadow=True)
+        vma = fault_pages(space, 2, tier=1)  # slow tier now full
+        vpn = vma.start_vpn
+        twin = space.translate(vpn)
+        engine.migrate(MigrationRequest(pid=1, vpn=vpn, dest_tier=0))
+        alloc.page(space.translate(vpn)).heat = 3.0
+        engine.fault_injector = self._injector({"poisoned_shadow": 1.0})
+        assert engine.migrate_batch([MigrationRequest(pid=1, vpn=vpn, dest_tier=1)]) == [
+            MigrationOutcome.SUCCESS
+        ]
+        assert space.translate(vpn) == twin
+        assert alloc.page(twin).heat == 3.0
+        assert engine.stats.shadow_remaps == 0
+        alloc.check_consistency()
+        alloc.store.check_row_invariants()
 
     def test_unarmed_injector_is_bit_free(self):
         """Attaching an injector with no armed kinds must not consume

@@ -1,9 +1,10 @@
 """Property-based integrity tests for the migration engine.
 
 Arbitrary interleavings of promotions and demotions (sync and
-transactional, with and without shadowing) must preserve the virtual
-memory invariants: every VPN stays mapped to exactly one live frame of
-the claimed tier, no frame backs two VPNs, and allocator accounting
+transactional, with and without shadowing, with and without injected
+faults, page by page or in batches) must preserve the virtual memory
+invariants: every VPN stays mapped to exactly one live frame of the
+claimed tier, no frame backs two VPNs, and allocator accounting
 balances.
 """
 
@@ -20,10 +21,11 @@ from repro.mm.lru import LruSubsystem
 from repro.mm.migration import MigrationEngine, MigrationRequest, OptimizationFlags
 from repro.mm.page import PageState
 from repro.mm.shadow import ShadowTracker
+from repro.scenario.faults import FaultInjector
 from tests.conftest import make_process, small_machine_config
 
 N_PAGES = 12
-FAST = 6
+FAST = 8  # two frames of fast-tier headroom over the six pages populated fast
 SLOW = 24
 
 
@@ -65,7 +67,18 @@ def check_invariants(space, alloc):
     return seen
 
 
-@settings(max_examples=25, deadline=None)
+def unique_vpn_batches(moves, cap: int):
+    """Split ``moves`` in order into batches of at most ``cap`` moves,
+    starting a new batch wherever a page would repeat."""
+    batches: list[list] = []
+    for move in moves:
+        if not batches or len(batches[-1]) == cap or move[0] in {m[0] for m in batches[-1]}:
+            batches.append([])
+        batches[-1].append(move)
+    return batches
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     moves=st.lists(
         st.tuples(
@@ -78,11 +91,19 @@ def check_invariants(space, alloc):
     ),
     shadow=st.booleans(),
     seed=st.integers(0, 2**31),
+    # per-kind injected-fault probabilities (aborted_sync, lost_async,
+    # poisoned_shadow), or no injector at all
+    faults=st.none() | st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    batch_cap=st.integers(1, 8),  # 1 = page by page
 )
-def test_arbitrary_migration_sequences_preserve_mappings(moves, shadow, seed):
+def test_arbitrary_migration_sequences_preserve_mappings(moves, shadow, seed, faults, batch_cap):
     engine, space, alloc, vma = build(shadow, seed)
-    for idx, dest, sync, wf in moves:
-        engine.migrate(
+    if faults is not None:
+        engine.fault_injector = FaultInjector(seed=seed)
+        engine.fault_injector.configure(dict(zip(("aborted_sync", "lost_async", "poisoned_shadow"), faults)))
+        engine.fault_injector.epoch = 0
+    for batch in unique_vpn_batches(moves, batch_cap):
+        engine.migrate_batch([
             MigrationRequest(
                 pid=space.process.pid,
                 vpn=vma.start_vpn + idx,
@@ -91,13 +112,14 @@ def test_arbitrary_migration_sequences_preserve_mappings(moves, shadow, seed):
                 write_fraction=wf,
                 access_rate_per_kcycle=0.5,
             )
-        )
+            for idx, dest, sync, wf in batch
+        ])
         check_invariants(space, alloc)
-    # Global conservation: live mappings + shadows + free == all frames.
-    mapped = N_PAGES
-    shadows = len(engine.shadow) if engine.shadow is not None else 0
-    free = alloc.free_frames(0) + alloc.free_frames(1)
-    assert mapped + shadows + free == FAST + SLOW
+        alloc.check_consistency()
+        alloc.store.check_row_invariants()
+        # Global conservation: live mappings + shadows + free == all frames.
+        shadows = len(engine.shadow) if engine.shadow is not None else 0
+        assert N_PAGES + shadows + alloc.free_frames(0) + alloc.free_frames(1) == FAST + SLOW
 
 
 @settings(max_examples=15, deadline=None)
@@ -126,8 +148,6 @@ def test_shadow_roundtrip_restores_original_frame(seed):
     """Promote clean, demote via shadow: the page returns to its exact
     original slow frame, with stats balanced."""
     engine, space, alloc, vma = build(shadow=True, seed=seed)
-    # Make room: the fast tier is full after population.
-    engine.migrate(MigrationRequest(pid=space.process.pid, vpn=vma.start_vpn, dest_tier=1, sync=True))
     # Page 1 started slow (odd index populated slow).
     vpn = vma.start_vpn + 1
     original = space.translate(vpn)

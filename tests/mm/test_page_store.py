@@ -55,7 +55,8 @@ def test_record_batch_matches_scalar_model():
         pfns = np.unique(rng.integers(0, store.n_frames, size=10))
         n_r = rng.integers(0, 5, size=pfns.size)
         n_w = rng.integers(0, 5, size=pfns.size)
-        store.record_batch(pfns, n_r, n_w, tid=3, cycle=cycle)
+        store.record_epoch_rows(pfns, n_r, n_w, cycle)
+        store.or_tid_bit(pfns, 3)
         reads[pfns] += n_r
         writes[pfns] += n_w
         store.check_row_invariants()
@@ -64,7 +65,7 @@ def test_record_batch_matches_scalar_model():
     assert (store.epoch_reads == reads).all()
     assert (store.epoch_writes == writes).all()
     touched = (reads > 0) | (writes > 0)
-    # record_batch marks every batched pfn touched, even zero-count rows.
+    # record_epoch_rows marks every recorded pfn touched, even zero-count rows.
     assert store.touched[touched].all()
     assert (store.tids_lo[touched] == np.uint64(1 << 3)).all()
 
@@ -74,7 +75,7 @@ def test_reset_epoch_counters_clears_only_live_touched_rows():
     store.state[:4] = STATE_MAPPED
     store.pid[:4] = 1
     store.vpn[:4] = np.arange(4)
-    store.record_batch(np.arange(4), np.ones(4, np.int64), np.zeros(4, np.int64), 0, 1)
+    store.record_epoch_rows(np.arange(4), np.ones(4, np.int64), np.zeros(4, np.int64), 1)
     # Frame 3 goes SHADOW before the reset (demote-after-promote path).
     store.state[3] = STATE_SHADOW
     store.reset_epoch_counters()
@@ -116,7 +117,8 @@ def test_detach_row_resets_everything():
     store.state[7] = STATE_MAPPED
     store.pid[7] = 2
     store.vpn[7] = 42
-    store.record_batch(np.array([7]), np.array([3]), np.array([1]), tid=70, cycle=9)
+    store.record_epoch_rows(np.array([7]), np.array([3]), np.array([1]), cycle=9)
+    store.or_tid_bit(np.array([7]), 70)
     store.heat[7] = 1.5
     store.detach_row(7)
     assert store.pid[7] == NONE_SENTINEL

@@ -143,44 +143,26 @@ def test_golden_metrics_bit_identical(path):
     )
 
 
-# -- legacy vs batched epoch kernel: differential guarantee ---------------------
+# -- frozen traced streams: cross-commit observability ------------------------
 #
-# The batched epoch path (EpochPlan + record_plan/observe_plan + the fused
-# migrate kernel) must be *bit-identical* to the legacy per-batch path it
-# replaced; REPRO_LEGACY_EPOCH=1 keeps the old path alive exactly so this
-# differential can be run.  Any divergence here means the fused kernel
-# reordered a float add or consumed RNG differently.
+# The same-commit test above proves two traced runs agree; these pin the
+# traced event stream and metrics registry of a colocation run and of the
+# churn scenario (departures, restarts, injected faults) to digests
+# captured by tests/golden/capture.py, so a refactor of an instrumented
+# path cannot silently reorder, drop, or re-time an event.
+
+TRACE_GOLDENS = sorted(GOLDEN_DIR.glob("trace_*.json"))
 
 
-def test_legacy_vs_batched_epoch_kernel_bit_identical(monkeypatch):
-    monkeypatch.setenv("REPRO_LEGACY_EPOCH", "1")
-    legacy = run_once("vulcan", "paper", seed=3, epochs=4)
-    monkeypatch.delenv("REPRO_LEGACY_EPOCH")
-    batched = run_once("vulcan", "paper", seed=3, epochs=4)
-    assert_results_identical(legacy, batched)
-    assert json.dumps(legacy.to_dict(), sort_keys=True) \
-        == json.dumps(batched.to_dict(), sort_keys=True)
+def test_trace_goldens_are_present():
+    assert [p.stem for p in TRACE_GOLDENS] == ["trace_churn", "trace_vulcan_paper"]
 
 
-def test_legacy_vs_batched_on_dynamic_scenario(monkeypatch):
-    """Churn (admit/depart/restart + faults) through both epoch kernels."""
-    from repro.scenario import run_scenario
+@pytest.mark.parametrize("path", TRACE_GOLDENS, ids=lambda p: p.stem)
+def test_traced_stream_bit_identical(path):
+    from tests.golden.capture import trace_digest
 
-    monkeypatch.setenv("REPRO_LEGACY_EPOCH", "1")
-    legacy = run_scenario("churn")
-    monkeypatch.delenv("REPRO_LEGACY_EPOCH")
-    batched = run_scenario("churn")
-    assert legacy.spec_hash == batched.spec_hash
-    assert json.dumps(legacy.result.to_dict(), sort_keys=True) \
-        == json.dumps(batched.result.to_dict(), sort_keys=True)
-
-
-def test_legacy_vs_batched_fuzz_campaign(monkeypatch):
-    """A short fuzz campaign (random scenarios + oracle) is path-invariant."""
-    from repro.fuzz.runner import campaign
-
-    monkeypatch.setenv("REPRO_LEGACY_EPOCH", "1")
-    legacy = campaign(seed=1234, runs=2, shrink=False, parity_check=False)
-    monkeypatch.delenv("REPRO_LEGACY_EPOCH")
-    batched = campaign(seed=1234, runs=2, shrink=False, parity_check=False)
-    assert json.dumps(legacy, sort_keys=True) == json.dumps(batched, sort_keys=True)
+    frozen = json.loads(path.read_text())
+    assert trace_digest(frozen["case"]) == frozen["trace"], (
+        f"{path.name}: traced event stream or metrics diverged from the frozen run"
+    )

@@ -18,7 +18,7 @@ def make(mix="C", rss=1000, apt=5000, threads=2, seed=0):
 
 
 def gather(wl, epoch=0):
-    batches = wl.generate(epoch)
+    batches = list(wl.planned_epoch(epoch)[1].segments())
     return (
         np.concatenate([b.vpns for b in batches]),
         np.concatenate([b.is_write for b in batches]),
@@ -49,8 +49,7 @@ def test_workload_b_light_updates():
 
 def test_workload_f_rmw_pairs():
     wl = make("F", apt=4000)
-    batches = wl.generate(0)
-    b = batches[0]
+    b = next(wl.planned_epoch(0)[1].segments())
     # RMW emits read+write to the same page back to back.
     w_idx = np.where(b.is_write)[0]
     assert w_idx.size > 0
