@@ -28,13 +28,12 @@ Commands
         python -m repro trace /tmp/t.json
 
 ``bench``
-    Time the fixed Fig. 9 co-location scenario and write host-side
-    performance (wall time, epochs/sec, peak RSS) plus the simulated
-    steady-state metrics to ``BENCH_colocation.json``::
+    Load-test the job service (a private server, many concurrent
+    clients) and write jobs/sec and submit→result latency to
+    ``BENCH_service.json``; the simulator is timed by ``bench/run.py``::
 
-        python -m repro bench                 # full scenario, 80 epochs
-        python -m repro bench --quick         # CI smoke variant
-        python -m repro bench --quick --check BENCH_baseline.json
+        python -m repro bench                 # 50 clients
+        python -m repro bench --quick --check BENCH_service_baseline.json
 
 ``sweep``
     Sensitivity sweep over fast-tier sizes × seeds, optionally fanned
@@ -97,14 +96,6 @@ from repro.policies import POLICY_REGISTRY
 
 WINDOW = 10
 
-_BENCH_DEFAULT_OUTPUT = "BENCH_colocation.json"
-
-
-# The canonical run lives in harness.recipes so the service computes the
-# exact same function; the alias keeps the historical import path alive
-# (golden capture + e2e tests import it from here).
-_run_one = standard_run
-
 
 def _check_trace_path(path: str) -> None:
     """Fail before the run, not after it, when the trace can't be written."""
@@ -129,7 +120,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _check_trace_path(args.trace)
         tracer.enable()
     try:
-        res = _run_one(args.policy, args.mix, args.epochs, args.accesses, args.seed)
+        res = standard_run(args.policy, args.mix, args.epochs, args.accesses, args.seed)
         if args.trace:
             _export_trace(res, args.trace)
     finally:
@@ -182,7 +173,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if args.trace:
             tracer.enable()  # fresh buffer + clock per policy
         try:
-            res = _run_one(policy, args.mix, args.epochs, args.accesses, args.seed)
+            res = standard_run(policy, args.mix, args.epochs, args.accesses, args.seed)
             if args.trace:
                 _export_trace(res, _compare_trace_path(args.trace, policy))
         finally:
@@ -228,114 +219,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_profile(profiler, top: int = 20) -> None:
-    """Top-``top`` functions of the epoch loop by cumulative time."""
-    import pstats
-
-    stats = pstats.Stats(profiler, stream=sys.stderr)
-    stats.sort_stats("cumulative")
-    print(f"--- profile: top {top} by cumulative time ---", file=sys.stderr)
-    stats.print_stats(top)
-
-
-def _profile_payload(profiler, top: int = 50) -> dict:
-    """The profile as machine-readable hotspots, cumulative-sorted."""
-    import pstats
-
-    stats = pstats.Stats(profiler)
-    entries = []
-    for (file, line, name), (cc, nc, tt, ct, _callers) in stats.stats.items():
-        entries.append(
-            {
-                "function": f"{file}:{line}({name})",
-                "ncalls": nc,
-                "primitive_calls": cc,
-                "tottime_s": round(tt, 6),
-                "cumtime_s": round(ct, 6),
-            }
-        )
-    entries.sort(key=lambda e: (-e["cumtime_s"], e["function"]))
-    return {"total_tottime_s": round(stats.total_tt, 6), "hotspots": entries[:top]}
-
-
-def _emit_profile(profiler, out: Path) -> None:
-    """Print the human top-20 and write the JSON artifact next to ``out``."""
-    _print_profile(profiler)
-    ppath = out.with_suffix(".profile.json")
-    ppath.write_text(json.dumps(_profile_payload(profiler), indent=2) + "\n")
-    print(f"wrote {ppath}")
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.bench import check_regression, run_bench, run_hugeheap_bench
+    from repro.service.loadgen import check_regression, run_service_bench
 
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    if args.hugeheap:
-        bench = run_hugeheap_bench(quick=args.quick)
-        out = Path("BENCH_hugeheap.json" if args.output == _BENCH_DEFAULT_OUTPUT else args.output)
-        if profiler is not None:
-            profiler.disable()
-            _emit_profile(profiler, out)
-        payload = bench.to_dict()
-        huge = payload["simulated"]["hugeheap"]
-        print(
-            f"{bench.epochs} epochs in {bench.wall_seconds:.2f}s "
-            f"({bench.epochs_per_sec:.2f} epochs/sec, peak RSS {bench.peak_rss_kb} kB, "
-            f"{huge['machine_frames']} machine frames, "
-            f"{huge['materialized_frames']} materialized)"
-        )
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out}")
-        if args.check:
-            err = check_regression(payload, args.check, tolerance=args.tolerance)
-            if err is not None:
-                print(f"FAIL: {err}", file=sys.stderr)
-                return 1
-        return 0
-    if args.service:
-        from repro.service.loadgen import run_service_bench
-
-        payload = run_service_bench(
-            quick=args.quick, clients=args.clients, jobs_per_client=args.jobs_per_client,
-        )
-        out = Path("BENCH_service.json" if args.output == _BENCH_DEFAULT_OUTPUT else args.output)
-        timing, jobs = payload["timing"], payload["jobs"]
-        print(
-            f"{jobs['completed']}/{jobs['submitted']} jobs in {timing['wall_seconds']:.2f}s "
-            f"({timing['jobs_per_sec']:.2f} jobs/sec, "
-            f"p50 {timing['submit_to_result_p50_ms']:.0f} ms, "
-            f"p99 {timing['submit_to_result_p99_ms']:.0f} ms, "
-            f"{jobs['deduped']} deduped, {jobs['cache_hits']} cache hits, "
-            f"{jobs['failed']} failed)"
-        )
-    elif args.fleet:
-        from repro.harness.bench import run_fleet_bench
-
-        payload = run_fleet_bench(quick=args.quick)
-        out = Path("BENCH_fleet.json" if args.output == _BENCH_DEFAULT_OUTPUT else args.output)
-        timing, sim = payload["timing"], payload["simulated"]
-        print(
-            f"{sim['node_epochs']} node-epochs in {timing['wall_seconds']:.2f}s "
-            f"({timing['node_epochs_per_sec']:.2f} node-epochs/sec, "
-            f"evacuation p99 {sim['evacuation_p99_cycles']:.3g} cycles, "
-            f"peak RSS {timing['peak_rss_kb']} kB)"
-        )
-    else:
-        bench = run_bench(quick=args.quick, scenario=args.scenario)
-        payload = bench.to_dict()
-        out = Path(args.output)
-        print(
-            f"{bench.epochs} epochs in {bench.wall_seconds:.2f}s "
-            f"({bench.epochs_per_sec:.2f} epochs/sec, peak RSS {bench.peak_rss_kb} kB)"
-        )
-    if profiler is not None:
-        profiler.disable()
-        _emit_profile(profiler, out)
+    payload = run_service_bench(
+        quick=args.quick, clients=args.clients, jobs_per_client=args.jobs_per_client,
+    )
+    timing, jobs = payload["timing"], payload["jobs"]
+    print(
+        f"{jobs['completed']}/{jobs['submitted']} jobs in {timing['wall_seconds']:.2f}s "
+        f"({timing['jobs_per_sec']:.2f} jobs/sec, "
+        f"p50 {timing['submit_to_result_p50_ms']:.0f} ms, "
+        f"p99 {timing['submit_to_result_p99_ms']:.0f} ms, "
+        f"{jobs['deduped']} deduped, {jobs['cache_hits']} cache hits, "
+        f"{jobs['failed']} failed)"
+    )
+    out = Path(args.output)
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     if args.check:
@@ -343,8 +242,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if err is not None:
             print(f"FAIL: {err}", file=sys.stderr)
             return 1
-    if args.service and payload["jobs"]["failed"]:
-        print(f"FAIL: {payload['jobs']['failed']} jobs failed under load", file=sys.stderr)
+    if jobs["failed"]:
+        print(f"FAIL: {jobs['failed']} jobs failed under load", file=sys.stderr)
         return 1
     return 0
 
@@ -1083,32 +982,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit the full campaign report as JSON (deterministic)")
     fuzz.set_defaults(func=cmd_fuzz)
 
-    bench = sub.add_parser("bench", help="time the fixed Fig. 9 scenario (hot-path benchmark)")
+    bench = sub.add_parser(
+        "bench", help="load-test the job service (the simulator is timed by bench/run.py)")
     bench.add_argument("--quick", action="store_true",
-                       help="CI smoke variant: fewer epochs, fewer accesses per thread")
-    bench.add_argument("--scenario", metavar="NAME", default=None,
-                       help="time a canned dynamic scenario instead of the static mix")
-    bench.add_argument("--hugeheap", action="store_true",
-                       help="million-frame variant: the Table 2 mix at ~150 kB page "
-                            "granularity (writes BENCH_hugeheap.json by default)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run under cProfile and print the top 20 functions "
-                            "by cumulative time to stderr")
-    bench.add_argument("--service", action="store_true",
-                       help="load-test the job service instead of the simulator "
-                            "(boots a private server, mixed concurrent workload)")
-    bench.add_argument("--fleet", action="store_true",
-                       help="time the pinned fleet scenario (drain_rebalance) instead: "
-                            "node-epochs/sec + evacuation p99 (writes BENCH_fleet.json)")
+                       help="CI smoke variant: 8 clients instead of 50")
     bench.add_argument("--clients", type=int, default=None,
-                       help="concurrent load-gen clients (--service only)")
+                       help="concurrent load-gen clients")
     bench.add_argument("--jobs-per-client", type=int, default=None, dest="jobs_per_client",
-                       help="jobs each client submits (--service only)")
-    bench.add_argument("--output", metavar="PATH", default=_BENCH_DEFAULT_OUTPUT,
-                       help="where to write the result JSON (default: repo root; "
-                            "BENCH_service.json with --service)")
+                       help="jobs each client submits")
+    bench.add_argument("--output", metavar="PATH", default="BENCH_service.json",
+                       help="where to write the result JSON (default: BENCH_service.json)")
     bench.add_argument("--check", metavar="BASELINE", default=None,
-                       help="compare throughput against a committed baseline JSON; "
+                       help="compare jobs/sec against a committed baseline JSON; "
                             "exit 1 on regression beyond --tolerance")
     bench.add_argument("--tolerance", type=float, default=0.30,
                        help="allowed fractional throughput drop vs baseline (default 0.30)")

@@ -1,54 +1,13 @@
-"""``repro bench`` — wall-clock benchmark of the simulator hot path.
+"""Peak-RSS measurement shared by the benchmarks.
 
-Runs the fixed Fig. 9 co-location scenario (vulcan policy, paper mix,
-seed 1) and reports *host-side* performance — wall time, epochs/sec,
-peak RSS — alongside a few simulated metrics so a result file also
-documents what the run computed.  The scenario is pinned so numbers are
-comparable across commits; ``BENCH_baseline.json`` at the repo root
-records the reference epochs/sec the CI smoke job regresses against.
-
-The simulated metrics are deterministic for a given (scenario, seed);
-only the timing fields vary run to run.
+The simulator benchmark is ``bench/run.py`` (see bench/README.md); its
+per-repetition runner reads peak RSS through :func:`peak_rss_kb`.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import resource
 import sys
-import time
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro import kernels
-from repro.harness.experiment import ColocationExperiment, ExperimentResult
-from repro.metrics.fairness import cfi
-from repro.sim.config import SimulationConfig
-from repro.workloads.mixes import hugeheap_mix, paper_colocation_mix
-
-#: the pinned Fig. 9 scenario
-POLICY = "vulcan"
-MIX = "paper"
-SEED = 1
-EPOCHS = 80
-ACCESSES_PER_THREAD = 5000
-#: ``--quick`` variant for CI smoke runs (same shape, ~10× cheaper)
-QUICK_EPOCHS = 12
-QUICK_ACCESSES_PER_THREAD = 2000
-#: steady-state window for the simulated metrics
-WINDOW = 10
-
-#: ``--hugeheap`` variant: the same Table 2 mix at ~150 kB per simulated
-#: page instead of 10 MB, so the three RSS values fault in >1M frames —
-#: the scale the chunked stores are sized against.  The quick cell keeps
-#: the full heap (the store size *is* the scenario) and trims epochs.
-HUGE_PAGE_UNIT_BYTES = 150_000
-HUGE_EPOCHS = 24
-HUGE_QUICK_EPOCHS = 6
-HUGE_ACCESSES_PER_THREAD = 2000
-HUGE_QUICK_ACCESSES_PER_THREAD = 1000
 
 
 def _normalize_maxrss(maxrss: int, platform_name: str) -> int:
@@ -70,297 +29,3 @@ def peak_rss_kb() -> int:
     return _normalize_maxrss(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, sys.platform
     )
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    """One benchmark run, ready to serialize."""
-
-    epochs: int
-    accesses_per_thread: int
-    wall_seconds: float
-    epochs_per_sec: float
-    peak_rss_kb: int
-    result: ExperimentResult
-    #: replaces the default Fig. 9 scenario block (dynamic-scenario runs)
-    scenario_info: dict | None = None
-    #: extra deterministic metrics merged into "simulated"
-    extra_simulated: dict | None = None
-
-    def to_dict(self) -> dict:
-        alloc = {
-            p: np.asarray(t.fast_pages[-WINDOW:], float)
-            for p, t in self.result.workloads.items()
-        }
-        fthr = {
-            p: np.asarray(t.fthr_true[-WINDOW:], float)
-            for p, t in self.result.workloads.items()
-        }
-        simulated = {
-            "cfi": cfi(alloc, fthr),
-            "workloads": {
-                ts.name: {
-                    "mean_ops": float(np.mean(ts.ops[-WINDOW:])),
-                    "mean_fthr": float(np.mean(ts.fthr_true[-WINDOW:])),
-                    "fast_pages": ts.fast_pages[-1],
-                }
-                for ts in self.result.workloads.values()
-            },
-        }
-        if self.extra_simulated:
-            simulated.update(self.extra_simulated)
-        return {
-            "scenario": self.scenario_info or {
-                "policy": POLICY,
-                "mix": MIX,
-                "seed": SEED,
-                "epochs": self.epochs,
-                "accesses_per_thread": self.accesses_per_thread,
-            },
-            "host": {
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-                "kernels": kernels.BACKEND,
-            },
-            "timing": {
-                "wall_seconds": round(self.wall_seconds, 3),
-                "epochs_per_sec": round(self.epochs_per_sec, 3),
-                "peak_rss_kb": self.peak_rss_kb,
-            },
-            "simulated": simulated,
-        }
-
-
-def run_bench(*, quick: bool = False, scenario: str | None = None) -> BenchResult:
-    """Run the pinned scenario once and time it.
-
-    With ``scenario`` set, a canned dynamic scenario (``repro scenario
-    list``) is timed instead of the static Fig. 9 mix; the result file
-    then also records fairness-under-churn and the event tallies.
-    """
-    if scenario is not None:
-        return _run_scenario_bench(scenario)
-    epochs = QUICK_EPOCHS if quick else EPOCHS
-    apt = QUICK_ACCESSES_PER_THREAD if quick else ACCESSES_PER_THREAD
-    sim = SimulationConfig(epoch_seconds=2.0)
-    exp = ColocationExperiment(
-        POLICY, paper_colocation_mix(sim, seed=SEED, accesses_per_thread=apt),
-        sim=sim, seed=SEED,
-    )
-    t0 = time.perf_counter()
-    res = exp.run(epochs)
-    wall = time.perf_counter() - t0
-    return BenchResult(
-        epochs=epochs,
-        accesses_per_thread=apt,
-        wall_seconds=wall,
-        epochs_per_sec=epochs / wall,
-        peak_rss_kb=peak_rss_kb(),
-        result=res,
-    )
-
-
-def run_hugeheap_bench(*, quick: bool = False) -> BenchResult:
-    """Time the Table 2 mix at million-frame scale.
-
-    Exercises exactly what the chunked stores exist for: a frame store
-    whose machine spans >1M frames and whose workloads fault in >1M of
-    them, while peak RSS stays in the hundreds of megabytes.  The
-    result file records the machine/materialized frame counts so the CI
-    gate can assert the scale along with the throughput.
-    """
-    epochs = HUGE_QUICK_EPOCHS if quick else HUGE_EPOCHS
-    apt = HUGE_QUICK_ACCESSES_PER_THREAD if quick else HUGE_ACCESSES_PER_THREAD
-    sim = SimulationConfig(epoch_seconds=2.0, page_unit_bytes=HUGE_PAGE_UNIT_BYTES)
-    exp = ColocationExperiment(
-        POLICY, hugeheap_mix(sim, seed=SEED, accesses_per_thread=apt),
-        sim=sim, seed=SEED,
-    )
-    store = exp.allocator.store
-    t0 = time.perf_counter()
-    res = exp.run(epochs)
-    wall = time.perf_counter() - t0
-    return BenchResult(
-        epochs=epochs,
-        accesses_per_thread=apt,
-        wall_seconds=wall,
-        epochs_per_sec=epochs / wall,
-        peak_rss_kb=peak_rss_kb(),
-        result=res,
-        scenario_info={
-            "scenario": "hugeheap",
-            "policy": POLICY,
-            "mix": "hugeheap",
-            "seed": SEED,
-            "epochs": epochs,
-            "accesses_per_thread": apt,
-            "page_unit_bytes": HUGE_PAGE_UNIT_BYTES,
-        },
-        extra_simulated={
-            "hugeheap": {
-                "machine_frames": store.n_frames,
-                "materialized_frames": store.capacity,
-                "mapped_pages": sum(
-                    t.used for t in exp.allocator.tiers
-                ),
-            },
-        },
-    )
-
-
-def _run_scenario_bench(name: str) -> BenchResult:
-    from repro.metrics.fairness import churn_fairness
-    from repro.scenario import get_scenario, run_scenario
-
-    spec = get_scenario(name)
-    t0 = time.perf_counter()
-    sres = run_scenario(spec)
-    wall = time.perf_counter() - t0
-    fairness = churn_fairness(sres.result, window=WINDOW)
-    apt = spec.workloads[0].accesses_per_thread
-    return BenchResult(
-        epochs=spec.n_epochs,
-        accesses_per_thread=apt,
-        wall_seconds=wall,
-        epochs_per_sec=spec.n_epochs / wall,
-        peak_rss_kb=peak_rss_kb(),
-        result=sres.result,
-        scenario_info={
-            "scenario": name,
-            "spec_hash": sres.spec_hash,
-            "policy": sres.policy,
-            "seed": sres.seed,
-            "epochs": spec.n_epochs,
-            "accesses_per_thread": apt,
-        },
-        extra_simulated={
-            "fairness_under_churn": {
-                "mean_cfi": fairness["mean_cfi"],
-                "min_cfi": fairness["min_cfi"],
-                "window": fairness["window"],
-            },
-            "events": {
-                "departures": len(sres.departures),
-                "restarts": len(sres.restarts),
-                "faults_fired": len(sres.faults),
-                "leak_checks_passed": len(sres.leak_checks),
-            },
-        },
-    )
-
-
-#: the pinned ``--fleet`` scenario (drain_rebalance: the only canned
-#: fleet with evacuations, so the p99 evacuation latency is exercised)
-FLEET_SCENARIO = "drain_rebalance"
-FLEET_QUICK_EPOCHS_PER_ROUND = 2
-
-
-def run_fleet_bench(*, quick: bool = False, workers: int = 1) -> dict:
-    """Time the pinned fleet scenario; returns the bench payload.
-
-    The payload carries a ``fleet`` block (the third
-    :func:`check_regression` family) and regresses on
-    ``node_epochs_per_sec`` — total node-rounds × epochs executed per
-    wall second, the fleet analogue of ``epochs_per_sec``.  The
-    simulated metrics (fleet CFI, vs-oracle quality, evacuation p99
-    cycles) are deterministic; only timing varies run to run.
-    """
-    from repro.fleet import get_fleet_scenario, run_fleet
-
-    spec = get_fleet_scenario(FLEET_SCENARIO)
-    if quick:
-        spec = spec.with_overrides(epochs_per_round=FLEET_QUICK_EPOCHS_PER_ROUND)
-    t0 = time.perf_counter()
-    result = run_fleet(spec, workers=workers)
-    wall = time.perf_counter() - t0
-    summary = result.summary()
-    evac = [float(c) for c in result.evacuation_cycles()]
-    from repro.fleet.metrics import percentile
-
-    return {
-        "fleet": {
-            "scenario": FLEET_SCENARIO,
-            "spec_hash": spec.content_hash(),
-            "policy": spec.policy,
-            "placer": spec.placer,
-            "seed": spec.seed,
-            "n_rounds": spec.n_rounds,
-            "epochs_per_round": spec.epochs_per_round,
-            "n_nodes": len(spec.nodes),
-            "n_workloads": len(spec.workloads),
-        },
-        "host": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "kernels": kernels.BACKEND,
-            "workers": workers,
-        },
-        "timing": {
-            "wall_seconds": round(wall, 3),
-            "node_epochs_per_sec": round(result.node_epochs / wall, 3),
-            "peak_rss_kb": peak_rss_kb(),
-        },
-        "simulated": {
-            "node_epochs": result.node_epochs,
-            "fleet_cfi": summary["fleet_cfi"],
-            "node_cfi_spread": summary["node_cfi_spread"],
-            "placement_score": summary["placement_score"],
-            "vs_oracle": summary["vs_oracle"],
-            "placements": summary["placements"],
-            "migrations": summary["migrations"],
-            "evacuations": summary["evacuations"],
-            "evacuation_p50_cycles": percentile(evac, 50.0),
-            "evacuation_p99_cycles": percentile(evac, 99.0),
-        },
-    }
-
-
-def check_regression(payload: dict, baseline_path: str, *, tolerance: float = 0.30) -> str | None:
-    """Compare a bench payload against a committed baseline file.
-
-    Three payload families share the contract: simulator benches carry
-    a ``scenario`` block and regress on ``epochs_per_sec``; service
-    benches (``repro bench --service``) carry a ``service`` block and
-    regress on ``jobs_per_sec``; fleet benches (``repro bench
-    --fleet``) carry a ``fleet`` block and regress on
-    ``node_epochs_per_sec``.  In every case the pinned-scenario block
-    must match exactly (a quick baseline only compares against a quick
-    run, a 50-client baseline against a 50-client run), and the
-    throughput metric may not drop more than ``tolerance`` below the
-    baseline.
-
-    Returns an error message on regression or mismatch, ``None`` when
-    within bounds.  A missing or malformed baseline is reported as an
-    error too — a CI job silently skipping its own check is worse than
-    a red run.
-    """
-    if "service" in payload:
-        scenario_key, metric = "service", "jobs_per_sec"
-    elif "fleet" in payload:
-        scenario_key, metric = "fleet", "node_epochs_per_sec"
-    else:
-        scenario_key, metric = "scenario", "epochs_per_sec"
-    try:
-        with open(baseline_path) as f:
-            baseline = json.load(f)
-        ref = float(baseline["timing"][metric])
-        ref_scenario = baseline[scenario_key]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        return f"cannot read baseline {baseline_path}: {exc}"
-    if ref_scenario != payload[scenario_key]:
-        return (
-            f"baseline {scenario_key} mismatch: {ref_scenario} vs {payload[scenario_key]} "
-            "(quick baselines only compare against --quick runs)"
-        )
-    got = float(payload["timing"][metric])
-    floor = ref * (1.0 - tolerance)
-    if got < floor:
-        return (
-            f"{metric} regressed: {got:.3f} < {floor:.3f} "
-            f"(baseline {ref:.3f} - {tolerance:.0%})"
-        )
-    print(
-        f"{metric} {got:.3f} vs baseline {ref:.3f} (floor {floor:.3f}): ok",
-        file=sys.stderr,
-    )
-    return None

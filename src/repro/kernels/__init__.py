@@ -107,12 +107,3 @@ _impl.warmup()
 
 __all__ = ["BACKEND", "REQUESTED", "NUMBA_ERROR", "VALID_MODES", "KERNEL_NAMES", *KERNEL_NAMES]
 
-
-def backend_info() -> dict:
-    """Diagnostic summary for bench artifacts and the CLI."""
-    return {
-        "backend": BACKEND,
-        "requested": REQUESTED,
-        "numba_error": NUMBA_ERROR,
-        "kernels": len(KERNEL_NAMES),
-    }

@@ -51,7 +51,13 @@ class _PidHeat:
         self.min_live = np.inf
 
     def ensure(self, lo: int, hi: int) -> None:
-        """Grow arrays to cover vpns in ``[lo, hi]``."""
+        """Grow arrays to cover vpns in ``[lo, hi]``.
+
+        Growth at least doubles the array and puts the new slack on the
+        side that ran out: below the data when ``lo`` fell under the
+        base, above it otherwise.  Writes creeping in either direction
+        therefore reallocate O(log span) times.
+        """
         if self.heat.size and self.base <= lo and hi < self.base + self.heat.size:
             return
         if self.heat.size == 0:
@@ -61,8 +67,8 @@ class _PidHeat:
         else:
             span_lo = min(self.base, lo)
             span_hi = max(self.base + self.heat.size, hi + 1)
-            new_base = max(span_lo - 64, 0)
-            new_size = max(span_hi - new_base + _GROW_PAD, 2 * self.heat.size)
+            new_size = max(span_hi - span_lo + _GROW_PAD, 2 * self.heat.size)
+            new_base = max(span_hi - new_size, 0) if lo < self.base else span_lo
             old = (self.base, self.heat, self.live)
         heat = np.zeros(new_size, dtype=np.float64)
         live = np.zeros(new_size, dtype=bool)

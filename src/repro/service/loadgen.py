@@ -1,4 +1,4 @@
-"""Synthetic load generator + ``repro bench --service``.
+"""Synthetic load generator + ``repro bench``.
 
 Hammers a live service with a mixed run/sweep/scenario workload from
 many concurrent clients, each an open-loop submit→poll→result cycle,
@@ -12,14 +12,18 @@ sweeps the default grid) and the path that exercises the dedup
 contract under concurrency.
 
 ``run_service_bench`` boots a private service on an ephemeral port,
-runs the generator, and emits the ``BENCH_service.json`` payload the
-CI smoke job gates on (same shape contract as ``BENCH_baseline.json``:
-a pinned ``service`` scenario block plus a ``timing`` block).
+runs the generator, and returns the ``BENCH_service.json`` payload: a
+pinned ``service`` block saying what ran plus a ``timing`` block saying
+how fast.  ``check_regression`` compares such a payload against a
+committed baseline (``BENCH_service_baseline.json``).  The simulator
+itself is timed by ``bench/run.py``, not here.
 """
 
 from __future__ import annotations
 
+import json
 import platform
+import sys
 import tempfile
 import threading
 import time
@@ -40,7 +44,7 @@ DUPLICATE_FRACTION = 0.5
 KIND_WEIGHTS = (("run", 0.6), ("sweep", 0.2), ("scenario", 0.2))
 
 #: deliberately tiny payloads — the bench measures the control plane,
-#: not the simulator (the simulator has its own BENCH files)
+#: not the simulator (bench/run.py times the simulator)
 RUN_PAYLOAD = {"epochs": 3, "accesses": 300}
 SWEEP_PAYLOAD = {"epochs": 2, "accesses": 200, "fast_gb": [8.0], "seeds": [1]}
 SCENARIO_PAYLOAD = {"name": "churn"}
@@ -190,9 +194,8 @@ def run_service_bench(
         if tmp is not None:
             tmp.cleanup()
     return {
-        # the pinned-scenario block check_regression matches on; like
-        # BENCH_baseline.json's "scenario", it must describe *what* ran,
-        # never how fast
+        # the pinned block check_regression matches on: it must describe
+        # *what* ran, never how fast
         "service": {
             "clients": n_clients,
             "jobs_per_client": n_jobs,
@@ -213,3 +216,42 @@ def run_service_bench(
         },
         "jobs": load.to_dict(),
     }
+
+
+def check_regression(payload: dict, baseline_path: str, *, tolerance: float = 0.30) -> str | None:
+    """Compare a service bench payload against a committed baseline file.
+
+    The pinned ``service`` block must match exactly (a quick baseline
+    only compares against a quick run, a 50-client baseline against a
+    50-client run), and ``jobs_per_sec`` may not drop more than
+    ``tolerance`` below the baseline.
+
+    Returns an error message on regression or mismatch, ``None`` when
+    within bounds.  A missing or malformed baseline is reported as an
+    error too — a CI job silently skipping its own check is worse than
+    a red run.
+    """
+    try:
+        with open(baseline_path) as f:
+            baseline = json.load(f)
+        ref = float(baseline["timing"]["jobs_per_sec"])
+        ref_service = baseline["service"]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        return f"cannot read baseline {baseline_path}: {exc}"
+    if ref_service != payload["service"]:
+        return (
+            f"baseline service mismatch: {ref_service} vs {payload['service']} "
+            "(quick baselines only compare against --quick runs)"
+        )
+    got = float(payload["timing"]["jobs_per_sec"])
+    floor = ref * (1.0 - tolerance)
+    if got < floor:
+        return (
+            f"jobs_per_sec regressed: {got:.3f} < {floor:.3f} "
+            f"(baseline {ref:.3f} - {tolerance:.0%})"
+        )
+    print(
+        f"jobs_per_sec {got:.3f} vs baseline {ref:.3f} (floor {floor:.3f}): ok",
+        file=sys.stderr,
+    )
+    return None

@@ -81,11 +81,12 @@ def hugeheap_mix(
 ) -> list[Workload]:
     """The Table 2 mix, all admitted at t=0, for fine-grained page units.
 
-    Used by ``repro bench --hugeheap``: with a ~150 kB page unit the
-    Table 2 RSS values fault in over a million simulated pages, which is
-    what the chunked frame stores are sized against.  Starting every
-    workload at epoch 0 makes the full heap materialize up front, so
-    short benchmark runs still exercise the full store.
+    Used by the ``hugeheap`` workload of ``bench/run.py`` (at a 2 MB page
+    unit, ~81k pages) and by the CI scale check (at ~150 kB, over a
+    million pages, the size the chunked frame stores are built for).
+    Starting every workload at epoch 0 makes the full heap fault in
+    during the first epoch's admission, so even a one-epoch run builds
+    the full store.
     """
     apt = accesses_per_thread if accesses_per_thread is not None else 20_000
     from repro.core.classify import ServiceClass

@@ -19,7 +19,7 @@ import json
 import pathlib
 import sys
 
-from repro.cli import _run_one
+from repro.harness.recipes import standard_run
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 MATRIX = [
@@ -37,7 +37,7 @@ SEED = 1
 
 def main() -> int:
     for policy, mix in MATRIX:
-        res = _run_one(policy, mix, EPOCHS, ACCESSES_PER_THREAD, SEED)
+        res = standard_run(policy, mix, EPOCHS, ACCESSES_PER_THREAD, SEED)
         path = GOLDEN_DIR / f"e2e_{policy}_{mix}.json"
         payload = {
             "config": {
@@ -75,7 +75,7 @@ TRACE_ACCESSES_PER_THREAD = 800
 
 
 def _traced_vulcan_paper():
-    return _run_one("vulcan", "paper", 4, TRACE_ACCESSES_PER_THREAD, 3)
+    return standard_run("vulcan", "paper", 4, TRACE_ACCESSES_PER_THREAD, 3)
 
 
 def _traced_churn():

@@ -1,5 +1,5 @@
-"""check_regression: one unit test per detection branch, for all three
-payload families (scenario / service / fleet)."""
+"""check_regression: one unit test per detection branch of the service
+bench gate."""
 
 from __future__ import annotations
 
@@ -7,14 +7,10 @@ import json
 
 import pytest
 
-from repro.harness.bench import check_regression
+from repro.service.loadgen import check_regression
 
-#: (pinned-block key, throughput metric) per payload family
-FAMILIES = [
-    ("scenario", "epochs_per_sec"),
-    ("service", "jobs_per_sec"),
-    ("fleet", "node_epochs_per_sec"),
-]
+#: (pinned-block key, throughput metric) of the one payload family
+FAMILIES = [("service", "jobs_per_sec")]
 
 
 def _payload(kind: str, metric: str, value: float) -> dict:
@@ -61,28 +57,3 @@ class TestPerFamily:
         err = check_regression(_payload(kind, metric, 100.0), str(path))
         assert err is not None and "cannot read baseline" in err
 
-
-class TestFamilySelection:
-    """The payload's block picks the metric — a fleet payload must never
-    be judged on epochs_per_sec and vice versa."""
-
-    def test_service_block_wins_over_default(self, tmp_path):
-        payload = _payload("service", "jobs_per_sec", 100.0)
-        base = _write(tmp_path, payload)
-        assert check_regression(dict(payload), base) is None
-
-    def test_fleet_block_selects_node_epochs(self, tmp_path):
-        payload = _payload("fleet", "node_epochs_per_sec", 100.0)
-        payload["timing"]["epochs_per_sec"] = 1.0  # decoy for the default branch
-        base = _write(tmp_path, payload)
-        slow = json.loads(json.dumps(payload))
-        slow["timing"]["node_epochs_per_sec"] = 10.0
-        err = check_regression(slow, base)
-        assert err is not None and "node_epochs_per_sec" in err
-
-    def test_plain_payload_uses_scenario_branch(self, tmp_path):
-        payload = _payload("scenario", "epochs_per_sec", 100.0)
-        base = _write(tmp_path, payload)
-        slow = _payload("scenario", "epochs_per_sec", 10.0)
-        err = check_regression(slow, base)
-        assert err is not None and "epochs_per_sec" in err

@@ -59,24 +59,3 @@ def test_numba_forced():
         assert proc.returncode != 0
         assert "numba" in proc.stderr.lower()
 
-
-def test_backend_info_reports_kernel_names():
-    env = dict(os.environ, PYTHONPATH=SRC, REPRO_KERNELS="python")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import json, repro.kernels as k; print(json.dumps(k.backend_info()))",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    import json
-
-    info = json.loads(proc.stdout)
-    assert info["backend"] == "python"
-    assert info["requested"] == "python"
-    assert info["kernels"] >= 18

@@ -22,7 +22,7 @@ def main() -> None:
     args = ap.parse_args()
 
     from repro import kernels
-    from repro.cli import _run_one
+    from repro.harness.recipes import standard_run
 
     h = hashlib.sha256()
     golden_dir = pathlib.Path(__file__).resolve().parents[1] / "golden"
@@ -31,7 +31,7 @@ def main() -> None:
         files = files[: args.goldens]
     for path in files:
         cfg = json.loads(path.read_text())["config"]
-        res = _run_one(
+        res = standard_run(
             cfg["policy"], cfg["mix"], cfg["epochs"], cfg["accesses_per_thread"], cfg["seed"]
         )
         h.update(json.dumps(res.to_dict(), sort_keys=True).encode())

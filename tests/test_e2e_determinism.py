@@ -128,11 +128,11 @@ def test_golden_matrix_is_present():
 
 @pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: p.stem)
 def test_golden_metrics_bit_identical(path):
-    from repro.cli import _run_one
+    from repro.harness.recipes import standard_run
 
     frozen = json.loads(path.read_text())
     cfg = frozen["config"]
-    res = _run_one(
+    res = standard_run(
         cfg["policy"], cfg["mix"], cfg["epochs"], cfg["accesses_per_thread"], cfg["seed"]
     )
     # Compare through the same JSON round-trip capture.py used, so float
