@@ -292,16 +292,17 @@ class ColocationExperiment:
 
         vma = proc.mmap(wl.spec.rss_pages, name=f"{wl.name}-rss")
         wl.plan_horizon = self.plan_horizon
-        wl.bind(pid, vma)  # bind first: first_touch_tid may need region layout
+        wl.bind(pid, vma)  # bind first: first_touch_tids may need region layout
         space = AddressSpace(proc, self.allocator)
         # First touch sets PTE ownership (§3.4): the workload says which
         # thread faults each page in (its own shard vs shared structures).
-        for i, vpn in enumerate(range(vma.start_vpn, vma.end_vpn)):
-            tid = wl.first_touch_tid(i) % n_threads
-            space.fault(vpn, tid=tid, prefer_tier=wl.spec.populate_tier)
-            page_pfn = space.translate(vpn)
-            assert page_pfn is not None
-            self.lru.add_page(page_pfn, self.allocator.tier_of_pfn(page_pfn), core_map[tid])
+        # Populate is all or nothing, so a failed admission strands no
+        # frame, PTE or pagevec entry.
+        tids = wl.first_touch_tids() % n_threads
+        space.populate(vma, tids, prefer_tier=wl.spec.populate_tier)
+        pfns = proc.repl.flat.pfn[proc.repl.flat.indices(vma.vpns())]
+        cores = np.array([core_map[tid] for tid in range(n_threads)], dtype=np.int64)
+        self.lru.add_pages(pfns, self.allocator.store.tier_id[pfns], cores[tids])
         self.lru.drain(None)  # initial bulk drain, not charged to anyone
 
         # Rough per-page access rate for the transactional dirty model.

@@ -14,7 +14,9 @@ per-access path used by the microbenchmarks (it exercises TLBs and page
 tables).  ``record_plan()`` is the vectorized path used by the
 epoch-driven co-location simulator: it updates frame access counters for
 a whole epoch of numpy traffic at once and leaves TLB effects to the
-statistical model, as DESIGN.md §4 describes.
+statistical model, as DESIGN.md §4 describes.  Likewise ``fault()``
+maps one page, and ``populate()`` — the admission path — maps a whole
+VMA in array passes with the same result.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro import kernels
 from repro.mm import pte as pte_mod
 from repro.mm.frame_alloc import FrameAllocator
 from repro.mm.page import PhysPage
+from repro.mm.page_store import STATE_MAPPED
 from repro.mm.replication import ReplicatedPageTables
 
 
@@ -149,14 +152,43 @@ class AddressSpace:
 
     # -- vectorized access path (epoch simulator) ---------------------------
 
-    def populate(self, vma: Vma, tid: int, *, prefer_tier: int = 0) -> int:
-        """Fault in an entire VMA for ``tid``; returns pages mapped."""
-        mapped = 0
-        for vpn in range(vma.start_vpn, vma.end_vpn):
-            if self.process.repl.lookup(vpn) is None:
-                self.fault(vpn, tid, prefer_tier=prefer_tier)
-                mapped += 1
-        return mapped
+    def populate(self, vma: Vma, tids: int | np.ndarray, *, prefer_tier: int = 0) -> int:
+        """Fault in every unmapped page of ``vma``; returns pages mapped.
+
+        ``tids`` is the first-touch thread of each page of the VMA (an
+        int: one thread for all).  The result is exactly that of one
+        :meth:`fault` per unmapped vpn in ascending order — the same
+        frames in the same pop order, PTEs, mirror entries, leaf links,
+        store rows and counters — built in a few array passes.  Unlike
+        that loop it is all or nothing: it raises before taking a frame
+        if the tiers cannot supply every page.
+        """
+        proc = self.process
+        if vma not in proc.vmas:
+            raise KeyError(f"segfault: {vma} is not a VMA of pid {proc.pid}")
+        repl = proc.repl
+        flat = repl.flat
+        vpns = vma.vpns()
+        tids = np.broadcast_to(np.asarray(tids, dtype=np.int64), vpns.shape)
+        idx = vpns - flat.base
+        covered = (idx >= 0) & (idx < flat.pfn.size)
+        unmapped = ~covered
+        unmapped[covered] = flat.pfn[idx[covered]] < 0
+        vpns, tids = vpns[unmapped], tids[unmapped]
+        if vpns.size == 0:
+            return 0
+        if repl.enabled:
+            unknown = set(tids.tolist()) - repl.thread_tables.keys()
+            if unknown:
+                raise KeyError(f"tid {min(unknown)} not registered")
+        pfns = self.allocator.allocate_pfns(vpns.size, prefer_tier, fallback=True)
+        store = self.allocator.store
+        store.pid[pfns] = proc.pid
+        store.vpn[pfns] = vpns
+        store.state[pfns] = STATE_MAPPED
+        repl.handle_faults(vpns, tids, pfns)
+        self.major_faults += int(vpns.size)
+        return int(vpns.size)
 
     def record_plan(self, plan, cycle: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Account one :class:`EpochPlan` against frame counters.

@@ -85,6 +85,18 @@ class FreeFrameList:
             return pfn
         return self._recycled.popleft()
 
+    def pop_many(self, n: int) -> np.ndarray:
+        """``n`` × :meth:`popleft` as one int64 array (virgin, then recycled)."""
+        if n > len(self):
+            raise IndexError("pop from an empty free list")
+        k = min(n, self._virgin_end - self._virgin_next)
+        out = np.empty(n, dtype=np.int64)
+        out[:k] = np.arange(self._virgin_next, self._virgin_next + k)
+        self._virgin_next += k
+        recycled = self._recycled
+        out[k:] = [recycled.popleft() for _ in range(n - k)]
+        return out
+
     def pop(self) -> int:
         """Pop from the tail (the dense deque's highest-priority-last end)."""
         if self._recycled:
@@ -244,6 +256,40 @@ class FrameAllocator:
         allocations land in slow memory once DRAM fills.
         """
         return PhysPage(pfn=self.allocate_pfn(tier_id, fallback=fallback), store=self.store)
+
+    def allocate_pfns(self, n: int, tier_id: int, *, fallback: bool = False) -> np.ndarray:
+        """``n`` × :meth:`allocate_pfn`, all or nothing.
+
+        Returns the PFNs in the order the scalar calls would pop them —
+        ``tier_id`` first, then (with ``fallback`` from the fast tier)
+        the slow tier — after the same store writes and the same store
+        growth steps.  Unlike the scalar loop it checks first that the
+        tiers can supply all ``n`` frames: on :class:`OutOfFramesError`
+        nothing has been taken.
+        """
+        tier = self.tiers[tier_id]
+        spill = self.tiers[1] if fallback and tier_id == 0 else None
+        n_first = min(n, tier.free)
+        n_spill = n - n_first
+        if n_spill and (spill is None or spill.free < n_spill):
+            raise OutOfFramesError(
+                f"tier {tier_id} cannot supply {n} frames "
+                f"({tier.free} free{'' if spill is None else f' + {spill.free} on fallback'})"
+            )
+        pfns = tier.free_list.pop_many(n_first)
+        if n_spill:
+            pfns = np.concatenate([pfns, spill.free_list.pop_many(n_spill)])
+        store = self.store
+        # Replay the scalar path's growth: ensure(pfn + 1) at each pfn, in
+        # pop order, that lies beyond the materialized prefix.
+        beyond = pfns >= store.capacity
+        while beyond.any():
+            store.ensure(int(pfns[int(np.argmax(beyond))]) + 1)
+            beyond = pfns >= store.capacity
+        store.in_free_list[pfns] = False
+        store.tier_id[pfns] = np.where(pfns < self._fast_frames, 0, 1)
+        store.state[pfns] = STATE_FREE  # caller attaches
+        return pfns
 
     def free(self, pfn: int) -> None:
         """Return a frame to its tier's free list."""

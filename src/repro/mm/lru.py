@@ -73,6 +73,14 @@ class LruList:
             raise ValueError(f"pfn {pfn} already on LRU")
         self.inactive[pfn] = None
 
+    def insert_absent(self, pfns: list[int]) -> None:
+        """:meth:`insert` each pfn not already on the list, in order."""
+        active, inactive = self.active, self.inactive
+        for pfn in pfns:
+            if pfn not in active:
+                # A key already inactive keeps its place, as a skipped insert would.
+                inactive[pfn] = None
+
     def mark_accessed(self, pfn: int) -> None:
         """Second touch promotes inactive→active; active refreshes MRU."""
         if pfn in self.inactive:
@@ -128,6 +136,45 @@ class LruSubsystem:
         if vec.add(pfn):
             for drained in vec.drain():
                 self._insert_global(drained)
+
+    def add_pages(self, pfns: np.ndarray, tiers: np.ndarray, cpus: np.ndarray) -> None:
+        """:meth:`add_page` for each distinct ``(pfns[i], tiers[i],
+        cpus[i])`` in order, as a few array passes.
+
+        Leaves the pagevecs and global lists exactly as the scalar loop
+        would.  The flush-order rule: a pagevec that fills flushes to the
+        global lists at the add that filled it, so full batches reach the
+        lists in the order they filled, each in add order; every CPU's
+        last partial batch stays buffered for the next :meth:`drain`.
+        Every pagevec must be empty on entry — admission, the only
+        caller, always ends with ``drain(None)`` — or batch boundaries
+        would depend on what was already buffered.
+        """
+        if any(vec.pending for vec in self.pagevecs):
+            raise RuntimeError("add_pages needs every pagevec empty")
+        n = int(pfns.size)
+        if n == 0:
+            return
+        # Group the adds by CPU, keeping add order within each CPU, and
+        # rank every add within its CPU's stream.
+        order = np.argsort(cpus, kind="stable")
+        by_cpu = cpus[order]
+        starts = np.flatnonzero(np.r_[True, by_cpu[1:] != by_cpu[:-1]])
+        counts = np.diff(np.r_[starts, n])
+        rank = np.arange(n) - np.repeat(starts, counts)
+        cap = PAGEVEC_SIZE
+        batch_last = np.arange(n) + (cap - 1 - rank % cap)  # by_cpu position
+        full = batch_last < np.repeat(starts + counts, counts)
+        # A full batch flushes at its last add: order batches by that add.
+        flushed = order[full]
+        flush_at = order[batch_last[full]]
+        flushed = flushed[np.argsort(flush_at, kind="stable")]
+        for tier_id, lst in enumerate(self.lists):
+            lst.insert_absent(pfns[flushed[tiers[flushed] == tier_id]].tolist())
+        left = order[~full]
+        for pfn, tier_id, cpu in zip(pfns[left].tolist(), tiers[left].tolist(), cpus[left].tolist()):
+            self._pending_tier[pfn] = tier_id
+            self.pagevecs[cpu].pending.append(pfn)
 
     def _insert_global(self, pfn: int) -> None:
         tier = self._pending_tier.pop(pfn, 0)

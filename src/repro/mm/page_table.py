@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+import numpy as np
+
 from repro.mm import pte as pte_mod
 
 #: Radix bits per level and derived masks.
@@ -36,6 +38,15 @@ def vpn_indices(vpn: int) -> tuple[int, int, int, int]:
         (vpn >> LEVEL_BITS) & _LEVEL_MASK,
         vpn & _LEVEL_MASK,
     )
+
+
+def _leaf_runs(vpns: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """``(leaf base, start, stop)`` of each run of consecutive ``vpns``
+    covered by one leaf (for ascending input, one run per leaf)."""
+    bases = vpns >> LEVEL_BITS
+    cuts = (np.flatnonzero(bases[1:] != bases[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    return zip(bases[starts].tolist(), starts, [*cuts, int(vpns.size)])
 
 
 @dataclass
@@ -136,6 +147,31 @@ class PageTable:
             raise ValueError(f"vpn {vpn} already mapped")
         leaf.entries[idx] = pte_value
         self.mapped_count += 1
+
+    def map_many(self, vpns: np.ndarray, values: np.ndarray) -> None:
+        """:meth:`map` each ``vpns[i]`` to ``values[i]``, in order.
+
+        One leaf-dict update per leaf run, so leaves and their entries
+        are created in the order the scalar calls would create them.
+        """
+        slots = (vpns & _LEVEL_MASK).tolist()
+        vals = values.tolist()
+        for base, s, e in _leaf_runs(vpns):
+            entries = self._walk_to_leaf(base << LEVEL_BITS, create=True).entries
+            if not entries.keys().isdisjoint(slots[s:e]):
+                raise ValueError(f"a vpn of leaf {base:#x} is already mapped")
+            entries.update(zip(slots[s:e], vals[s:e]))
+        self.mapped_count += len(vals)
+
+    def update_many(self, vpns: np.ndarray, values: np.ndarray) -> None:
+        """:meth:`update` each mapped ``vpns[i]`` to ``values[i]``."""
+        slots = (vpns & _LEVEL_MASK).tolist()
+        vals = values.tolist()
+        for base, s, e in _leaf_runs(vpns):
+            leaf = self._walk_to_leaf(base << LEVEL_BITS, create=False)
+            if leaf is None or not leaf.entries.keys() >= set(slots[s:e]):
+                raise KeyError(f"a vpn of leaf {base:#x} is not mapped")
+            leaf.entries.update(zip(slots[s:e], vals[s:e]))
 
     def unmap(self, vpn: int) -> int:
         """Remove the PTE for ``vpn`` and return its last value."""

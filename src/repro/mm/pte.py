@@ -20,12 +20,15 @@ Bit layout::
 
 Everything here is pure integer arithmetic on Python ints so PTEs can be
 stored compactly and compared for exact equality across replicated
-tables.
+tables.  For bulk paths, :func:`pte_make_many` builds an int64 array of
+entries, and :func:`pte_with_tid` also takes one.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+import numpy as np
 
 PTE_PRESENT = 1 << 0
 PTE_WRITE = 1 << 1
@@ -103,6 +106,20 @@ def pte_make(
     if shadowed:
         value |= PTE_SHADOW
     return value
+
+
+def pte_make_many(
+    pfns: np.ndarray, tids: np.ndarray, *, writable: bool = True, accessed: bool = False
+) -> np.ndarray:
+    """:func:`pte_make` elementwise over int64 arrays (present entries,
+    no other flags)."""
+    if pfns.size and not (0 <= int(pfns.min()) and int(pfns.max()) < 1 << _PFN_BITS):
+        raise ValueError(f"pfns out of range for {_PFN_BITS}-bit field")
+    if tids.size and not (0 <= int(tids.min()) and int(tids.max()) <= PTE_SHARED_TID):
+        raise ValueError(f"tids out of range for {_TID_BITS}-bit field")
+    flags = pte_make(0, 0, writable=writable, accessed=accessed)
+    pfns, tids = np.asarray(pfns, dtype=np.int64), np.asarray(tids, dtype=np.int64)
+    return (pfns << _PFN_SHIFT) | (tids << _TID_SHIFT) | flags
 
 
 def pte_decode(value: int) -> Pte:

@@ -51,21 +51,25 @@ class FlatPteMirror:
         self.value = np.zeros(0, dtype=np.int64)
         self._present_cache: np.ndarray | None = None
 
-    def _ensure(self, vpn: int) -> None:
-        """Grow the arrays to cover ``vpn`` (amortized, pad on both sides)."""
-        if self.pfn.size and self.base <= vpn < self.base + self.pfn.size:
+    def _ensure(self, lo: int, hi: int) -> None:
+        """Grow the arrays to cover vpns ``[lo, hi]``.
+
+        Growth at least doubles the arrays and puts the new slack on the
+        side that ran out: below the data when ``lo`` fell under the
+        base, above it otherwise.  Writes creeping in either direction
+        therefore reallocate O(log span) times.
+        """
+        if self.pfn.size and self.base <= lo and hi < self.base + self.pfn.size:
             return
         if self.pfn.size == 0:
-            new_base = max(vpn - 64, 0)
-            new_size = self._GROW_PAD
-            while vpn >= new_base + new_size:
-                new_size *= 2
+            new_base = max(lo - 64, 0)
+            new_size = hi - new_base + self._GROW_PAD
             old = None
         else:
-            lo = min(self.base, vpn)
-            hi = max(self.base + self.pfn.size, vpn + 1)
-            new_base = max(lo - 64, 0)
-            new_size = max(hi - new_base + self._GROW_PAD, 2 * self.pfn.size)
+            span_lo = min(self.base, lo)
+            span_hi = max(self.base + self.pfn.size, hi + 1)
+            new_size = max(span_hi - span_lo + self._GROW_PAD, 2 * self.pfn.size)
+            new_base = max(span_hi - new_size, 0) if lo < self.base else span_lo
             old = (self.base, self.pfn, self.owner, self.dirty, self.value)
         pfn = np.full(new_size, -1, dtype=np.int64)
         owner = np.full(new_size, -1, dtype=np.int16)
@@ -82,7 +86,7 @@ class FlatPteMirror:
         self._present_cache = None
 
     def set(self, vpn: int, pfn: int, owner: int, dirty: bool, raw: int = 0) -> None:
-        self._ensure(vpn)
+        self._ensure(vpn, vpn)
         i = vpn - self.base
         if self.pfn[i] < 0:
             self._present_cache = None
@@ -90,6 +94,16 @@ class FlatPteMirror:
         self.owner[i] = owner
         self.dirty[i] = dirty
         self.value[i] = raw
+
+    def set_many(self, vpns: np.ndarray, pfns: np.ndarray, owners: np.ndarray, raws: np.ndarray) -> None:
+        """:meth:`set` a clean entry for each of the ascending ``vpns``."""
+        self._ensure(int(vpns[0]), int(vpns[-1]))
+        i = vpns - self.base
+        self.pfn[i] = pfns
+        self.owner[i] = owners
+        self.dirty[i] = False
+        self.value[i] = raws
+        self._present_cache = None
 
     def set_owner(self, vpn: int, owner: int) -> None:
         i = vpn - self.base
@@ -216,6 +230,26 @@ class ReplicatedPageTables:
             self.stats.private_faults += 1
         return value
 
+    def handle_faults(self, vpns: np.ndarray, tids: np.ndarray, pfns: np.ndarray) -> None:
+        """:meth:`handle_fault` for each ascending, unmapped ``vpns[i]``
+        by registered thread ``tids[i]`` onto ``pfns[i]``.
+
+        Leaves the trees, mirror and stats exactly as the scalar calls in
+        vpn order would, in a few array passes: one leaf-dict update per
+        leaf, one mirror write, and one :meth:`_link_leaf` per
+        (leaf, tid) pair in first-touch order.
+        """
+        owners = tids if self.enabled else np.full(tids.size, PTE_SHARED_TID, dtype=np.int64)
+        values = pte_mod.pte_make_many(pfns, owners, writable=True, accessed=True)
+        self.process_table.map_many(vpns, values)
+        self.flat.set_many(vpns, pfns, owners, values)
+        if self.enabled:
+            pairs = (vpns >> LEVEL_BITS) * (PTE_SHARED_TID + 1) + tids
+            first = np.sort(np.unique(pairs, return_index=True)[1])
+            for vpn, tid in zip(vpns[first].tolist(), tids[first].tolist()):
+                self._link_leaf(vpn, tid)
+            self.stats.private_faults += int(vpns.size)
+
     def note_access(self, vpn: int, tid: int) -> bool:
         """Record that ``tid`` touched ``vpn``; promote to shared if a
         non-owner touches a private page.
@@ -246,23 +280,35 @@ class ReplicatedPageTables:
         """Vectorized :meth:`note_access` over unique, mapped ``vpns``.
 
         Performs exactly the per-vpn transitions and leaf links the
-        scalar path would (private→shared flips go through
-        :meth:`note_access` itself), but detects the — rare after
-        warm-up — pages needing work with numpy gathers.  Returns the
-        number of private→shared transitions (minor faults to charge).
+        scalar path would, as array passes: pages owned by another
+        thread flip private→shared with one mirror write and one
+        leaf-dict update per leaf, after one :meth:`_link_leaf` per
+        covering leaf.  Returns the number of private→shared
+        transitions (minor faults to charge).
         """
         if not self.enabled or vpns.size == 0:
             return 0
-        owners = self.flat.owner[self.flat.indices(vpns)]
-        # Pages owned by another thread: full scalar transition path.
+        flat = self.flat
+        idx = flat.indices(vpns)
+        owners = flat.owner[idx]
         transition = (owners != tid) & (owners != PTE_SHARED_TID)
         n_transitions = 0
         if transition.any():
             if tid not in self.thread_tables:
                 raise KeyError(f"tid {tid} not registered")
-            for vpn in vpns[transition].tolist():
-                if self.note_access(vpn, tid):
-                    n_transitions += 1
+            t_vpns = vpns[transition]
+            t_idx = idx[transition]
+            if int(flat.pfn[t_idx].min()) < 0:
+                raise KeyError(f"vpn {int(t_vpns[flat.pfn[t_idx] < 0][0])} not mapped")
+            first = np.sort(np.unique(t_vpns >> LEVEL_BITS, return_index=True)[1])
+            for vpn in t_vpns[first].tolist():
+                self._link_leaf(vpn, tid)
+            shared = pte_mod.pte_with_tid(flat.value[t_idx], PTE_SHARED_TID)
+            self.process_table.update_many(t_vpns, shared)
+            flat.owner[t_idx] = PTE_SHARED_TID
+            flat.value[t_idx] = shared
+            n_transitions = int(t_vpns.size)
+            self.stats.shared_promotions += n_transitions
         # Already-shared pages only need the covering leaf linked once
         # per (leaf, tid); the candidate leaves are few (512 vpns each).
         shared = owners == PTE_SHARED_TID

@@ -73,12 +73,8 @@ class VulcanPolicy(TieringPolicy):
         return True
 
     def _on_register(self, rt: WorkloadRuntime) -> None:
-        vpns = np.fromiter(
-            (vpn for vpn, _ in rt.space.process.repl.process_table.iter_ptes()),
-            dtype=np.int64,
-        )
         assert isinstance(rt.profiler, HybridProfiler)
-        rt.profiler.register_pages(rt.pid, vpns)
+        rt.profiler.register_pages(rt.pid, rt.space.process.repl.flat.present_vpns())
         self.daemon.attach(
             WorkloadHandle(
                 pid=rt.pid,

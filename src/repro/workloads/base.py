@@ -208,15 +208,24 @@ class Workload:
         """Return (vpns, is_write) for one thread's epoch traffic."""
         raise NotImplementedError
 
-    def first_touch_tid(self, offset: int) -> int:
-        """Which thread demand-faults page ``offset`` of the VMA in.
+    def first_touch_tids(self) -> np.ndarray:
+        """Which thread demand-faults each page of the VMA in, by offset.
 
         First touch sets PTE ownership (§3.4), so this must reflect the
         application's real initialization pattern: data-parallel apps
         fault their own shards in; shared structures are touched by
         whichever thread gets there first (modeled round-robin).
         """
-        return offset % self.spec.n_threads
+        return np.arange(self.spec.rss_pages, dtype=np.int64) % self.spec.n_threads
+
+    def _sharded_first_touch(self, shared_pages: int, shard_pages: int) -> np.ndarray:
+        """First touch of a VMA whose first ``shared_pages`` are shared
+        (round-robin) and whose rest is cut into per-thread shards of
+        ``shard_pages`` (the last thread takes any remainder)."""
+        nt = self.spec.n_threads
+        offsets = np.arange(self.spec.rss_pages, dtype=np.int64)
+        shard = np.minimum((offsets - shared_pages) // shard_pages, nt - 1)
+        return np.where(offsets < shared_pages, offsets % nt, shard)
 
     # -- metadata the harness/policies may query ---------------------------------
 

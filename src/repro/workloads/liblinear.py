@@ -91,13 +91,11 @@ class LiblinearWorkload(Workload):
         writes = np.concatenate([scan_writes, feat_writes])
         return vpns, writes
 
-    def first_touch_tid(self, offset: int) -> int:
+    def first_touch_tids(self) -> np.ndarray:
         """Shards are faulted in by their training thread; the shared
         feature region by whichever thread initializes it (round-robin)."""
-        if offset < self._feature_pages:
-            return offset % self.spec.n_threads
         shard_pages = max(self._data_pages // self.spec.n_threads, 1)
-        return min((offset - self._feature_pages) // shard_pages, self.spec.n_threads - 1)
+        return self._sharded_first_touch(self._feature_pages, shard_pages)
 
     def write_fraction(self) -> float:
         return self.feature_access_frac * self.feature_write_fraction

@@ -62,12 +62,12 @@ class MicrobenchWorkload(Workload):
         writes = rng.random(n) >= self.read_ratio
         return vpns, writes
 
-    def first_touch_tid(self, offset: int) -> int:
+    def first_touch_tids(self) -> np.ndarray:
         """Private mode: each thread faults in its own WSS slice."""
         if self.shared_threads:
-            return offset % self.spec.n_threads
+            return super().first_touch_tids()
         slice_pages = max(self._wss // self.spec.n_threads, 1)
-        return min(offset // slice_pages, self.spec.n_threads - 1)
+        return self._sharded_first_touch(0, slice_pages)
 
     def write_fraction(self) -> float:
         return 1.0 - self.read_ratio

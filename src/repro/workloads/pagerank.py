@@ -84,13 +84,11 @@ class PageRankWorkload(Workload):
         writes = np.concatenate([gather_writes, sweep_writes])
         return vpns, writes
 
-    def first_touch_tid(self, offset: int) -> int:
+    def first_touch_tids(self) -> np.ndarray:
         """Rank slices are faulted in by their owning thread; the shared
         adjacency region by the (parallel) graph loader, round-robin."""
-        if offset < self._adj_pages:
-            return offset % self.spec.n_threads
         slice_pages = max(self._rank_pages // self.spec.n_threads, 1)
-        return min((offset - self._adj_pages) // slice_pages, self.spec.n_threads - 1)
+        return self._sharded_first_touch(self._adj_pages, slice_pages)
 
     def write_fraction(self) -> float:
         return (1.0 - self.gather_fraction) * 0.5

@@ -81,15 +81,15 @@ def test_rss_tracks_faulted_pages():
     space, proc, _ = make_space()
     vma = proc.mmap(6)
     assert proc.rss_pages == 0
-    space.populate(vma, tid=0)
+    space.populate(vma, 0)
     assert proc.rss_pages == 6
 
 
 def test_populate_idempotent():
     space, proc, _ = make_space()
     vma = proc.mmap(4)
-    assert space.populate(vma, tid=0) == 4
-    assert space.populate(vma, tid=0) == 0
+    assert space.populate(vma, 0) == 4
+    assert space.populate(vma, 0) == 0
 
 
 def plan_of(pid, *segments):

@@ -92,6 +92,11 @@ def test_slow_tier_exhaustion_is_loud():
 
     with pytest.raises(OutOfFramesError):
         exp.run(1)
+    # Admission is all or nothing: the failed tenant holds no frame and
+    # left nothing buffered in a pagevec.
+    assert exp.allocator.store.foreign_frames(exp._active).size == 0
+    assert all(not vec.pending for vec in exp.lru.pagevecs)
+    exp.allocator.check_consistency()
 
 
 def test_write_heavy_kv_exercises_sync_path_under_vulcan():
