@@ -57,11 +57,12 @@ Commands
 ``fleet``
     Simulated multi-node cluster: each node runs the single-box stack
     unchanged while a global placer assigns and live-migrates workloads
-    using per-node CBFRP credit balances::
+    using per-node CBFRP credit balances; node rounds run one after
+    another in this process::
 
         python -m repro fleet list
         python -m repro fleet run balanced_trio --json
-        python -m repro fleet run drain_rebalance --workers 4 --check
+        python -m repro fleet run drain_rebalance --check
 
 ``run``/``compare``/``sweep`` also accept ``--json`` for
 machine-readable output instead of rendered tables.
@@ -382,28 +383,18 @@ def _load_fleet_spec(args: argparse.Namespace):
 
 
 def cmd_fleet_run(args: argparse.Namespace) -> int:
-    from repro.fleet import FleetSpecError, run_fleet
     from repro.fuzz.oracle import InvariantViolation
-    from repro.harness.recipes import fleet_summary_json
+    from repro.harness.recipes import fleet_run
 
     spec = _load_fleet_spec(args)
-    overrides = {
-        k: v
-        for k, v in (("policy", args.policy), ("placer", args.placer), ("seed", args.seed))
-        if v is not None
-    }
-    if overrides:
-        try:
-            spec = spec.with_overrides(**overrides)
-        except FleetSpecError as exc:
-            raise SystemExit(f"invalid override: {exc}")
     tracer = get_tracer()
     if args.trace:
         _check_trace_path(args.trace)
         tracer.enable()
     try:
         try:
-            res = run_fleet(spec, workers=args.workers, check=args.check)
+            res = fleet_run(spec=spec.to_dict(), policy=args.policy, placer=args.placer,
+                            seed=args.seed, check=args.check)
         except InvariantViolation as exc:
             print(f"CHECK FAIL: {exc}", file=sys.stderr)
             return 1
@@ -414,7 +405,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
         if args.trace:
             tracer.disable()
     if args.json:
-        print(json.dumps(fleet_summary_json(res), indent=2))
+        print(json.dumps(res.to_dict(), indent=2))
         if args.check:
             print("all fleet checks passed", file=sys.stderr)
         return 0
@@ -436,7 +427,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
         rows,
         title=(
             f"fleet={s['fleet']} placer={s['placer']} policy={s['policy']} "
-            f"seed={s['seed']} workers={args.workers}"
+            f"seed={s['seed']}"
         ),
         float_fmt="{:.3g}",
     ))
@@ -629,49 +620,12 @@ def cmd_scenario_list(args: argparse.Namespace) -> int:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     import time
 
-    from repro.fuzz.promote import (
-        iter_crashers,
-        iter_fleet_crashers,
-        load_crasher,
-        load_fleet_crasher,
-    )
-    from repro.fuzz.runner import campaign, case_finding, fleet_campaign, fleet_case_finding
+    from repro.fuzz.promote import iter_crashers
+    from repro.fuzz.runner import FLEET, SCENARIO, campaign, replay_crasher
 
+    kind = FLEET if args.fleet else SCENARIO
     if args.replay is not None:
-        if args.fleet:
-            paths = iter_fleet_crashers(args.replay)
-            loader, prober = load_fleet_crasher, fleet_case_finding
-        else:
-            paths = iter_crashers(args.replay)
-            loader, prober = load_crasher, case_finding
-        results = []
-        for p in paths:
-            if args.fleet:
-                from repro.fleet.events import FleetSpecError
-
-                try:
-                    case, violation = loader(p)
-                except FleetSpecError as exc:
-                    # the spec this crasher needed is now rejected up
-                    # front — the crash is unreachable, i.e. fixed
-                    data = json.loads(p.read_text())
-                    results.append({
-                        "file": p.name,
-                        "original_check": data["violation"]["check"],
-                        "status": "fixed",
-                        "finding": None,
-                        "note": f"spec now rejected at validation: {exc}",
-                    })
-                    continue
-            else:
-                case, violation = loader(p)
-            finding = prober(case)
-            results.append({
-                "file": p.name,
-                "original_check": violation["check"],
-                "status": "fixed" if finding is None else "failing",
-                "finding": finding,
-            })
+        results = [replay_crasher(kind, p) for p in iter_crashers(kind, args.replay)]
         green = all(r["status"] == "fixed" for r in results)
         if args.json:
             print(json.dumps({"replayed": len(results), "green": green,
@@ -691,24 +645,16 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         return 0 if green else 1
 
     t0 = time.monotonic()
-    if args.fleet:
-        report = fleet_campaign(
-            seed=args.seed,
-            runs=args.runs,
-            workers=args.workers,
-            promote_dir=args.promote,
-            log=lambda msg: print(msg, file=sys.stderr),
-        )
-    else:
-        report = campaign(
-            seed=args.seed,
-            runs=args.runs,
-            max_epochs=args.max_epochs,
-            workers=args.workers,
-            shrink=not args.no_shrink,
-            promote_dir=args.promote,
-            log=lambda msg: print(msg, file=sys.stderr),
-        )
+    report = campaign(
+        kind=kind,
+        seed=args.seed,
+        runs=args.runs,
+        max_epochs=args.max_epochs,
+        workers=args.workers,
+        shrink=not args.no_shrink,
+        promote_dir=args.promote,
+        log=lambda msg: print(msg, file=sys.stderr),
+    )
     elapsed = time.monotonic() - t0
     if args.json:
         # the report itself carries no wall-clock, so it is bit-identical
@@ -941,9 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
     fl_run.add_argument("--policy", default=None, choices=sorted(POLICY_REGISTRY),
                         help="override the per-node tiering policy")
     fl_run.add_argument("--seed", type=int, default=None, help="override the spec's seed")
-    fl_run.add_argument("--workers", type=int, default=1,
-                        help="shard node rounds across worker processes "
-                             "(results bit-identical to --workers 1)")
     fl_run.add_argument("--json", action="store_true",
                         help="emit the full FleetResult as JSON")
     fl_run.add_argument("--trace", metavar="PATH", default=None,

@@ -50,10 +50,6 @@ class MigrationPlan:
     promotions: list[PlannedMigration] = field(default_factory=list)
     demotions: list[PlannedMigration] = field(default_factory=list)
 
-    @property
-    def n_moves(self) -> int:
-        return len(self.promotions) + len(self.demotions)
-
 
 class BiasedMigrationPolicy:
     """Per-workload promotion/demotion selection with Table 1 bias."""

@@ -65,10 +65,6 @@ class PromotionQueues:
     def __len__(self) -> int:
         return len(self._live)
 
-    def _mean_heat(self, cls: PageClass) -> float:
-        n = self._heat_count[cls]
-        return self._heat_sum[cls] / n if n else 0.0
-
     def _escalate(self, base: PageClass, heat: float) -> PageClass:
         """MLFQ: climb while heat dwarfs the population above."""
         cls = base

@@ -3,10 +3,10 @@
 A simulated cluster of N nodes — each an unchanged single-box
 machine/policy/scenario stack — under a global placer that assigns and
 live-migrates workloads across nodes using per-node CBFRP credit
-balances and FTHR telemetry.  Nodes advance in lock-step *sync rounds*;
-each node-round is a pure recipe cell, which is what lets the fleet
-shard nodes across processes (``harness.parallel``) while keeping the
-serial ≡ parallel bit-identical determinism contract.
+balances and FTHR telemetry.  Nodes advance in lock-step *sync rounds*,
+one after another in the fleet's own process; each node-round draws a
+seed derived from its canonical cell description, so a same-seed fleet
+is bit-identical run to run.
 """
 
 from repro.fleet.events import FLEET_ACTIONS, FleetEvent

@@ -5,15 +5,12 @@ evacuate their residents, joins bring capacity online, flash crowds
 inflate resident demand), (2) asks the placer for a complete
 assignment and diffs it against the current one — new keys are
 placements, moved keys are live migrations charged the modeled
-cross-node cost — and (3) advances every busy node one round as an
-isolated pure cell (:func:`repro.fleet.node.run_node_round`), either
-in-process or sharded across workers via ``harness.parallel``.
-
-Determinism contract: the serial path and the parallel path build the
-*same* canonical cell JSON and derive the *same* per-cell seed from it,
-and all cross-round state (assignment, telemetry, accumulators) lives
-here in the parent — so a same-seed fleet is bit-identical at
-``workers=1`` and ``workers=4``.  The tests pin this.
+cross-node cost — and (3) advances every busy node one round in this
+process (:func:`repro.fleet.node.run_node_round`), seeded from the
+round's canonical cell JSON.  All cross-round state (assignment,
+telemetry, accumulators) lives here, and a round's seed depends only
+on its own cell — so a same-seed fleet is bit-identical whether or not
+its oracle is armed.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from repro.fleet.events import FleetEvent
 from repro.fleet.metrics import (
     fleet_cfi,
     node_cfi_spread,
@@ -40,7 +36,7 @@ from repro.fleet.node import (
 )
 from repro.fleet.placer import make_placer
 from repro.fleet.spec import FleetSpec
-from repro.harness.parallel import CellTask, derive_cell_seed, execute_tasks
+from repro.harness.parallel import derive_cell_seed
 from repro.obs.events import EventKind
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -75,7 +71,6 @@ class FleetResult:
     """Everything a fleet run produced, in plain-data form."""
 
     spec: FleetSpec
-    workers: int
     rounds: list[dict] = field(default_factory=list)
     moves: list[MoveRecord] = field(default_factory=list)
     weighted_alloc: dict[str, float] = field(default_factory=dict)
@@ -132,7 +127,6 @@ class FleetResult:
         return {
             "spec": self.spec.to_dict(),
             "spec_hash": self.spec.content_hash(),
-            "workers_used": self.workers,  # informational; contents are workers-free
             "summary": self.summary(),
             "cfi_spread": self.cfi_spread(),
             "weighted_alloc": {k: self.weighted_alloc[k] for k in sorted(self.weighted_alloc)},
@@ -141,20 +135,19 @@ class FleetResult:
         }
 
     def canonical_json(self) -> str:
-        """The bit-identity surface: workers must not change this string."""
-        payload = self.to_dict()
-        payload.pop("workers_used")
-        return json.dumps(payload, sort_keys=True)
+        """The bit-identity surface the determinism tests and digests pin."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 class FleetExperiment:
     """Run one :class:`FleetSpec` to completion."""
 
     def __init__(self, spec: FleetSpec, *, workers: int = 1, check: bool = False) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        # ``workers`` stays for callers that pass ``workers=1``
+        # (bench/workloads.py); node rounds always run in this process.
+        if workers != 1:
+            raise ValueError("node rounds run in-process: workers must be 1")
         self.spec = spec.validate()
-        self.workers = workers
         self.check = check
         self.placer = make_placer(spec.placer)
         self.active: set[str] = spec.initially_active()
@@ -164,7 +157,7 @@ class FleetExperiment:
         self.telemetry: dict[str, NodeTelemetry] = {}
         #: key → [multiplier, rounds_remaining] while a flash crowd is live
         self.crowd: dict[str, list] = {}
-        self.result = FleetResult(spec=spec, workers=workers)
+        self.result = FleetResult(spec=spec)
         for d in spec.workloads:
             self.result.weighted_alloc[d.key] = 0.0
         for n in spec.nodes:
@@ -182,12 +175,13 @@ class FleetExperiment:
             if ev.action == "node_drain":
                 self.active.discard(ev.node)
                 self.telemetry.pop(ev.node, None)
-                for key in sorted(k for k, n in self.assignment.items() if n == ev.node):
+                residents = sorted(k for k, n in self.assignment.items() if n == ev.node)
+                for key in residents:
                     self.assignment[key] = None
                     evacuated.append((key, ev.node))
                 tracer.emit(EventKind.FLEET_NODE_CHANGE, "node_drain",
                             args={"node": ev.node, "round": round_index,
-                                  "evacuating": len(evacuated)})
+                                  "evacuating": len(residents)})
                 registry.counter("fleet_node_changes", change="drain").inc()
             elif ev.action == "node_join":
                 self.active.add(ev.node)
@@ -282,7 +276,7 @@ class FleetExperiment:
         }
 
     def _advance_nodes(self, round_index: int) -> dict[str, NodeTelemetry]:
-        """Advance every active node one round; serial ≡ parallel."""
+        """Advance every active node one round, in this process."""
         residents: dict[str, list] = {n: [] for n in sorted(self.active)}
         for key in sorted(self.assignment):
             node = self.assignment[key]
@@ -290,47 +284,22 @@ class FleetExperiment:
             eff = self._effective_demand(key)
             residents[node].append(d if eff == d.rss_pages else replace(d, rss_pages=eff))
 
-        cells: list[tuple[str, str, int]] = []  # (node, cell_json, cell_seed)
+        telemetry: dict[str, NodeTelemetry] = {}
         for node in sorted(self.active):
             if not residents[node]:
+                telemetry[node] = idle_node_telemetry(node, round_index, self.fast_gb[node])
                 continue
-            cell = build_node_cell(
+            cell = dict(
                 node_id=node,
                 round_index=round_index,
                 fast_gb=self.fast_gb[node],
                 epochs=self.spec.epochs_per_round,
                 policy=self.spec.policy,
                 workloads=residents[node],
-                check=self.check,
             )
-            params = (("node_cell", cell),)
-            cells.append((node, cell, derive_cell_seed(params, self.spec.seed)))
-
-        telemetry: dict[str, NodeTelemetry] = {}
-        if self.workers == 1 or len(cells) <= 1:
-            for node, cell, cell_seed in cells:
-                telemetry[node] = NodeTelemetry.from_dict(
-                    run_node_round(node_cell=cell, seed=cell_seed)
-                )
-        else:
-            tasks = [
-                CellTask(i, i, (("node_cell", cell),), self.spec.seed, cell_seed)
-                for i, (_node, cell, cell_seed) in enumerate(cells)
-            ]
-            outcomes = execute_tasks(tasks, run_node_round, workers=self.workers)
-            for i, (node, _cell, _cell_seed) in enumerate(cells):
-                outcome = outcomes[i]
-                if not outcome.ok:
-                    f = outcome.failure
-                    raise RuntimeError(
-                        f"fleet node {node} round {round_index} failed "
-                        f"({f.kind}/{f.error}): {f.message}"
-                    )
-                telemetry[node] = NodeTelemetry.from_dict(outcome.result["data"])
-        for node in sorted(self.active):
-            if node not in telemetry:
-                telemetry[node] = idle_node_telemetry(node, round_index, self.fast_gb[node])
-        self.result.node_epochs += len(cells) * self.spec.epochs_per_round
+            seed = derive_cell_seed((("node_cell", build_node_cell(**cell)),), self.spec.seed)
+            telemetry[node] = run_node_round(**cell, seed=seed, check=self.check)
+            self.result.node_epochs += self.spec.epochs_per_round
         return telemetry
 
     def run(self) -> FleetResult:
@@ -371,6 +340,6 @@ class FleetExperiment:
         return self.result
 
 
-def run_fleet(spec: FleetSpec, *, workers: int = 1, check: bool = False) -> FleetResult:
+def run_fleet(spec: FleetSpec, *, check: bool = False) -> FleetResult:
     """Convenience wrapper: build, run, return the result."""
-    return FleetExperiment(spec, workers=workers, check=check).run()
+    return FleetExperiment(spec, check=check).run()

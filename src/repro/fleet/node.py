@@ -1,20 +1,16 @@
 """The node handle: one fleet node advancing one sync round.
 
-Determinism is the whole design here.  A node-round is a **pure recipe
-cell**: :func:`run_node_round` takes the complete cell description as
-canonical JSON (node id, round, machine sizing, the workloads the
-placer assigned, the policy) plus a derived seed, builds a *fresh*
-:class:`~repro.scenario.engine.ScenarioExperiment`, runs it for
-``epochs_per_round`` epochs, and returns a plain telemetry dict.  No
-state crosses rounds inside a node — everything the fleet remembers
-(assignments, credit history, migration costs) lives in the parent's
-:class:`~repro.fleet.experiment.FleetExperiment` — so forking cells
-across workers cannot change what any cell computes, and serial and
-parallel fleets are bit-identical by construction.
+A node-round runs in the fleet's own process.  :func:`run_node_round`
+takes the node's sizing, policy and residents plus a seed, builds a
+*fresh* :class:`~repro.scenario.engine.ScenarioExperiment`, runs it for
+``epochs_per_round`` epochs, and returns typed :class:`NodeTelemetry`.
+No state crosses rounds inside a node — everything the fleet remembers
+(assignments, credit history, migration costs) lives in
+:class:`~repro.fleet.experiment.FleetExperiment`.
 
-The cell satisfies the ``harness.parallel`` factory contract
-(module-level, ``factory(**params, seed=cell_seed)``) exactly like the
-fuzzer's ``run_case``.
+The round's seed is derived from the canonical JSON
+:func:`build_node_cell` returns, exactly like a sweep cell's, so a
+node-round's random stream depends only on its own description.
 """
 
 from __future__ import annotations
@@ -74,10 +70,6 @@ class WorkloadTelemetry:
             "credits": self.credits,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadTelemetry":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class NodeTelemetry:
@@ -112,10 +104,6 @@ class NodeTelemetry:
     def demand_pages(self) -> int:
         return sum(w.rss_pages for w in self.workloads)
 
-    @property
-    def used_pages(self) -> int:
-        return self.fast_capacity_pages - self.free_fast_pages
-
     def to_dict(self) -> dict:
         return {
             "node_id": self.node_id,
@@ -127,34 +115,6 @@ class NodeTelemetry:
             "credit_pressure": self.credit_pressure,
             "workloads": [w.to_dict() for w in self.workloads],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NodeTelemetry":
-        return cls(
-            node_id=data["node_id"],
-            round=data["round"],
-            fast_capacity_pages=data["fast_capacity_pages"],
-            free_fast_pages=data["free_fast_pages"],
-            cfi=data["cfi"],
-            workloads=tuple(WorkloadTelemetry.from_dict(w) for w in data["workloads"]),
-        )
-
-
-def _machine_config(fast_gb: float):
-    """Default machine with a resized fast tier (same construction as
-    ``harness.recipes.sweep_cell`` so node sizing hashes like a cell)."""
-    from dataclasses import replace
-
-    from repro.sim.config import MachineConfig, TierConfig
-    from repro.sim.units import GiB
-
-    mc = MachineConfig()
-    return replace(mc, fast=TierConfig(
-        name="fast",
-        capacity_bytes=int(fast_gb * GiB),
-        load_latency_ns=mc.fast.load_latency_ns,
-        bandwidth_gbps=mc.fast.bandwidth_gbps,
-    ))
 
 
 def node_capacity_pages(fast_gb: float) -> int:
@@ -173,13 +133,12 @@ def build_node_cell(
     epochs: int,
     policy: str,
     workloads: list[WorkloadDef],
-    check: bool = False,
 ) -> str:
-    """The canonical JSON cell description (sorted keys, sorted workloads).
+    """The canonical JSON node-round description the round's seed hashes.
 
-    One function builds it for both the serial and the parallel path so
-    the derived cell seed — a hash of this string — can never differ
-    between them.
+    Sorted keys, workloads sorted by key.  ``"check": false`` is fixed:
+    whether the oracle watches a round must not move its seed, and the
+    pinned result digests come from seeds drawn from exactly these bytes.
     """
     return json.dumps(
         {
@@ -188,35 +147,43 @@ def build_node_cell(
             "fast_gb": fast_gb,
             "epochs": epochs,
             "policy": policy,
-            "check": check,
+            "check": False,
             "workloads": [d.to_dict() for d in sorted(workloads, key=lambda d: d.key)],
         },
         sort_keys=True,
     )
 
 
-def run_node_round(node_cell: str = "", seed: int = 0) -> dict:
-    """Worker-process entry: advance one node one sync round.
+def run_node_round(
+    *,
+    node_id: str,
+    round_index: int,
+    fast_gb: float,
+    epochs: int,
+    policy: str,
+    workloads: list[WorkloadDef],
+    seed: int,
+    check: bool = False,
+) -> NodeTelemetry:
+    """Advance one node one sync round; ``check`` arms the invariant oracle.
 
-    ``node_cell`` is the JSON from :func:`build_node_cell`; ``seed`` is
-    the derived per-cell seed.  Tracing and metrics are force-disabled
-    for the duration: node-internal events must not reach the parent's
-    trace stream in serial mode when they could not in parallel mode
-    (the child's buffer dies with the fork) — fleet-level events are the
-    parent's job.
+    Node-internal tracing and metrics are off for the duration: each
+    round's fresh experiment restarts the shared cycle clock at epoch 0,
+    so node events would collide in the fleet's stream.  Fleet-level
+    events are the fleet loop's job.
     """
     from repro.fuzz.oracle import InvariantOracle
     from repro.scenario.engine import ScenarioExperiment
     from repro.scenario.spec import ScenarioSpec
+    from repro.sim.config import MachineConfig
 
-    cell = json.loads(node_cell)
-    defs = tuple(WorkloadDef.from_dict(d) for d in cell["workloads"])
+    defs = tuple(sorted(workloads, key=lambda d: d.key))
     spec = ScenarioSpec(
-        name=f"fleet/{cell['node_id']}/r{cell['round']}",
-        n_epochs=cell["epochs"],
+        name=f"fleet/{node_id}/r{round_index}",
+        n_epochs=epochs,
         workloads=defs,
         events=(),
-        policy=cell["policy"],
+        policy=policy,
         seed=seed,
     ).validate()
 
@@ -227,15 +194,15 @@ def run_node_round(node_cell: str = "", seed: int = 0) -> dict:
     try:
         exp = ScenarioExperiment(
             spec,
-            oracle=InvariantOracle() if cell["check"] else None,
-            machine_config=_machine_config(cell["fast_gb"]),
+            oracle=InvariantOracle() if check else None,
+            machine_config=MachineConfig().with_fast_gb(fast_gb),
         )
         result = exp.run()
     finally:
         tracer.enabled = was_tracing
         tracer.metrics.enabled = was_metrics
 
-    window = min(cell["epochs"], STEADY_WINDOW)
+    window = min(epochs, STEADY_WINDOW)
     daemon = getattr(exp.policy, "daemon", None)
     wl_telemetry = []
     for d in defs:
@@ -251,15 +218,14 @@ def run_node_round(node_cell: str = "", seed: int = 0) -> dict:
             credits=int(daemon.credits.get(pid)) if daemon is not None else 0,
         ))
     fast = exp.allocator.tiers[0]
-    telemetry = NodeTelemetry(
-        node_id=cell["node_id"],
-        round=cell["round"],
+    return NodeTelemetry(
+        node_id=node_id,
+        round=round_index,
         fast_capacity_pages=fast.total,
         free_fast_pages=fast.online - fast.used,
-        cfi=steady_cfi(result, window=window) if defs else 1.0,
+        cfi=steady_cfi(result, window=window),
         workloads=tuple(wl_telemetry),
     )
-    return telemetry.to_dict()
 
 
 def idle_node_telemetry(node_id: str, round_index: int, fast_gb: float) -> NodeTelemetry:

@@ -7,9 +7,10 @@ Submodules:
 * :mod:`~repro.fuzz.strategies` — seeded generation of arbitrary
   *valid* :class:`~repro.scenario.spec.ScenarioSpec` timelines plus
   machine/policy configs (hypothesis wrapper when available);
-* :mod:`~repro.fuzz.runner` — the campaign driver behind
-  ``repro fuzz`` (parallel execution, determinism replay, service
-  parity, obs metrics);
+* :mod:`~repro.fuzz.runner` — the one campaign driver behind
+  ``repro fuzz`` and ``repro fuzz --fleet`` (parallel execution,
+  determinism replay, service parity, crasher replay, obs metrics),
+  with one :class:`~repro.fuzz.runner.CaseKind` per kind of case;
 * :mod:`~repro.fuzz.shrink` — greedy timeline minimization holding the
   failing check fixed;
 * :mod:`~repro.fuzz.promote` — content-hashed crasher files under

@@ -1,12 +1,16 @@
 """Crasher-to-regression promotion (DESIGN.md §fuzz).
 
-A minimized failing case is written as one content-hashed JSON file —
-``crasher_<spec-hash-12>.json`` — carrying the spec, the machine
-sizing, the finding it reproduced, and the seed pair that found it.
-Files promoted under ``tests/golden/fuzz_regressions/`` become canned
-scenarios the tier-1 suite replays forever: once the underlying bug is
-fixed, the replay must stay green, so the regression can never return
-silently.
+A failing case is written as one content-hashed JSON file —
+``<prefix><spec-hash-12>.json`` — carrying the spec, the rest of the
+case (a scenario case's machine sizing), the finding it reproduced,
+and the seed pair that found it.  Each case kind
+(:class:`repro.fuzz.runner.CaseKind`) names its own format tag and file
+prefix — ``crasher_`` for scenarios, ``fleet_crasher_`` for fleets —
+and neither prefix's glob matches the other's files, so both kinds
+share ``tests/golden/fuzz_regressions/`` without ever feeding a replay
+the wrong spec type.  Files promoted there are replayed by the tier-1
+suite forever: once the underlying bug is fixed, the replay must stay
+green, so the regression can never return silently.
 
 Content-hash naming makes promotion idempotent (re-promoting the same
 minimized spec overwrites the identical file) and collision-free
@@ -18,92 +22,40 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.fuzz.strategies import FleetFuzzCase, FuzzCase
-from repro.scenario.spec import ScenarioSpec
-
-CRASHER_FORMAT = "fuzz-crasher-v1"
-FLEET_CRASHER_FORMAT = "fleet-crasher-v1"
+#: the crasher file's own fields; everything else is the case's
+_ENVELOPE = ("format", "found_by", "violation")
 
 
-def promote_crasher(case: FuzzCase, finding: dict, dest_dir) -> Path:
-    """Write ``case`` as a regression file; returns the path."""
+def promote_crasher(kind, case, finding: dict, dest_dir) -> Path:
+    """Write ``case`` of ``kind`` as a regression file; returns the path."""
     dest = Path(dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
+    fields = case.to_dict()
+    found_by = {"master_seed": fields.pop("master_seed"), "index": fields.pop("index")}
     payload = {
-        "format": CRASHER_FORMAT,
-        "found_by": {"master_seed": case.master_seed, "index": case.index},
-        "fast_gb": case.fast_gb,
+        "format": kind.crasher_format,
+        "found_by": found_by,
         "violation": dict(finding),
-        "spec": case.spec.to_dict(),
+        **fields,
     }
-    path = dest / f"crasher_{case.spec.content_hash()[:12]}.json"
+    path = dest / f"{kind.crasher_prefix}{case.spec.content_hash()[:12]}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def load_crasher(path) -> tuple[FuzzCase, dict]:
-    """Read one regression file back as a runnable (case, violation)."""
+def load_crasher(kind, path) -> tuple:
+    """Read one regression file of ``kind`` back as a runnable (case, violation)."""
     data = json.loads(Path(path).read_text())
-    if data.get("format") != CRASHER_FORMAT:
-        raise ValueError(f"{path}: not a {CRASHER_FORMAT} file")
-    case = FuzzCase(
-        index=data["found_by"]["index"],
-        master_seed=data["found_by"]["master_seed"],
-        spec=ScenarioSpec.from_dict(data["spec"]),
-        fast_gb=data["fast_gb"],
-    )
+    if data.get("format") != kind.crasher_format:
+        raise ValueError(f"{path}: not a {kind.crasher_format} file")
+    fields = {k: v for k, v in data.items() if k not in _ENVELOPE}
+    case = kind.case_type.from_dict({**data["found_by"], **fields})
     return case, data["violation"]
 
 
-def iter_crashers(directory) -> list[Path]:
-    """All regression files in ``directory``, name-sorted (stable)."""
+def iter_crashers(kind, directory) -> list[Path]:
+    """All regression files of ``kind`` in ``directory``, name-sorted (stable)."""
     d = Path(directory)
     if not d.is_dir():
         return []
-    return sorted(d.glob("crasher_*.json"))
-
-
-# -- fleet crashers ---------------------------------------------------------------
-#
-# Fleet regressions live beside scenario ones but under a distinct
-# prefix and format tag: ``fleet_crasher_*.json`` never matches the
-# ``crasher_*.json`` glob (and vice versa), so the two replay paths can
-# share a directory without ever feeding each other the wrong spec type.
-
-
-def promote_fleet_crasher(case: FleetFuzzCase, finding: dict, dest_dir) -> Path:
-    """Write a failing fleet case as a regression file; returns the path."""
-    dest = Path(dest_dir)
-    dest.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format": FLEET_CRASHER_FORMAT,
-        "found_by": {"master_seed": case.master_seed, "index": case.index},
-        "violation": dict(finding),
-        "spec": case.spec.to_dict(),
-    }
-    path = dest / f"fleet_crasher_{case.spec.content_hash()[:12]}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_fleet_crasher(path) -> tuple[FleetFuzzCase, dict]:
-    """Read one fleet regression file back as (case, violation)."""
-    from repro.fleet import FleetSpec
-
-    data = json.loads(Path(path).read_text())
-    if data.get("format") != FLEET_CRASHER_FORMAT:
-        raise ValueError(f"{path}: not a {FLEET_CRASHER_FORMAT} file")
-    case = FleetFuzzCase(
-        index=data["found_by"]["index"],
-        master_seed=data["found_by"]["master_seed"],
-        spec=FleetSpec.from_dict(data["spec"]),
-    )
-    return case, data["violation"]
-
-
-def iter_fleet_crashers(directory) -> list[Path]:
-    """All fleet regression files in ``directory``, name-sorted."""
-    d = Path(directory)
-    if not d.is_dir():
-        return []
-    return sorted(d.glob("fleet_crasher_*.json"))
+    return sorted(d.glob(f"{kind.crasher_prefix}*.json"))

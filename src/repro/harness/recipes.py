@@ -17,8 +17,7 @@ import numpy as np
 
 from repro.harness.experiment import ColocationExperiment, ExperimentResult
 from repro.metrics.fairness import cfi
-from repro.sim.config import MachineConfig, SimulationConfig, TierConfig
-from repro.sim.units import GiB
+from repro.sim.config import MachineConfig, SimulationConfig
 from repro.workloads.mixes import dilemma_pair, paper_colocation_mix
 
 #: steady-state window (epochs) every summary metric reads over
@@ -87,7 +86,6 @@ def fleet_run(
     policy: str | None = None,
     placer: str | None = None,
     seed: int | None = None,
-    workers: int = 1,
     check: bool = False,
 ):
     """The canonical fleet run: what ``repro fleet run`` executes.
@@ -95,7 +93,8 @@ def fleet_run(
     ``name`` picks a canned fleet scenario, ``spec`` an inline
     ``FleetSpec.to_dict`` form (exactly one must be given); the
     remaining arguments override the spec's fields.  Shared with the
-    service's fleet job runner so service ≡ CLI holds bit-for-bit.
+    service's fleet job runner so service ≡ CLI holds bit-for-bit: both
+    emit the result's ``to_dict()``.
     """
     from repro.fleet import FleetSpec, get_fleet_scenario, run_fleet
 
@@ -108,19 +107,7 @@ def fleet_run(
     }
     if overrides:
         fspec = fspec.with_overrides(**overrides)
-    return run_fleet(fspec, workers=workers, check=check)
-
-
-def fleet_summary_json(result) -> dict:
-    """The ``repro fleet run --json`` payload (and a fleet job's body).
-
-    The full :meth:`FleetResult.to_dict` minus the informational
-    ``workers_used`` field — the payload is the bit-identity surface
-    shared by the CLI, the service, and the determinism tests.
-    """
-    payload = result.to_dict()
-    payload.pop("workers_used", None)
-    return payload
+    return run_fleet(fspec, check=check)
 
 
 # -- sweep cells -----------------------------------------------------------------
@@ -129,18 +116,10 @@ def sweep_cell(fast_gb: float, *, policy: str, mix: str, epochs: int, accesses: 
     """One fast-tier-size sweep cell: the chosen mix on a machine with
     ``fast_gb`` of fast memory.  Module-level (not a closure) so worker
     processes can import it under any multiprocessing start method."""
-    from dataclasses import replace
-
     sim = SimulationConfig(epoch_seconds=2.0)
-    mc = MachineConfig()
-    mc = replace(mc, fast=TierConfig(
-        name="fast",
-        capacity_bytes=int(fast_gb * GiB),
-        load_latency_ns=mc.fast.load_latency_ns,
-        bandwidth_gbps=mc.fast.bandwidth_gbps,
-    ))
     exp = ColocationExperiment(
-        policy, make_mix(mix, sim, accesses, seed), machine_config=mc, sim=sim, seed=seed,
+        policy, make_mix(mix, sim, accesses, seed),
+        machine_config=MachineConfig().with_fast_gb(fast_gb), sim=sim, seed=seed,
     )
     return exp.run(epochs)
 

@@ -245,9 +245,3 @@ class TieringPolicy:
             rt.epoch_fast_hits = 0
             rt.epoch_slow_hits = 0
         return result
-
-    # -- shared helpers -----------------------------------------------------------
-
-    def _fast_usage(self, pid: int) -> int:
-        """Ground-truth fast-tier pages of one workload."""
-        return self.allocator.store.fast_usage(pid)

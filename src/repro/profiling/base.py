@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,10 +169,6 @@ class Profiler:
     def hotness(self, pid: int) -> dict[int, float]:
         """Per-page heat estimates for ``pid`` as a dict (cold paths)."""
         return self._heat.as_dict(pid)
-
-    def write_heat(self, pid: int) -> dict[int, float]:
-        """Write-specific heat (for read/write intensity classification)."""
-        return self._write_heat.as_dict(pid)
 
     def heat_view(self, pid: int) -> tuple[np.ndarray, np.ndarray]:
         """(vpns, heats) in heat-insertion order — the vectorized

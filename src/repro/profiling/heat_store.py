@@ -95,17 +95,6 @@ class _PidHeat:
         dup.min_live = self.min_live
         return dup
 
-    def observe_written(self, idx: np.ndarray) -> None:
-        """Lower ``min_live`` after writes to ``heat[idx]``.
-
-        Taking the min over just the touched slots keeps the bound
-        valid for any write (adds of new entries, scaled fusion adds)
-        without rescanning the whole array.
-        """
-        m = float(self.heat[idx].min())
-        if m < self.min_live:
-            self.min_live = m
-
 
 class HeatStore:
     """Per-(pid, vpn) heat as dense arrays with dict-equivalent semantics."""

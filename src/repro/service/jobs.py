@@ -45,7 +45,6 @@ SCENARIO_DEFAULTS: dict = {
 }
 FLEET_DEFAULTS: dict = {
     "name": None, "spec": None, "policy": None, "placer": None, "seed": None,
-    "workers": 1,
 }
 
 #: hard cap on nested sweep parallelism inside one job (the scheduler
@@ -220,10 +219,6 @@ class JobSpec:
         if p["seed"] is not None:
             _require(isinstance(p["seed"], int) and not isinstance(p["seed"], bool),
                      "seed must be an int")
-        _require(isinstance(p["workers"], int) and not isinstance(p["workers"], bool),
-                 "workers must be an int")
-        _require(1 <= p["workers"] <= MAX_SWEEP_WORKERS,
-                 f"workers must lie in [1, {MAX_SWEEP_WORKERS}]")
         return p
 
     # -- identity ----------------------------------------------------------

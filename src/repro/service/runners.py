@@ -110,7 +110,7 @@ def _run_scenario(payload: dict, cell_cache_dir: str | None) -> dict:
 
 
 def _run_fleet(payload: dict, cell_cache_dir: str | None) -> dict:
-    from repro.harness.recipes import fleet_run, fleet_summary_json
+    from repro.harness.recipes import fleet_run
 
     result = fleet_run(
         name=payload["name"],
@@ -118,9 +118,8 @@ def _run_fleet(payload: dict, cell_cache_dir: str | None) -> dict:
         policy=payload["policy"],
         placer=payload["placer"],
         seed=payload["seed"],
-        workers=payload["workers"],
     )
-    out = fleet_summary_json(result)
+    out = result.to_dict()
     out["kind"] = "fleet"
     return out
 

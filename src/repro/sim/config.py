@@ -77,6 +77,10 @@ class MachineConfig:
         """Copy of this config with a different core count."""
         return replace(self, n_cores=n_cores)
 
+    def with_fast_gb(self, fast_gb: float) -> "MachineConfig":
+        """Copy of this config with the fast tier resized to ``fast_gb`` GiB."""
+        return replace(self, fast=replace(self.fast, capacity_bytes=int(fast_gb * GiB)))
+
 
 @dataclass(frozen=True)
 class SimulationConfig:

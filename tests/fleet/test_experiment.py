@@ -1,4 +1,4 @@
-"""Fleet loop end-to-end: determinism across workers, drains, oracle gap."""
+"""Fleet loop end-to-end: determinism under the oracle, drains, oracle gap."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import pytest
 
 from repro.fleet import (
     FleetEvent,
+    FleetExperiment,
     FleetSpec,
     NodeDef,
     get_fleet_scenario,
@@ -15,6 +16,8 @@ from repro.fleet import (
 )
 from repro.fleet.node import node_capacity_pages, node_workload_slots
 from repro.fleet.placer import make_placer
+from repro.obs.events import EventKind
+from repro.obs.trace import get_tracer
 from repro.scenario.spec import WorkloadDef
 
 
@@ -41,22 +44,21 @@ def _small_fleet(**over) -> FleetSpec:
 
 @pytest.fixture(scope="module")
 def serial_result():
-    return run_fleet(_small_fleet(), workers=1)
+    return run_fleet(_small_fleet())
 
 
-class TestWorkerEquivalence:
-    """ISSUE acceptance: 3-node fleet, same seed, bit-identical across
-    workers = 1 / 2 / 4."""
+class TestDeterminism:
+    def test_check_does_not_change_the_result(self):
+        """Arming the oracle must not move any node round's seed."""
+        spec = _small_fleet(events=(
+            FleetEvent(round=1, action="node_drain", node="n0"),
+        ))
+        plain = run_fleet(spec)
+        assert run_fleet(spec, check=True).canonical_json() == plain.canonical_json()
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_matches_serial_bit_for_bit(self, serial_result, workers):
-        par = run_fleet(_small_fleet(), workers=workers)
-        assert par.canonical_json() == serial_result.canonical_json()
-
-    def test_workers_used_is_the_only_difference(self, serial_result):
-        par = run_fleet(_small_fleet(), workers=2)
-        assert par.to_dict()["workers_used"] == 2
-        assert serial_result.to_dict()["workers_used"] == 1
+    def test_node_rounds_run_in_process_only(self):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            FleetExperiment(_small_fleet(), workers=2)
 
 
 class TestSummary:
@@ -81,7 +83,7 @@ class TestDrainEvacuation:
         spec = _small_fleet(events=(
             FleetEvent(round=1, action="node_drain", node="n0"),
         ))
-        return run_fleet(spec, workers=1).to_dict()
+        return run_fleet(spec).to_dict()
 
     def test_drained_node_leaves_active_set(self, drained):
         for rec in drained["rounds"]:
@@ -105,6 +107,32 @@ class TestDrainEvacuation:
         for m in drained["moves"]:
             if m["reason"] == "evacuation":
                 assert m["cycles"] == m["pages"] * 40_000 > 0
+
+    def test_each_drain_event_counts_its_own_residents(self):
+        """Two drains in one round: each event reports only the residents
+        of the node it drains, not the round's running total."""
+        spec = _small_fleet(
+            workloads=(_wl("a", 200, "LC"), _wl("b", 150), _wl("c", 120)),
+            events=(
+                FleetEvent(round=1, action="node_drain", node="n0"),
+                FleetEvent(round=1, action="node_drain", node="n1"),
+            ),
+        )
+        tracer = get_tracer()
+        tracer.enable()
+        try:
+            res = run_fleet(spec)
+            drains = {
+                e.args["node"]: e.args["evacuating"] for e in tracer.events()
+                if e.kind is EventKind.FLEET_NODE_CHANGE and e.name == "node_drain"
+            }
+        finally:
+            tracer.disable()
+            tracer.reset()
+        before = res.rounds[0]["assignment"].values()
+        residents = {n: sum(node == n for node in before) for n in ("n0", "n1")}
+        assert min(residents.values()) >= 1, residents
+        assert drains == residents
 
 
 class TestOracleDominance:
@@ -149,7 +177,7 @@ class TestObsRegistry:
         spec = _small_fleet(events=(
             FleetEvent(round=1, action="node_drain", node="n0"),
         ))
-        run_fleet(spec, workers=1)
+        run_fleet(spec)
         collected = registry.collect()
         counter_names = {m["name"] for m in collected["counters"]}
         assert "fleet_rounds_total" in counter_names

@@ -10,13 +10,8 @@ import pytest
 
 from repro.fleet.node import node_workload_slots
 from repro.fuzz.oracle import InvariantViolation, check_fleet_round
-from repro.fuzz.promote import (
-    iter_crashers,
-    iter_fleet_crashers,
-    load_fleet_crasher,
-    promote_fleet_crasher,
-)
-from repro.fuzz.runner import fleet_campaign, run_fleet_case_record
+from repro.fuzz.promote import iter_crashers, load_crasher, promote_crasher
+from repro.fuzz.runner import FLEET, SCENARIO, campaign, run_case_record
 from repro.fuzz.strategies import FleetFuzzCase, generate_fleet_case
 
 N_GEN = 10
@@ -134,22 +129,22 @@ RUNS = 2
 
 @pytest.fixture(scope="module")
 def small_report() -> dict:
-    return fleet_campaign(seed=13, runs=RUNS, workers=1, parity_check=False)
+    return campaign(kind=FLEET, seed=13, runs=RUNS, workers=1, parity_check=False)
 
 
 class TestFleetCampaign:
     def test_same_seed_identical_report(self, small_report):
-        again = fleet_campaign(seed=13, runs=RUNS, workers=1, parity_check=False)
+        again = campaign(kind=FLEET, seed=13, runs=RUNS, workers=1, parity_check=False)
         assert json.dumps(again, sort_keys=True) == json.dumps(small_report, sort_keys=True)
 
     def test_serial_equals_two_workers(self, small_report):
-        par = fleet_campaign(seed=13, runs=RUNS, workers=2, parity_check=False)
+        par = campaign(kind=FLEET, seed=13, runs=RUNS, workers=2, parity_check=False)
         a = {**small_report, "workers": 0}
         b = {**par, "workers": 0}
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_records_match_standalone_execution(self, small_report):
-        rec = run_fleet_case_record(generate_fleet_case(13, 0))
+        rec = run_case_record(FLEET, generate_fleet_case(13, 0))
         assert rec == small_report["cases"][0]
 
     def test_report_shape(self, small_report):
@@ -170,31 +165,31 @@ class TestPromotion:
 
     def test_round_trip(self, tmp_path):
         case = generate_fleet_case(3, 0)
-        path = promote_fleet_crasher(case, self.FINDING, tmp_path)
+        path = promote_crasher(FLEET, case, self.FINDING, tmp_path)
         assert path.name == f"fleet_crasher_{case.spec.content_hash()[:12]}.json"
-        loaded, violation = load_fleet_crasher(path)
+        loaded, violation = load_crasher(FLEET, path)
         assert loaded.spec.content_hash() == case.spec.content_hash()
         assert violation == self.FINDING
 
     def test_promotion_is_idempotent(self, tmp_path):
         case = generate_fleet_case(3, 0)
-        first = promote_fleet_crasher(case, self.FINDING, tmp_path)
-        second = promote_fleet_crasher(case, self.FINDING, tmp_path)
+        first = promote_crasher(FLEET, case, self.FINDING, tmp_path)
+        second = promote_crasher(FLEET, case, self.FINDING, tmp_path)
         assert first == second
-        assert len(iter_fleet_crashers(tmp_path)) == 1
+        assert len(iter_crashers(FLEET, tmp_path)) == 1
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "fleet_crasher_deadbeef.json"
         path.write_text('{"format": "fuzz-crasher-v1"}')
         with pytest.raises(ValueError, match="not a fleet-crasher-v1"):
-            load_fleet_crasher(path)
+            load_crasher(FLEET, path)
 
     def test_globs_do_not_cross_contaminate(self, tmp_path):
         case = generate_fleet_case(3, 0)
-        promote_fleet_crasher(case, self.FINDING, tmp_path)
+        promote_crasher(FLEET, case, self.FINDING, tmp_path)
         (tmp_path / "crasher_0123456789ab.json").write_text("{}")
-        assert len(iter_fleet_crashers(tmp_path)) == 1
-        assert [p.name for p in iter_crashers(tmp_path)] == ["crasher_0123456789ab.json"]
+        assert len(iter_crashers(FLEET, tmp_path)) == 1
+        assert [p.name for p in iter_crashers(SCENARIO, tmp_path)] == ["crasher_0123456789ab.json"]
 
     def test_missing_dir_is_empty(self, tmp_path):
-        assert iter_fleet_crashers(tmp_path / "nope") == []
+        assert iter_crashers(FLEET, tmp_path / "nope") == []

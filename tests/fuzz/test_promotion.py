@@ -15,8 +15,8 @@ import json
 import pytest
 
 import repro.core.cbfrp as cbfrp
-from repro.fuzz.promote import CRASHER_FORMAT, iter_crashers, load_crasher
-from repro.fuzz.runner import campaign, case_finding
+from repro.fuzz.promote import iter_crashers, load_crasher
+from repro.fuzz.runner import SCENARIO, campaign, case_finding
 
 #: campaign coordinates chosen so case 0 is a vulcan multi-workload
 #: timeline (probed once; generation is a pure function of the seed pair)
@@ -59,16 +59,16 @@ class TestSeededBugEndToEnd:
         assert sh["n_epochs"] <= failure["original"]["n_epochs"]
 
         # -- promoted: content-hashed file on disk ------------------------
-        paths = iter_crashers(tmp_path)
+        paths = iter_crashers(SCENARIO, tmp_path)
         assert paths, "no crasher file was promoted"
         data = json.loads(paths[0].read_text())
-        assert data["format"] == CRASHER_FORMAT
+        assert data["format"] == SCENARIO.crasher_format
         assert data["violation"]["check"] == "credit_conservation"
-        case, violation = load_crasher(paths[0])
+        case, violation = load_crasher(SCENARIO, paths[0])
         assert paths[0].name == f"crasher_{case.spec.content_hash()[:12]}.json"
 
         # -- replays red while the bug is in ------------------------------
-        finding = case_finding(case)
+        finding = case_finding(SCENARIO, case)
         assert finding is not None
         assert finding["check"] == "credit_conservation"
 
@@ -78,13 +78,13 @@ class TestSeededBugEndToEnd:
             shrink=True, promote_dir=tmp_path, parity_check=False,
         )
         assert report["counts"]["violations"] == 1
-        path = iter_crashers(tmp_path)[0]
+        path = iter_crashers(SCENARIO, tmp_path)[0]
 
         # "fix the bug" = restore the genuine transfer, then replay
-        case, _violation = load_crasher(path)
+        case, _violation = load_crasher(SCENARIO, path)
         buggy = cbfrp.CreditLedger.transfer
         cbfrp.CreditLedger.transfer = minting_ledger  # the fixture yields the original
         try:
-            assert case_finding(case) is None
+            assert case_finding(SCENARIO, case) is None
         finally:
             cbfrp.CreditLedger.transfer = buggy

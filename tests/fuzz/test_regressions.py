@@ -1,9 +1,10 @@
 """Replay every promoted crasher: fixed bugs must stay fixed.
 
-Any ``crasher_*.json`` under ``tests/golden/fuzz_regressions/`` was a
-minimized fuzz finding whose underlying bug has since been fixed; each
-must now run clean under the full invariant oracle.  A failure here
-means a regression resurrected a bug the fuzzer already caught once.
+Every crasher file under ``tests/golden/fuzz_regressions/`` — scenario
+``crasher_*.json`` and fleet ``fleet_crasher_*.json`` alike — was a fuzz
+finding whose underlying bug has since been fixed; each must now replay
+as fixed through the same code ``repro fuzz --replay`` runs.  A failure
+here means a regression resurrected a bug the fuzzer already caught once.
 """
 
 from __future__ import annotations
@@ -12,46 +13,26 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleet.events import FleetSpecError
-from repro.fuzz.promote import (
-    iter_crashers,
-    iter_fleet_crashers,
-    load_crasher,
-    load_fleet_crasher,
-)
-from repro.fuzz.runner import case_finding, fleet_case_finding
+from repro.fuzz.promote import iter_crashers
+from repro.fuzz.runner import KINDS, replay_crasher
 
 REGRESSION_DIR = Path(__file__).resolve().parents[1] / "golden" / "fuzz_regressions"
 
-CRASHERS = iter_crashers(REGRESSION_DIR)
-FLEET_CRASHERS = iter_fleet_crashers(REGRESSION_DIR)
+CRASHERS = [(kind, path) for kind in KINDS.values() for path in iter_crashers(kind, REGRESSION_DIR)]
 
 
 def test_regression_dir_exists():
     assert REGRESSION_DIR.is_dir(), "promoted-crasher directory is part of the repo"
 
 
-@pytest.mark.parametrize("path", CRASHERS, ids=lambda p: p.name)
-def test_promoted_crasher_replays_green(path):
-    case, violation = load_crasher(path)
-    finding = case_finding(case)
-    assert finding is None, (
-        f"{path.name} (originally caught [{violation['check']}]) fails again: "
-        f"[{finding['check']}] {finding['message']}"
-    )
-
-
-@pytest.mark.parametrize("path", FLEET_CRASHERS, ids=lambda p: p.name)
-def test_promoted_fleet_crasher_replays_green(path):
-    """A fleet crasher is fixed either way: its spec is now rejected at
-    validation (the crash is unreachable through any entry point), or it
-    loads and runs clean under the full two-layer oracle."""
-    try:
-        case, violation = load_fleet_crasher(path)
-    except FleetSpecError:
-        return  # rejected up front — the original crash cannot recur
-    finding = fleet_case_finding(case)
-    assert finding is None, (
-        f"{path.name} (originally caught [{violation['check']}]) fails again: "
+@pytest.mark.parametrize(("kind", "path"), CRASHERS, ids=[p.name for _kind, p in CRASHERS])
+def test_promoted_crasher_replays_green(kind, path):
+    """Fixed either way: the crasher's spec is now rejected at validation
+    (the crash is unreachable through any entry point), or it loads and
+    runs clean under every check its kind arms."""
+    result = replay_crasher(kind, path)
+    finding = result["finding"]
+    assert result["status"] == "fixed", (
+        f"{path.name} (originally caught [{result['original_check']}]) fails again: "
         f"[{finding['check']}] {finding['message']}"
     )

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.fuzz.runner import campaign, run_case_record
+from repro.fuzz.runner import SCENARIO, campaign, run_case_record
 from repro.fuzz.strategies import generate_case
 from repro.obs.metrics import get_registry
 
@@ -37,7 +37,7 @@ class TestCampaignDeterminism:
             assert rec["spec_hash"] == generate_case(13, rec["index"]).spec.content_hash()
 
     def test_record_is_replayable_standalone(self, small_report):
-        rec = run_case_record(generate_case(13, 2))
+        rec = run_case_record(SCENARIO, generate_case(13, 2))
         assert rec == small_report["cases"][2]
 
     def test_no_wall_clock_anywhere_in_report(self, small_report):

@@ -155,7 +155,7 @@ def test_summary_fleet_activity_section(tracer):
         events=(FleetEvent(round=1, action="node_drain", node="n0"),),
         seed=9,
     ).validate()
-    run_fleet(spec, workers=1)
+    run_fleet(spec)
     text = summarize(tracer.events())
     assert "fleet activity" in text
     assert "1 drains" in text

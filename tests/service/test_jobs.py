@@ -117,15 +117,13 @@ class TestSpecNormalization:
         with pytest.raises(JobError, match="invalid fleet spec"):
             JobSpec("fleet", {"spec": {"name": "x"}}).normalized()
 
-    def test_fleet_workers_bounds(self):
-        with pytest.raises(JobError, match="workers"):
-            JobSpec("fleet", {"name": "balanced_trio", "workers": 0}).normalized()
-        with pytest.raises(JobError, match="workers"):
-            JobSpec("fleet", {"name": "balanced_trio", "workers": 99}).normalized()
+    def test_fleet_workers_is_an_unknown_key(self):
+        with pytest.raises(JobError, match="unknown fleet payload keys"):
+            JobSpec("fleet", {"name": "balanced_trio", "workers": 1}).normalized()
 
     def test_fleet_canned_name_hashes_stably(self):
         a = JobSpec("fleet", {"name": "balanced_trio"})
-        b = JobSpec("fleet", {"name": "balanced_trio", "workers": 1})
+        b = JobSpec("fleet", {"name": "balanced_trio", "seed": None})
         assert a.job_id() == b.job_id()
 
 

@@ -77,7 +77,7 @@ class TestDeterminismContract:
 
     def test_service_fleet_matches_cli_recipe(self, tmp_path):
         """``repro fleet run --json`` and a service fleet job, bit for bit."""
-        from repro.harness.recipes import fleet_run, fleet_summary_json
+        from repro.harness.recipes import fleet_run
 
         fleet_payload = {
             "spec": {
@@ -98,7 +98,7 @@ class TestDeterminismContract:
         with TieringService(tmp_path / "svc", workers=1) as svc:
             got = ServiceClient(svc.url).run_to_completion(
                 "fleet", fleet_payload, timeout=120)
-        want = fleet_summary_json(fleet_run(spec=fleet_payload["spec"], workers=1))
+        want = fleet_run(spec=fleet_payload["spec"]).to_dict()
         service_view = {k: v for k, v in got.items() if k != "kind"}
         assert canonical(service_view) == canonical(want)
 
