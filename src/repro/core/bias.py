@@ -70,7 +70,7 @@ class BiasedMigrationPolicy:
     def queues_for(self, pid: int) -> PromotionQueues:
         q = self._queues.get(pid)
         if q is None:
-            q = PromotionQueues(boost_factor=self._boost_factor)
+            q = PromotionQueues(pid, boost_factor=self._boost_factor)
             self._queues[pid] = q
         return q
 
@@ -104,24 +104,17 @@ class BiasedMigrationPolicy:
         )
         if cand_vpns.size == 0:
             return 0
-        wfs = profiler.write_fraction_many(pid, cand_vpns)
+        wi = profiler.write_fraction_many(pid, cand_vpns) >= self.write_intensive_threshold
         # Vectorized classify_page: write_fraction_many guarantees
         # [0, 1] so the scalar range check is redundant, and the
-        # elementwise >= is the same compare it made per page.  The
-        # enqueues stay sequential — the queues' running class means
-        # (MLFQ escalation) are order-dependent.
-        vpn_l = cand_vpns.tolist()
-        heat_l = cand_heats.tolist()
-        priv_l = priv.tolist()
-        wi_l = (wfs >= self.write_intensive_threshold).tolist()
-        enqueue = queues.enqueue
-        for vpn, heat, p, wi in zip(vpn_l, heat_l, priv_l, wi_l):
-            if p:
-                cls = PageClass.PRIVATE_WRITE if wi else PageClass.PRIVATE_READ
-            else:
-                cls = PageClass.SHARED_WRITE if wi else PageClass.SHARED_READ
-            enqueue(pid, vpn, heat, cls)
-        return len(vpn_l)
+        # elementwise >= is the same compare it made per page.
+        classes = np.where(
+            priv,
+            np.where(wi, PageClass.PRIVATE_WRITE, PageClass.PRIVATE_READ),
+            np.where(wi, PageClass.SHARED_WRITE, PageClass.SHARED_READ),
+        )
+        queues.enqueue_many(cand_vpns, cand_heats, classes)
+        return int(cand_vpns.size)
 
     def select_promotions(self, pid: int, budget: int, profiler: Profiler) -> list[PlannedMigration]:
         """Serve up to ``budget`` promotions from the priority queues."""
