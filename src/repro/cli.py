@@ -27,14 +27,6 @@ Commands
         python -m repro run --policy vulcan --epochs 20 --trace /tmp/t.json
         python -m repro trace /tmp/t.json
 
-``bench``
-    Load-test the job service (a private server, many concurrent
-    clients) and write jobs/sec and submit→result latency to
-    ``BENCH_service.json``; the simulator is timed by ``bench/run.py``::
-
-        python -m repro bench                 # 50 clients
-        python -m repro bench --quick --check BENCH_service_baseline.json
-
 ``sweep``
     Sensitivity sweep over fast-tier sizes × seeds, optionally fanned
     out across worker processes with an on-disk result cache::
@@ -220,151 +212,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.service.loadgen import check_regression, run_service_bench
-
-    payload = run_service_bench(
-        quick=args.quick, clients=args.clients, jobs_per_client=args.jobs_per_client,
-    )
-    timing, jobs = payload["timing"], payload["jobs"]
-    print(
-        f"{jobs['completed']}/{jobs['submitted']} jobs in {timing['wall_seconds']:.2f}s "
-        f"({timing['jobs_per_sec']:.2f} jobs/sec, "
-        f"p50 {timing['submit_to_result_p50_ms']:.0f} ms, "
-        f"p99 {timing['submit_to_result_p99_ms']:.0f} ms, "
-        f"{jobs['deduped']} deduped, {jobs['cache_hits']} cache hits, "
-        f"{jobs['failed']} failed)"
-    )
-    out = Path(args.output)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    if args.check:
-        err = check_regression(payload, args.check, tolerance=args.tolerance)
-        if err is not None:
-            print(f"FAIL: {err}", file=sys.stderr)
-            return 1
-    if jobs["failed"]:
-        print(f"FAIL: {jobs['failed']} jobs failed under load", file=sys.stderr)
-        return 1
-    return 0
-
-
-# -- service ---------------------------------------------------------------------
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.service import TieringService
-
-    service = TieringService(
-        args.data_dir,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        job_timeout=args.job_timeout,
-        use_cache=not args.no_cache,
-        verbose=args.verbose,
-    )
-    service.start()
-    recovered = len(service.queue.recovered)
-    note = f" (re-queued {recovered} interrupted job(s))" if recovered else ""
-    print(f"tiering service listening on {service.url}{note}", file=sys.stderr)
-    print(f"data dir: {Path(args.data_dir).resolve()}", file=sys.stderr)
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        print("shutting down (in-flight jobs re-queued)...", file=sys.stderr)
-    finally:
-        service.stop()
-    return 0
-
-
-def _parse_payload(args: argparse.Namespace) -> dict:
-    if args.payload and args.payload_file:
-        raise SystemExit("submit: give --payload or --payload-file, not both")
-    try:
-        if args.payload_file:
-            return json.loads(Path(args.payload_file).read_text())
-        if args.payload:
-            return json.loads(args.payload)
-    except OSError as exc:
-        raise SystemExit(f"cannot read --payload-file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"payload is not valid JSON: {exc}")
-    return {}
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    payload = _parse_payload(args)
-    try:
-        sub = client.submit(args.kind, payload)
-        job = sub["job"]
-        print(
-            f"job {job['job_id']} [{job['state']}]"
-            + (" (deduped: identical spec already submitted)" if sub["deduped"] else ""),
-            file=sys.stderr,
-        )
-        if not args.wait:
-            print(json.dumps(sub, indent=2))
-            return 0
-        final = client.wait(job["job_id"], timeout=args.timeout)
-        if final["state"] != "done":
-            print(json.dumps(final, indent=2))
-            print(f"job ended {final['state']}: {final.get('error')}", file=sys.stderr)
-            return 1
-        print(json.dumps({"job": final, "result": client.result(job["job_id"])}, indent=2))
-        return 0
-    except ServiceError as exc:
-        print(f"service error: {exc}", file=sys.stderr)
-        return 1
-
-
-def cmd_jobs(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        if args.job_id is None:
-            jobs = client.jobs(state=args.state)
-            if args.json:
-                print(json.dumps({"jobs": jobs}, indent=2))
-                return 0
-            rows = [
-                [
-                    j["job_id"], j["kind"], j["state"], j["attempts"],
-                    "yes" if j["cached"] else "no",
-                    (j["error"] or {}).get("message", "")[:40] if j["error"] else "",
-                ]
-                for j in jobs
-            ]
-            print(render_table(
-                ["job", "kind", "state", "attempts", "cached", "error"],
-                rows,
-                title=f"{len(jobs)} job(s) at {args.url}",
-            ))
-            return 0
-        if args.cancel:
-            job = client.cancel(args.job_id)
-            print(json.dumps(job, indent=2))
-            return 0
-        if args.result:
-            print(json.dumps(client.result(args.job_id), indent=2))
-            return 0
-        if args.trace:
-            for rec in client.trace(args.job_id):
-                print(json.dumps(rec))
-            return 0
-        print(json.dumps(client.job(args.job_id), indent=2))
-        return 0
-    except ServiceError as exc:
-        print(f"service error: {exc}", file=sys.stderr)
-        return 1
-
-
 # -- fleet -----------------------------------------------------------------------
 
 def _load_fleet_spec(args: argparse.Namespace):
@@ -383,18 +230,23 @@ def _load_fleet_spec(args: argparse.Namespace):
 
 
 def cmd_fleet_run(args: argparse.Namespace) -> int:
+    from repro.fleet import run_fleet
     from repro.fuzz.oracle import InvariantViolation
-    from repro.harness.recipes import fleet_run
 
     spec = _load_fleet_spec(args)
+    overrides = {
+        k: v for k, v in (("policy", args.policy), ("placer", args.placer), ("seed", args.seed))
+        if v is not None
+    }
+    if overrides:
+        spec = spec.with_overrides(**overrides)
     tracer = get_tracer()
     if args.trace:
         _check_trace_path(args.trace)
         tracer.enable()
     try:
         try:
-            res = fleet_run(spec=spec.to_dict(), policy=args.policy, placer=args.placer,
-                            seed=args.seed, check=args.check)
+            res = run_fleet(spec, check=args.check)
         except InvariantViolation as exc:
             print(f"CHECK FAIL: {exc}", file=sys.stderr)
             return 1
@@ -663,11 +515,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     else:
         c = report["counts"]
         print(render_table(
-            ["runs", "ok", "violations", "replayed", "mismatches", "parity"],
+            ["runs", "ok", "violations", "replayed", "mismatches"],
             [[report["runs"], c["ok"], c["violations"], c["replay_checked"],
-              c["replay_mismatches"],
-              "-" if report["service_parity"] is None
-              else ("ok" if report["service_parity"]["ok"] else "FAIL")]],
+              c["replay_mismatches"]]],
             title=f"fuzz campaign seed={report['seed']}",
         ))
         for f in report["failures"]:
@@ -716,13 +566,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 # -- sweep -----------------------------------------------------------------------
 
-# Shared with the service layer (see harness.recipes): sweep jobs and
-# `repro sweep` must hash and compute identical cells to dedupe.
-_sweep_cell = sweep_cell
-_sweep_mean_ops = sweep_mean_ops
-_sweep_cfi = sweep_cfi
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cache_dir = None if args.no_cache else args.cache_dir
     if args.resume:
@@ -731,10 +574,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not Path(cache_dir).is_dir():
             raise SystemExit(f"--resume: cache dir {cache_dir} does not exist; nothing to resume")
     factory = functools.partial(
-        _sweep_cell, policy=args.policy, mix=args.mix, epochs=args.epochs, accesses=args.accesses,
+        sweep_cell, policy=args.policy, mix=args.mix, epochs=args.epochs, accesses=args.accesses,
     )
     sweep = Sweep(
-        metrics={"mean_ops": _sweep_mean_ops, "cfi": _sweep_cfi},
+        metrics={"mean_ops": sweep_mean_ops, "cfi": sweep_cfi},
         progress=lambda msg: print(f"  {msg}", file=sys.stderr),
     )
     cells = sweep.run(
@@ -924,70 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--json", action="store_true",
                       help="emit the full campaign report as JSON (deterministic)")
     fuzz.set_defaults(func=cmd_fuzz)
-
-    bench = sub.add_parser(
-        "bench", help="load-test the job service (the simulator is timed by bench/run.py)")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI smoke variant: 8 clients instead of 50")
-    bench.add_argument("--clients", type=int, default=None,
-                       help="concurrent load-gen clients")
-    bench.add_argument("--jobs-per-client", type=int, default=None, dest="jobs_per_client",
-                       help="jobs each client submits")
-    bench.add_argument("--output", metavar="PATH", default="BENCH_service.json",
-                       help="where to write the result JSON (default: BENCH_service.json)")
-    bench.add_argument("--check", metavar="BASELINE", default=None,
-                       help="compare jobs/sec against a committed baseline JSON; "
-                            "exit 1 on regression beyond --tolerance")
-    bench.add_argument("--tolerance", type=float, default=0.30,
-                       help="allowed fractional throughput drop vs baseline (default 0.30)")
-    bench.set_defaults(func=cmd_bench)
-
-    serve = sub.add_parser("serve", help="run the tiering job service (HTTP control plane)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8787)
-    serve.add_argument("--workers", type=int, default=2,
-                       help="concurrent job worker processes (default 2)")
-    serve.add_argument("--data-dir", default=".repro-service",
-                       help="journal + result cache directory (default .repro-service)")
-    serve.add_argument("--job-timeout", type=float, default=None,
-                       help="per-job wall-clock timeout in seconds (default: none)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="disable the content-addressed result cache")
-    serve.add_argument("--verbose", action="store_true",
-                       help="log each HTTP request to stderr")
-    serve.set_defaults(func=cmd_serve)
-
-    submit = sub.add_parser("submit", help="submit a job to a running service")
-    submit.add_argument("kind", choices=["run", "sweep", "scenario", "fleet"])
-    submit.add_argument("--url", default="http://127.0.0.1:8787",
-                        help="service base URL (default http://127.0.0.1:8787)")
-    submit.add_argument("--payload", metavar="JSON", default=None,
-                        help="job payload as inline JSON (defaults applied server-side)")
-    submit.add_argument("--payload-file", metavar="PATH", default=None,
-                        help="job payload from a JSON file")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job finishes and print its result")
-    submit.add_argument("--timeout", type=float, default=300.0,
-                        help="--wait timeout in seconds (default 300)")
-    submit.set_defaults(func=cmd_submit)
-
-    jobs = sub.add_parser("jobs", help="inspect jobs on a running service")
-    jobs.add_argument("job_id", nargs="?", default=None,
-                      help="a job id; omit to list all jobs")
-    jobs.add_argument("--url", default="http://127.0.0.1:8787",
-                      help="service base URL (default http://127.0.0.1:8787)")
-    jobs.add_argument("--state", default=None,
-                      choices=["pending", "running", "done", "failed", "cancelled"],
-                      help="filter the listing by state")
-    jobs.add_argument("--json", action="store_true",
-                      help="print the listing as JSON instead of a table")
-    jobs.add_argument("--result", action="store_true",
-                      help="print the job's result payload")
-    jobs.add_argument("--cancel", action="store_true",
-                      help="cancel the job")
-    jobs.add_argument("--trace", action="store_true",
-                      help="print the job's journal trace as JSONL")
-    jobs.set_defaults(func=cmd_jobs)
 
     costs = sub.add_parser("costs", help="print the calibrated cost model")
     costs.add_argument("--cpus", type=int, nargs="+", default=[2, 4, 8, 16, 32])

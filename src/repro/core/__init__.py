@@ -11,17 +11,10 @@
 
 from repro.core.bias import BiasedMigrationPolicy, MigrationPlan, PlannedMigration
 from repro.core.cbfrp import CbfrpState, CreditLedger, run_cbfrp
-from repro.core.classify import (
-    PageClass,
-    ServiceClass,
-    classify_page,
-    classify_service,
-    WorkloadSignals,
-)
+from repro.core.classify import PageClass, ServiceClass, classify_page
 from repro.core.colloid import LatencyBalancer
 from repro.core.daemon import VulcanDaemon, WorkloadHandle
 from repro.core.replication_advisor import ReplicationAdvice, ReplicationAdvisor
-from repro.core.whitelist import ServiceClassifier, Whitelist
 from repro.core.partition import PartitionLedger
 from repro.core.qos import QosTracker, WorkloadQos, demand_pages, gpt_for
 
@@ -35,8 +28,6 @@ __all__ = [
     "PageClass",
     "ServiceClass",
     "classify_page",
-    "classify_service",
-    "WorkloadSignals",
     "VulcanDaemon",
     "WorkloadHandle",
     "PartitionLedger",
@@ -47,6 +38,4 @@ __all__ = [
     "LatencyBalancer",
     "ReplicationAdvisor",
     "ReplicationAdvice",
-    "Whitelist",
-    "ServiceClassifier",
 ]

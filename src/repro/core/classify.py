@@ -2,11 +2,9 @@
 
 **Service class.**  Vulcan classifies black-box workloads as
 latency-critical or best-effort "based on resource utilization patterns"
-(citing Themis).  The heuristic here follows that intuition: BE
-workloads saturate their access budget steadily (high duty cycle, high
-bandwidth); LC workloads are bursty with low average utilization.  A
-declared class (the operator whitelists apps anyway, §3.2) overrides the
-heuristic.
+(citing Themis).  Here every workload declares its class (the operator
+whitelists apps anyway, §3.2); a scenario's ``qos_change`` event
+re-declares it mid-run.
 
 **Page class.**  Table 1 crosses thread ownership with access pattern::
 
@@ -19,7 +17,6 @@ heuristic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class ServiceClass(enum.Enum):
@@ -63,44 +60,3 @@ def classify_page(*, private: bool, write_fraction: float, threshold: float = WR
     if private:
         return PageClass.PRIVATE_WRITE if write_intensive else PageClass.PRIVATE_READ
     return PageClass.SHARED_WRITE if write_intensive else PageClass.SHARED_READ
-
-
-@dataclass
-class WorkloadSignals:
-    """Utilization signals the service classifier consumes.
-
-    Attributes
-    ----------
-    mean_utilization:
-        Fraction of the access budget actually issued, averaged over
-        recent epochs (BE batch jobs pin this near 1).
-    burstiness:
-        Coefficient of variation of per-epoch issue rates (LC services
-        idle between request bursts → high CV).
-    declared:
-        Operator-declared class, if any (wins outright).
-    """
-
-    mean_utilization: float = 0.0
-    burstiness: float = 0.0
-    declared: ServiceClass | None = None
-
-
-def classify_service(
-    signals: WorkloadSignals,
-    *,
-    utilization_cut: float = 0.7,
-    burstiness_cut: float = 0.5,
-) -> ServiceClass:
-    """LC/BE decision: declared class, else the utilization heuristic.
-
-    Sustained high utilization with low burstiness reads as
-    throughput-oriented batch work (BE); everything else is treated as
-    latency-critical — the conservative direction, since misclassifying
-    an LC service as BE is what causes the cold-page dilemma.
-    """
-    if signals.declared is not None:
-        return signals.declared
-    if signals.mean_utilization >= utilization_cut and signals.burstiness <= burstiness_cut:
-        return ServiceClass.BE
-    return ServiceClass.LC

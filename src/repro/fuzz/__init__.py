@@ -9,7 +9,7 @@ Submodules:
   machine/policy configs (hypothesis wrapper when available);
 * :mod:`~repro.fuzz.runner` — the one campaign driver behind
   ``repro fuzz`` and ``repro fuzz --fleet`` (parallel execution,
-  determinism replay, service parity, crasher replay, obs metrics),
+  determinism replay, crasher replay, obs metrics),
   with one :class:`~repro.fuzz.runner.CaseKind` per kind of case;
 * :mod:`~repro.fuzz.shrink` — greedy timeline minimization holding the
   failing check fixed;

@@ -10,18 +10,14 @@ same run list and the same report, serial or parallel
 Two kinds of case share this one driver: single-node scenario
 timelines (:data:`SCENARIO`) and multi-node fleets (:data:`FLEET`).  A
 :class:`CaseKind` holds everything that differs between them; running
-a case, its finding record, the cross-checks, promotion and replay are
-written once.
+a case, its finding record, the replay cross-check, promotion and
+crasher replay are written once.
 
-On top of the per-case checks the campaign itself cross-checks:
-
-* **replay determinism** — every ``replay_every``-th case is re-run
-  in-process and its full record compared field-for-field (this is
-  also what proves serial ≡ workers>1: worker records must match the
-  in-parent replay bit-for-bit);
-* **CLI ≡ service parity** — one ok case is run both through the CLI
-  assembly path and the service's ``run_job``, and the payloads
-  compared canonically.
+On top of the per-case checks the campaign itself cross-checks
+**replay determinism**: every ``replay_every``-th case is re-run
+in-process and its full record compared field-for-field (this is also
+what proves serial ≡ workers>1: worker records must match the
+in-parent replay bit-for-bit).
 
 Failing scenario cases are shrunk (:mod:`repro.fuzz.shrink`); failures
 of either kind are optionally promoted (:mod:`repro.fuzz.promote`) to
@@ -55,15 +51,12 @@ DEFAULT_MAX_EPOCHS = 24
 #: how many failures per campaign get the (expensive) shrink treatment
 MAX_SHRINKS = 5
 
-#: churn-fairness window used by the parity spot-check
-PARITY_WINDOW = 10
-
 
 @dataclass(frozen=True)
 class CaseKind:
     """Everything a campaign does differently for one kind of case."""
 
-    #: also the service job kind the parity probe submits
+    #: the key in :data:`KINDS` that worker tasks name their kind by
     name: str
     case_type: type
     #: ``(master_seed, index, max_epochs) -> case``
@@ -73,12 +66,6 @@ class CaseKind:
     #: runs one case with every check armed; raises on a finding
     execute: Callable[[Any], Any]
     result_hash: Callable[[Any], str]
-    #: the CLI's JSON payload for a case, and the service job payload
-    #: whose result must equal it
-    cli_payload: Callable[[Any], dict]
-    job_payload: Callable[[Any], dict]
-    #: the parity probe runs the ok case cheapest by this key
-    parity_cost: Callable[[Any], int]
     #: whether failing cases are shrunk and report their original size
     shrinks: bool
     crasher_format: str
@@ -109,15 +96,6 @@ def _hash_scenario(sres) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _cli_payload_scenario(case: FuzzCase) -> dict:
-    # default machine on both sides: the service has no machine-sizing knob
-    from repro.harness.recipes import scenario_summary_json
-    from repro.scenario.engine import run_scenario
-
-    sres = run_scenario(case.spec, oracle=InvariantOracle())
-    return scenario_summary_json(sres, window=PARITY_WINDOW)
-
-
 SCENARIO = CaseKind(
     name="scenario",
     case_type=FuzzCase,
@@ -133,9 +111,6 @@ SCENARIO = CaseKind(
     },
     execute=_execute_scenario,
     result_hash=_hash_scenario,
-    cli_payload=_cli_payload_scenario,
-    job_payload=lambda c: {"spec": c.spec.to_dict(), "window": PARITY_WINDOW},
-    parity_cost=lambda c: c.spec.n_epochs,
     shrinks=True,
     crasher_format="fuzz-crasher-v1",
     crasher_prefix="crasher_",
@@ -153,12 +128,6 @@ def _execute_fleet(case: FleetFuzzCase):
     from repro.fleet import run_fleet
 
     return run_fleet(case.spec, check=True)
-
-
-def _cli_payload_fleet(case: FleetFuzzCase) -> dict:
-    from repro.harness.recipes import fleet_run
-
-    return fleet_run(spec=case.spec.to_dict()).to_dict()
 
 
 #: fleet timelines are round-granular, so the epoch-level shrinker does
@@ -179,9 +148,6 @@ FLEET = CaseKind(
     },
     execute=_execute_fleet,
     result_hash=lambda fres: hashlib.sha256(fres.canonical_json().encode()).hexdigest(),
-    cli_payload=_cli_payload_fleet,
-    job_payload=lambda c: {"spec": c.spec.to_dict()},
-    parity_cost=lambda c: c.spec.n_rounds * c.spec.epochs_per_round,
     shrinks=False,
     crasher_format="fleet-crasher-v1",
     crasher_prefix="fleet_crasher_",
@@ -262,20 +228,6 @@ def _run_all(kind: CaseKind, cases: list, seed: int, workers: int) -> list[dict]
     return records
 
 
-def _service_parity(kind: CaseKind, case) -> dict:
-    """Run one case through the CLI assembly path and the service's
-    ``run_job`` and compare the payloads canonically."""
-    from repro.harness.jsonsafe import encode_nonfinite
-    from repro.service.jobs import JobSpec
-    from repro.service.runners import run_job
-
-    cli = encode_nonfinite(kind.cli_payload(case))
-    svc = run_job(JobSpec(kind=kind.name, payload=kind.job_payload(case)))
-    svc = {k: v for k, v in svc.items() if k != "kind"}
-    ok = (json.dumps(cli, sort_keys=True) == json.dumps(svc, sort_keys=True))
-    return {"ok": ok, "index": case.index, "spec_hash": case.spec.content_hash()}
-
-
 def replay_crasher(kind: CaseKind, path) -> dict:
     """Re-run one promoted crasher: ``status`` is ``fixed`` or ``failing``.
 
@@ -312,7 +264,6 @@ def campaign(
     shrink: bool = True,
     promote_dir=None,
     replay_every: int = 10,
-    parity_check: bool = True,
     log=None,
 ) -> dict:
     """One full fuzz campaign over cases of ``kind``; returns the
@@ -342,17 +293,6 @@ def campaign(
             registry.counter("fuzz_violations_total", check="determinism").inc()
     if replay["mismatches"]:
         say(f"replay determinism FAILED on {len(replay['mismatches'])} case(s)")
-
-    # -- CLI ≡ service parity --------------------------------------------
-    parity = None
-    if parity_check:
-        ok_cases = [c for c, r in zip(cases, records) if r["status"] == "ok"]
-        if ok_cases:
-            probe = min(ok_cases, key=lambda c: (kind.parity_cost(c), c.index))
-            parity = _service_parity(kind, probe)
-            if not parity["ok"]:
-                registry.counter("fuzz_violations_total", check="service_parity").inc()
-                say(f"CLI/service parity FAILED on case {probe.index}")
 
     # -- shrink + promote -------------------------------------------------
     failures = []
@@ -396,10 +336,5 @@ def campaign(
         "cases": records,
         "failures": failures,
         "replay": replay,
-        "service_parity": parity,
-        "clean": (
-            n_ok == runs
-            and not replay["mismatches"]
-            and (parity is None or parity["ok"])
-        ),
+        "clean": n_ok == runs and not replay["mismatches"],
     }

@@ -1,5 +1,6 @@
-"""Experiment harness: the epoch-driven co-location simulator and the
-per-figure experiment entry points."""
+"""Experiment harness: the epoch-driven co-location simulator, sweeps
+(serial or fanned out to workers, with an on-disk result cache), result
+export, and the canonical recipes behind the CLI."""
 
 from repro.harness.experiment import (
     ColocationExperiment,

@@ -132,8 +132,8 @@ class WorkloadTimeseries:
         encoder emits ``repr``-style shortest-round-trip floats.
         Non-finite floats (a NaN CI on a single sample, an inf latency)
         are carried as ``{"__float__": ...}`` markers so the payload
-        survives strict-JSON transport — the service's HTTP boundary
-        refuses the non-standard ``NaN``/``Infinity`` literals.
+        survives strict-JSON consumers of the result cache, which refuse
+        the non-standard ``NaN``/``Infinity`` literals.
         """
         return {
             f.name: encode_nonfinite(v) if isinstance(v := getattr(self, f.name), list) else v

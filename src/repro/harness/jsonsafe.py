@@ -3,10 +3,9 @@
 Python's ``json`` module happily *emits* ``NaN``/``Infinity`` literals,
 but they are not JSON: a strict parser (``json.loads`` is lenient, most
 HTTP clients are not) rejects them, and ``json.dumps(allow_nan=False)``
-raises.  Any payload that crosses the service's HTTP boundary — or
-lands in the on-disk result cache, which the service shares with
-non-Python consumers — must therefore carry non-finite floats in an
-encoded form.
+raises.  Any payload that lands in the on-disk result cache, which
+non-Python consumers may read, must therefore carry non-finite floats
+in an encoded form.
 
 The encoding is a single-key marker object, ``{"__float__": "NaN"}``
 (likewise ``"Infinity"`` / ``"-Infinity"``), chosen over bare sentinel

@@ -1,4 +1,5 @@
-"""Multiprocessing sweep execution: fan grid cells × seeds out to workers.
+"""Multiprocessing execution: fan sweep cells × seeds, or fuzz cases,
+out to workers.
 
 Design constraints (see DESIGN.md §"Parallel sweeps"):
 
@@ -12,8 +13,9 @@ Design constraints (see DESIGN.md §"Parallel sweeps"):
   exceeds its timeout, or kills its interpreter outright records a
   structured :class:`CellFailure` instead of taking down the sweep.
 * **Cheap transport** — children ship the :meth:`ExperimentResult.to_dict`
-  plain-data form over a pipe; metric extraction stays in the parent so
-  metric callables never need to survive a process boundary.
+  plain-data form (or a fuzz case's plain-dict record) over a pipe;
+  metric extraction stays in the parent so metric callables never need
+  to survive a process boundary.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class CellFailure:
 
     params: tuple[tuple[str, Any], ...]
     seed: int
-    kind: str  # "exception" | "timeout" | "crash" | "cancelled"
+    kind: str  # "exception" | "timeout" | "crash"
     error: str  # exception type name, or the kind for non-exceptions
     message: str
     traceback: str = ""
@@ -119,8 +121,8 @@ def _serialize(result: Any) -> dict:
     if isinstance(result, ExperimentResult):
         return {"type": "experiment_result", "data": result.to_dict()}
     if isinstance(result, dict):
-        # Plain-data payloads (the service's job results) ride the same
-        # pipe; sweeps still require experiment results at deserialize.
+        # Plain-data payloads (fuzz case records) ride the same pipe;
+        # sweeps still require experiment results at deserialize.
         return {"type": "json", "data": result}
     raise TypeError(
         f"parallel sweeps need factories returning ExperimentResult or a "
@@ -166,19 +168,6 @@ def _context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context()
 
 
-def _cancelled_outcome(task: CellTask) -> CellOutcome:
-    return CellOutcome(
-        task=task,
-        failure=CellFailure(
-            params=task.params,
-            seed=task.seed,
-            kind="cancelled",
-            error="CellCancelled",
-            message="task cancelled before completion",
-        ),
-    )
-
-
 def execute_tasks(
     tasks: list[CellTask],
     factory: Callable[..., Any],
@@ -186,19 +175,12 @@ def execute_tasks(
     workers: int,
     timeout: float | None = None,
     on_done: Callable[[CellOutcome], None] | None = None,
-    should_cancel: Callable[[CellTask], bool] | None = None,
 ) -> dict[int, CellOutcome]:
     """Run ``tasks`` on a bounded pool of single-shot worker processes.
 
     Returns outcomes keyed by task index.  Worker completion order never
     leaks into the outcome contents: each child's result depends only on
     its task, and the caller re-assembles by index.
-
-    ``should_cancel`` is polled once per scheduler tick for every task
-    still in flight (and for queued tasks before they launch); a task
-    it returns True for is terminated and recorded as a ``"cancelled"``
-    failure — the cooperative-cancellation hook the service's job
-    scheduler uses for both client cancels and clean shutdown.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -220,9 +202,6 @@ def execute_tasks(
     while pending or running:
         while pending and len(running) < workers:
             task = pending.pop()
-            if should_cancel is not None and should_cancel(task):
-                finish(_cancelled_outcome(task))
-                continue
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_child_main, args=(child_conn, factory, task), daemon=True)
             proc.start()
@@ -269,16 +248,6 @@ def execute_tasks(
                         traceback=message["traceback"],
                     ),
                 ))
-
-        if should_cancel is not None:
-            for idx, run in list(running.items()):
-                if not should_cancel(run.task):
-                    continue
-                running.pop(idx)
-                run.process.terminate()
-                run.process.join()
-                run.conn.close()
-                finish(_cancelled_outcome(run.task))
 
         if timeout is not None:
             now = time.monotonic()

@@ -1,11 +1,9 @@
-"""Canonical experiment recipes shared by the CLI and the service.
+"""Canonical experiment recipes behind the ``repro`` commands.
 
-The determinism contract for the control plane is that a job submitted
-over HTTP computes *the same function* as the equivalent ``repro``
-command — bit-identical metrics, not "close enough".  The only robust
-way to guarantee that is for both entry points to call one shared
-recipe, so the standard run / sweep-cell / summary builders live here
-rather than in ``cli.py``.
+The standard run, the sweep cell, the steady-state CFI and the JSON
+summary builders live here rather than in ``cli.py``, so the tests, the
+golden capture, the benchmark workloads and the fleet's node telemetry
+share one definition of each with the CLI.
 
 Everything in this module is importable from a forked worker process:
 no closures, no argparse, no stdout.
@@ -23,7 +21,7 @@ from repro.workloads.mixes import dilemma_pair, paper_colocation_mix
 #: steady-state window (epochs) every summary metric reads over
 STEADY_WINDOW = 10
 
-#: colocation mixes a run/sweep payload may name
+#: colocation mixes :func:`make_mix` builds
 MIX_NAMES = ("paper", "dilemma")
 
 
@@ -51,7 +49,7 @@ def steady_cfi(result: ExperimentResult, window: int = STEADY_WINDOW) -> float:
 
 
 def run_summary_json(result: ExperimentResult, *, mix: str, seed: int) -> dict:
-    """The ``repro run --json`` payload (and a run job's result body)."""
+    """The ``repro run --json`` payload."""
     from repro.harness.export import to_json
 
     payload = to_json(result)
@@ -64,50 +62,13 @@ def run_summary_json(result: ExperimentResult, *, mix: str, seed: int) -> dict:
 # -- scenarios -------------------------------------------------------------------
 
 def scenario_summary_json(sres, *, window: int) -> dict:
-    """The canonical scenario payload: full result + churn fairness.
-
-    Shared by ``repro scenario run --json``, the service's scenario
-    runner, and the fuzzer's CLI≡service parity check — one assembly
-    function is what makes the three outputs comparable byte-for-byte.
-    """
+    """The ``repro scenario run --json`` payload: full result + churn
+    fairness."""
     from repro.metrics.fairness import churn_fairness
 
     out = sres.to_dict()
     out["fairness_under_churn"] = churn_fairness(sres.result, window=window)
     return out
-
-
-# -- fleet -----------------------------------------------------------------------
-
-def fleet_run(
-    *,
-    name: str | None = None,
-    spec: dict | None = None,
-    policy: str | None = None,
-    placer: str | None = None,
-    seed: int | None = None,
-    check: bool = False,
-):
-    """The canonical fleet run: what ``repro fleet run`` executes.
-
-    ``name`` picks a canned fleet scenario, ``spec`` an inline
-    ``FleetSpec.to_dict`` form (exactly one must be given); the
-    remaining arguments override the spec's fields.  Shared with the
-    service's fleet job runner so service ≡ CLI holds bit-for-bit: both
-    emit the result's ``to_dict()``.
-    """
-    from repro.fleet import FleetSpec, get_fleet_scenario, run_fleet
-
-    if (name is None) == (spec is None):
-        raise ValueError("fleet_run needs exactly one of name= or spec=")
-    fspec = get_fleet_scenario(name) if name is not None else FleetSpec.from_dict(spec)
-    overrides = {
-        k: v for k, v in (("policy", policy), ("placer", placer), ("seed", seed))
-        if v is not None
-    }
-    if overrides:
-        fspec = fspec.with_overrides(**overrides)
-    return run_fleet(fspec, check=check)
 
 
 # -- sweep cells -----------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Metrics: fairness (Jain / CFI), performance, and trial statistics."""
 
 from repro.metrics.fairness import cfi, jain_index
-from repro.metrics.latency import LatencyProfile, LatencyTracker
 from repro.metrics.perf import normalize_to_min, slowdown
 from repro.metrics.stats import ema, mean_ci95
 from repro.metrics.reporting import render_series, render_table
@@ -15,6 +14,4 @@ __all__ = [
     "mean_ci95",
     "render_series",
     "render_table",
-    "LatencyProfile",
-    "LatencyTracker",
 ]

@@ -49,14 +49,3 @@ def mean_ci95(samples) -> tuple[float, float]:
     df = x.size - 1
     q = _T975[df - 1] if df <= len(_T975) else _Z975
     return (mean, q * sem)
-
-
-def coefficient_of_variation(values) -> float:
-    """CV = std/mean; the burstiness signal for LC/BE classification."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        return 0.0
-    m = float(np.mean(x))
-    if m == 0.0:
-        return 0.0
-    return float(np.std(x)) / m

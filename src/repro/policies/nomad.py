@@ -2,10 +2,10 @@
 
 Re-implemented from the paper's description:
 
-* **Placement logic**: TPP-like hint-fault promotion criteria and
-  watermark demotion — Nomad's contribution is the *mechanism*, not the
-  policy ("it fails to adapt policies based on page access
-  characteristics", paper §2.1).
+* **Placement logic**: TPP's hint-fault promotion criteria and
+  watermark demotion, inherited unchanged — Nomad's contribution is the
+  *mechanism*, not the policy ("it fails to adapt policies based on page
+  access characteristics", paper §2.1).
 * **Transactional migration**: pages stay mapped during the copy; a
   concurrent write aborts the transaction (our engine's transactional
   discipline).  Migration is thus fully asynchronous — but
@@ -18,128 +18,27 @@ Re-implemented from the paper's description:
 
 from __future__ import annotations
 
-from itertools import repeat
-
-import numpy as np
-
 from repro.mm.migration import MigrationRequest, OptimizationFlags
-from repro.policies.base import TieringPolicy, WorkloadRuntime
-from repro.profiling.base import Profiler
-from repro.profiling.hintfault import HintFaultProfiler
+from repro.policies.tpp import TppPolicy
 
 
-class NomadPolicy(TieringPolicy):
-    """TPP-shaped policy over a transactional, shadowed mechanism."""
+class NomadPolicy(TppPolicy):
+    """TPP's placement over a transactional, shadowed mechanism."""
 
     name = "nomad"
-    replication_enabled = False
     engine_flags = OptimizationFlags(opt_prep=False, opt_tlb=False, async_retry_limit=3)
-
-    def __init__(
-        self,
-        *args,
-        promote_threshold: float = 0.4,
-        promotion_budget: int = 256,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.promote_threshold = promote_threshold
-        self.promotion_budget = promotion_budget
-
-    def _make_profiler(self, pid: int) -> Profiler:
-        return HintFaultProfiler(window_fraction=0.25, decay=0.5)
 
     def _uses_shadowing(self) -> bool:
         return True
 
-    def _on_register(self, rt: WorkloadRuntime) -> None:
-        assert isinstance(rt.profiler, HintFaultProfiler)
-        rt.profiler.register_pages(rt.pid, rt.space.process.repl.flat.present_vpns())
-
-    def _plan_and_migrate(self) -> None:
-        self._demote_to_watermark()
-        self._promote_hot()
-
-    def _demote_to_watermark(self) -> None:
-        fast = self.allocator.tiers[0]
-        if not fast.below_low_watermark():
-            return
-        need = fast.frames_to_reclaim()
-        if need <= 0:
-            return
-        # Kernel-style reclaim: inactive-LRU order, i.e. pages whose
-        # accessed bit has been clear longest go first; hint heat only
-        # breaks ties.  This is what lets a broad scanner keep its pages
-        # resident (always recently referenced) while an LC service's
-        # zipf tail ages out -- no workload awareness at all.
-        victims: list[tuple[int, float, int, int]] = []  # (last_access, heat, pid, vpn)
-        store = self.allocator.store
-        for pid, rt in self.workloads.items():
-            flat = rt.space.process.repl.flat
-            vpns = flat.present_vpns()
-            if vpns.size == 0:
-                continue
-            pfns = flat.pfn[flat.indices(vpns)]
-            fastm = pfns < store.fast_frames
-            if not fastm.any():
-                continue
-            v = vpns[fastm]
-            ages = store.last_access_cycle[pfns[fastm]]
-            heats = rt.profiler.heat_of(pid, v)
-            victims.extend(zip(ages.tolist(), heats.tolist(), repeat(pid), v.tolist()))
-        # Oldest accessed-bit age first; among equally-recent pages the
-        # kernel has no meaningful order, so quantize the hint heat and
-        # jitter -- otherwise float residue from fault history would
-        # deterministically evict the youngest process's pages.
-        victims.sort(key=lambda t: (t[0], round(t[1], 1), self.rng.random()))
-        by_pid: dict[int, list[MigrationRequest]] = {}
-        for _age, _h, pid, vpn in victims[:need]:
-            by_pid.setdefault(pid, []).append(
-                # Demotion benefits from the shadow remap fast path.
-                MigrationRequest(pid=pid, vpn=vpn, dest_tier=1, sync=True)
-            )
-        for pid, reqs in by_pid.items():
-            self.workloads[pid].engine.migrate_batch(reqs)
-
-    def _promote_hot(self) -> None:
-        candidates: list[tuple[float, int, int]] = []
-        for pid, rt in self.workloads.items():
-            flat = rt.space.process.repl.flat
-            # Heat-insertion order — the order the old dict walk saw.
-            vpns, heats = rt.profiler.heat_view(pid)
-            if vpns.size == 0:
-                continue
-            hot = heats >= self.promote_threshold
-            vpns, heats = vpns[hot], heats[hot]
-            if vpns.size == 0:
-                continue
-            idx = vpns - flat.base
-            in_range = (idx >= 0) & (idx < flat.pfn.size)
-            pfns = np.full(vpns.size, -1, dtype=np.int64)
-            pfns[in_range] = flat.pfn[idx[in_range]]
-            slow = pfns >= self.allocator.store.fast_frames
-            candidates.extend(zip(heats[slow].tolist(), repeat(pid), vpns[slow].tolist()))
-        # Hint faults are a binary-per-rotation signal, so candidate
-        # heats tie en masse (up to float residue from fault history);
-        # real promotion order is fault arrival, which has no workload
-        # preference.  Shuffle, then stable-sort by *quantized* heat so
-        # effective ties resolve randomly instead of by process age.
-        self.rng.shuffle(candidates)
-        candidates.sort(key=lambda t: -round(t[0], 1))
-        free = self.allocator.free_frames(0)
-        n = min(self.promotion_budget, free, len(candidates))
-        by_pid: dict[int, list[MigrationRequest]] = {}
-        for heat, pid, vpn in candidates[:n]:
-            rt = self.workloads[pid]
-            by_pid.setdefault(pid, []).append(
-                MigrationRequest(
-                    pid=pid,
-                    vpn=vpn,
-                    dest_tier=0,
-                    sync=False,  # transactional, fully off the critical path
-                    write_fraction=rt.profiler.write_fraction(pid, vpn),
-                    access_rate_per_kcycle=rt.access_rate_per_kcycle,
-                )
-            )
-        for pid, reqs in by_pid.items():
-            self.workloads[pid].engine.migrate_batch(reqs)
+    def _promotion_request(self, pid: int, vpn: int) -> MigrationRequest:
+        """One promotion, copied transactionally off the critical path."""
+        rt = self.workloads[pid]
+        return MigrationRequest(
+            pid=pid,
+            vpn=vpn,
+            dest_tier=0,
+            sync=False,
+            write_fraction=rt.profiler.write_fraction(pid, vpn),
+            access_rate_per_kcycle=rt.access_rate_per_kcycle,
+        )

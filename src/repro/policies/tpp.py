@@ -135,9 +135,11 @@ class TppPolicy(TieringPolicy):
         free = self.allocator.free_frames(0)
         n = min(budget, free, len(candidates))
         by_pid: dict[int, list[MigrationRequest]] = {}
-        for heat, pid, vpn in candidates[:n]:
-            by_pid.setdefault(pid, []).append(
-                MigrationRequest(pid=pid, vpn=vpn, dest_tier=0, sync=True)
-            )
+        for _heat, pid, vpn in candidates[:n]:
+            by_pid.setdefault(pid, []).append(self._promotion_request(pid, vpn))
         for pid, reqs in by_pid.items():
             self.workloads[pid].engine.migrate_batch(reqs)
+
+    def _promotion_request(self, pid: int, vpn: int) -> MigrationRequest:
+        """One promotion, copied synchronously on the faulting path."""
+        return MigrationRequest(pid=pid, vpn=vpn, dest_tier=0, sync=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.sim.units import GiB, MiB, ns_to_cycles
+from repro.sim.units import GiB, ns_to_cycles
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class MachineConfig:
     """Hardware description used to build a :class:`repro.machine.Machine`."""
 
     n_cores: int = 32
-    llc_bytes: int = 48 * MiB
     tlb_entries: int = 1536  # combined L2 dTLB reach of a modern Xeon core
     tlb_miss_penalty_ns: float = 25.0  # page-walk latency on a miss
     ipi_deliver_ns: float = 1200.0  # IPI delivery + ack round trip (~3.6K cycles)
@@ -92,22 +91,12 @@ class SimulationConfig:
     page_unit_bytes: int = 10 * 1000 * 1000
     #: Simulated wall-clock per epoch, in seconds.
     epoch_seconds: float = 1.0
-    #: Memory accesses each workload thread attempts per epoch at full speed.
-    accesses_per_thread_epoch: int = 50_000
-    #: Number of FTHR samples collected per epoch (Eq. 1's N).
-    fthr_samples_per_epoch: int = 5
-    #: Random seed for the experiment's RNG stream family.
-    seed: int = 2025
 
     def __post_init__(self) -> None:
         if self.page_unit_bytes <= 0:
             raise ValueError("page_unit_bytes must be positive")
         if self.epoch_seconds <= 0:
             raise ValueError("epoch_seconds must be positive")
-        if self.accesses_per_thread_epoch <= 0:
-            raise ValueError("accesses_per_thread_epoch must be positive")
-        if self.fthr_samples_per_epoch <= 0:
-            raise ValueError("fthr_samples_per_epoch must be positive")
 
     def pages_for(self, nbytes: int) -> int:
         """Simulated page count representing ``nbytes`` of real memory."""

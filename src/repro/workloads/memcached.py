@@ -13,8 +13,8 @@ Shape decisions:
   connection pool) → pages are *shared* across threads, read-mostly.
 * LC burstiness: the issue rate oscillates between a low idle floor and
   full bursts (diurnal-ish square wave + jitter), so mean utilization
-  stays moderate and burstiness high — the signals
-  :func:`repro.core.classify.classify_service` keys on.
+  stays moderate and burstiness high — the utilization pattern the
+  paper's LC/BE classification keys on.
 """
 
 from __future__ import annotations

@@ -1,15 +1,8 @@
-"""Service-class and page-class (Table 1) classification."""
+"""Page-class (Table 1) classification."""
 
 import pytest
 
-from repro.core.classify import (
-    WRITE_INTENSIVE_THRESHOLD,
-    PageClass,
-    ServiceClass,
-    WorkloadSignals,
-    classify_page,
-    classify_service,
-)
+from repro.core.classify import WRITE_INTENSIVE_THRESHOLD, PageClass, classify_page
 
 
 class TestPageClass:
@@ -51,25 +44,3 @@ class TestPageClass:
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
             classify_page(private=True, write_fraction=1.5)
-
-
-class TestServiceClass:
-    def test_declared_wins(self):
-        s = WorkloadSignals(mean_utilization=1.0, burstiness=0.0, declared=ServiceClass.LC)
-        assert classify_service(s) is ServiceClass.LC
-
-    def test_saturating_steady_is_be(self):
-        s = WorkloadSignals(mean_utilization=0.95, burstiness=0.1)
-        assert classify_service(s) is ServiceClass.BE
-
-    def test_bursty_is_lc(self):
-        s = WorkloadSignals(mean_utilization=0.9, burstiness=0.8)
-        assert classify_service(s) is ServiceClass.LC
-
-    def test_low_utilization_is_lc(self):
-        s = WorkloadSignals(mean_utilization=0.3, burstiness=0.1)
-        assert classify_service(s) is ServiceClass.LC
-
-    def test_conservative_default(self):
-        """Unknown-looking workloads classify LC (the safe direction)."""
-        assert classify_service(WorkloadSignals()) is ServiceClass.LC

@@ -129,16 +129,16 @@ RUNS = 2
 
 @pytest.fixture(scope="module")
 def small_report() -> dict:
-    return campaign(kind=FLEET, seed=13, runs=RUNS, workers=1, parity_check=False)
+    return campaign(kind=FLEET, seed=13, runs=RUNS, workers=1)
 
 
 class TestFleetCampaign:
     def test_same_seed_identical_report(self, small_report):
-        again = campaign(kind=FLEET, seed=13, runs=RUNS, workers=1, parity_check=False)
+        again = campaign(kind=FLEET, seed=13, runs=RUNS, workers=1)
         assert json.dumps(again, sort_keys=True) == json.dumps(small_report, sort_keys=True)
 
     def test_serial_equals_two_workers(self, small_report):
-        par = campaign(kind=FLEET, seed=13, runs=RUNS, workers=2, parity_check=False)
+        par = campaign(kind=FLEET, seed=13, runs=RUNS, workers=2)
         a = {**small_report, "workers": 0}
         b = {**par, "workers": 0}
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)

@@ -43,7 +43,7 @@ class TestSeededBugEndToEnd:
     def test_caught_shrunk_promoted_and_replayed(self, minting_ledger, tmp_path):
         report = campaign(
             seed=SEED, runs=RUNS, workers=1,
-            shrink=True, promote_dir=tmp_path, parity_check=False,
+            shrink=True, promote_dir=tmp_path,
         )
 
         # -- caught -------------------------------------------------------
@@ -75,7 +75,7 @@ class TestSeededBugEndToEnd:
     def test_promoted_crasher_replays_green_after_fix(self, minting_ledger, tmp_path):
         report = campaign(
             seed=SEED, runs=1, workers=1,
-            shrink=True, promote_dir=tmp_path, parity_check=False,
+            shrink=True, promote_dir=tmp_path,
         )
         assert report["counts"]["violations"] == 1
         path = iter_crashers(SCENARIO, tmp_path)[0]

@@ -16,16 +16,16 @@ RUNS = 4
 
 @pytest.fixture(scope="module")
 def small_report() -> dict:
-    return campaign(seed=13, runs=RUNS, workers=1, parity_check=False)
+    return campaign(seed=13, runs=RUNS, workers=1)
 
 
 class TestCampaignDeterminism:
     def test_same_seed_identical_report(self, small_report):
-        again = campaign(seed=13, runs=RUNS, workers=1, parity_check=False)
+        again = campaign(seed=13, runs=RUNS, workers=1)
         assert json.dumps(again, sort_keys=True) == json.dumps(small_report, sort_keys=True)
 
     def test_serial_equals_two_workers(self, small_report):
-        par = campaign(seed=13, runs=RUNS, workers=2, parity_check=False)
+        par = campaign(seed=13, runs=RUNS, workers=2)
         a = {**small_report, "workers": 0}
         b = {**par, "workers": 0}
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
@@ -58,7 +58,7 @@ class TestObsMetrics:
         reg.reset()
 
     def test_campaign_bumps_counters(self, registry):
-        campaign(seed=21, runs=2, workers=1, parity_check=False)
+        campaign(seed=21, runs=2, workers=1)
         assert registry.counter("fuzz_runs_total", status="ok").value == 2
 
 

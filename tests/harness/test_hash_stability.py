@@ -1,11 +1,12 @@
 """Content hashes must be stable across processes and hash seeds.
 
-Job ids, result-cache keys, and scenario spec hashes all flow through
-``harness.cache.content_hash``; if any of them depended on dict
-insertion order, ``PYTHONHASHSEED``, or ``repr`` addresses, dedup
-would silently break between a client and a server (or between two
-server restarts).  The subprocess tests run the hash under *different*
-hash seeds and demand identical output.
+Result-cache keys flow through ``harness.cache.content_hash``, and
+scenario and fleet specs hash their canonical JSON; if any of them
+depended on dict insertion order, ``PYTHONHASHSEED``, or ``repr``
+addresses, a cache written by one process would silently miss in the
+next, and a promoted crasher's spec hash would not reproduce.  The
+subprocess tests run the hashes under *different* hash seeds and demand
+identical output.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ def hash_in_subprocess(hashseed: str) -> dict:
     code = (
         "import json\n"
         "from repro.harness.cache import content_hash\n"
-        "from repro.service.jobs import JobSpec\n"
+        "from repro.fleet import get_fleet_scenario\n"
         "from repro.scenario import get_scenario\n"
         "sample = {'kind': 'sweep', 'payload': {'fast_gb': [8.0, 16.0],"
         " 'seeds': [3, 1, 2], 'mix': 'dilemma'}, 'tags': {'b', 'a', 'c'},"
         " 'blob': b'\\x00\\xff'}\n"
         "print(json.dumps({\n"
         "  'sample': content_hash(sample),\n"
-        "  'job': JobSpec('run', {'seed': 42}).job_id(),\n"
+        "  'fleet': get_fleet_scenario('drain_rebalance').content_hash(),\n"
         "  'scenario': get_scenario('churn').content_hash(),\n"
         "}))\n"
     )
@@ -68,7 +69,7 @@ def test_dict_insertion_order_is_canonical():
 
 def test_int_float_distinguished_like_json():
     # json.dumps renders 1 and 1.0 differently, so the hashes differ;
-    # normalization layers (JobSpec) coerce before hashing
+    # callers that want 1 == 1.0 must coerce before hashing
     assert content_hash({"x": 1}) != content_hash({"x": 1.0})
 
 

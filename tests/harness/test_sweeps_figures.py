@@ -1,11 +1,10 @@
-"""Sweep utility and programmatic figure entry points."""
+"""Sweep utility."""
 
 import numpy as np
 import pytest
 
 from repro.core.classify import ServiceClass
 from repro.harness import ColocationExperiment, Sweep
-from repro.harness.figures import fig2_breakdown, fig3_shares, fig7_speedups
 from repro.sim.config import MachineConfig, SimulationConfig, TierConfig
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.memcached import MemcachedWorkload
@@ -69,22 +68,3 @@ class TestSweep:
             sweep.run(tiny_factory, grid={"fast_pages": [32]}, seeds=[])
         with pytest.raises(RuntimeError):
             Sweep(metrics=self.metric()).best("fthr")
-
-
-class TestFigureApi:
-    def test_fig2_rows(self):
-        rows = fig2_breakdown()
-        assert [r.cpus for r in rows] == [2, 4, 8, 16, 32]
-        assert rows[0].total == pytest.approx(50_000, rel=1e-3)
-        assert rows[-1].total == pytest.approx(750_000, rel=1e-3)
-
-    def test_fig3_shares(self):
-        shares = fig3_shares()
-        assert shares[(32, 512)]["tlb"] == pytest.approx(0.65, abs=0.005)
-        assert set(shares[(2, 2)]) == {"tlb", "copy", "fixed"}
-
-    def test_fig7_speedups(self):
-        s = fig7_speedups()
-        assert s[2][0] == pytest.approx(3.44, abs=0.01)
-        assert s[2][1] == pytest.approx(4.06, abs=0.01)
-        assert s[512][1] < s[2][1]

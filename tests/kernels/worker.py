@@ -39,7 +39,7 @@ def main() -> None:
     if args.fuzz_runs > 0:
         from repro.fuzz.runner import campaign
 
-        report = campaign(seed=1234, runs=args.fuzz_runs, shrink=False, parity_check=False)
+        report = campaign(seed=1234, runs=args.fuzz_runs, shrink=False)
         h.update(json.dumps(report, sort_keys=True).encode())
 
     print(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics.perf import average_improvement, geometric_mean, normalize_to_min, slowdown
-from repro.metrics.stats import coefficient_of_variation, ema, mean_ci95
+from repro.metrics.stats import ema, mean_ci95
 
 
 class TestPerf:
@@ -84,9 +84,3 @@ class TestStats:
     def test_mean_ci95_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_ci95([])
-
-    def test_cv(self):
-        assert coefficient_of_variation([5, 5, 5]) == 0.0
-        assert coefficient_of_variation([]) == 0.0
-        assert coefficient_of_variation([0, 0]) == 0.0
-        assert coefficient_of_variation([0, 10]) == pytest.approx(1.0)

@@ -58,7 +58,3 @@ def test_sim_config_validation():
         SimulationConfig(page_unit_bytes=0)
     with pytest.raises(ValueError):
         SimulationConfig(epoch_seconds=0.0)
-    with pytest.raises(ValueError):
-        SimulationConfig(accesses_per_thread_epoch=0)
-    with pytest.raises(ValueError):
-        SimulationConfig(fthr_samples_per_epoch=0)
