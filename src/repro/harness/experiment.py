@@ -222,9 +222,11 @@ class ColocationExperiment:
     #: :meth:`Workload.planned_epoch`).  Safe for static runs because
     #: plans are pure functions of (seed, epoch, spec) and the one
     #: persistent RNG stream (issue-rate jitter) is drawn in the same
-    #: order a non-prefetching run draws it.  The scenario engine
-    #: overrides this to 1: scripted reshape/reseed events would
-    #: invalidate prefetched plans after their RNG draws were consumed.
+    #: order a non-prefetching run draws it.  It batches no work: each
+    #: plan is built by the same per-thread calls either way.  The
+    #: scenario engine overrides this to 1: scripted reshape/reseed
+    #: events would invalidate prefetched plans after their RNG draws
+    #: were consumed.
     plan_horizon = 4
 
     def __init__(

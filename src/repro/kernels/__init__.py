@@ -7,8 +7,8 @@ promotion-candidate gather — are routed through this module.  Two
 backends implement the same function set:
 
 * :mod:`repro.kernels.np_backend` — pure numpy, always available, and
-  the *reference*: its bodies are the exact array programs the goldens
-  pinned before the kernel tier existed.
+  the *reference*: its bodies compute exactly what the goldens pinned
+  before the kernel tier existed.
 * :mod:`repro.kernels.nb_backend` — ``@njit(cache=True)`` mirrors,
   used when numba is importable (the optional ``repro[fast]`` extra;
   never a hard dependency).
@@ -75,7 +75,6 @@ KERNEL_NAMES = (
     "heat_gather",
     "topk_live",
     "accumulate_unique",
-    "member_sorted",
     "write_fractions",
     "plan_span_stats",
     "plan_segment_unique",
@@ -95,7 +94,6 @@ heat_min_live = _impl.heat_min_live
 heat_gather = _impl.heat_gather
 topk_live = _impl.topk_live
 accumulate_unique = _impl.accumulate_unique
-member_sorted = _impl.member_sorted
 write_fractions = _impl.write_fractions
 plan_span_stats = _impl.plan_span_stats
 plan_segment_unique = _impl.plan_segment_unique

@@ -259,20 +259,6 @@ def accumulate_unique(vpns, weights, write_weights):
 
 
 @njit(cache=True)
-def member_sorted(values, sorted_ref):
-    out = np.zeros(values.size, dtype=np.bool_)
-    rs = sorted_ref.size
-    if rs == 0:
-        return out
-    for i in range(values.size):
-        v = values[i]
-        pos = np.searchsorted(sorted_ref, v)
-        if pos < rs and sorted_ref[pos] == v:
-            out[i] = True
-    return out
-
-
-@njit(cache=True)
 def write_fractions(h, w):
     out = np.zeros(h.size, dtype=np.float64)
     for i in range(h.size):
@@ -401,7 +387,6 @@ def warmup() -> None:
     heat_gather(f64, 0, i64)
     topk_live(f64, np.ones(2, dtype=np.bool_), 0, 1)
     accumulate_unique(i64, f64, f64)
-    member_sorted(i64, i64)
     write_fractions(f64, f64)
     plan_span_stats(i64, b, i64, 1, np.array([0, 2], dtype=np.int64), 2)
     plan_segment_unique(i64, np.array([0, 2], dtype=np.int64), np.zeros(2, dtype=np.bool_))

@@ -1,11 +1,12 @@
 """Pure-numpy reference kernels (DESIGN.md §6).
 
-Every function here is the *specification*: the bodies are the exact
-array programs the hot paths ran before the kernel tier existed, moved
-verbatim so the numba mirrors in :mod:`repro.kernels.nb_backend` have a
-bit-identical reference to be differentially pinned against.  Keep them
-boring — no behavioural cleverness belongs in this file, only the
-arithmetic the goldens froze.
+Every function here is the *specification* the numba mirrors in
+:mod:`repro.kernels.nb_backend` are differentially pinned against.
+Most bodies are the array programs the hot paths ran before the kernel
+tier existed, moved verbatim.  ``zipf_invert`` and ``plan_span_stats``
+are faster exact rewrites, pinned by the oracles in tests/kernels/ and
+tests/test_zipf_inverse.py.  Keep them boring — no behavioural
+cleverness belongs in this file, only the arithmetic the goldens froze.
 
 Shared contract (both backends):
 
@@ -34,31 +35,23 @@ def warmup() -> None:
 
 
 def zipf_invert(cdf: np.ndarray, lut: np.ndarray, m: int, u: np.ndarray) -> np.ndarray:
-    """Exactly ``np.searchsorted(cdf, u, side='right')``.
+    """Exactly ``np.searchsorted(cdf, u, side='right')``, for ``u`` in [0, 1).
 
-    The LUT narrows each sample to a short index range in O(1); the few
-    samples whose bucket straddles a CDF step finish with a vectorized
-    bisection over that (tiny) range.
+    ``m`` must be a power of two, so ``u * m`` is exact and its floor
+    ``b`` satisfies ``b/m <= u < (b+1)/m``; the LUT then brackets the
+    answer in ``[lut[b], lut[b+1]]``.  An empty bracket is the answer,
+    a one-step bracket needs one compare against the CDF, and only the
+    wider ones fall back to ``searchsorted``.
     """
     b = (u * m).astype(np.int64)
-    # Float rounding in u*m can land one bucket off; nudge back so
-    # b/m <= u < (b+1)/m holds exactly (b/m is exact: m is 2**16).
-    b[u < b / m] -= 1
-    b[u >= (b + 1) / m] += 1
     lo = lut[b]
-    hi = lut[b + 1]
-    need = lo < hi
-    if need.any():
-        lo_r, hi_r, u_r = lo[need], hi[need], u[need]
-        open_ = lo_r < hi_r
-        while open_.any():
-            mid = (lo_r + hi_r) >> 1
-            right = (cdf[np.minimum(mid, cdf.size - 1)] <= u_r) & open_
-            shrink = ~right & open_
-            lo_r[right] = mid[right] + 1
-            hi_r[shrink] = mid[shrink]
-            open_ = lo_r < hi_r
-        lo[need] = lo_r
+    width = lut[b + 1] - lo
+    one = np.flatnonzero(width == 1)
+    if one.size:
+        lo[one] += cdf[lo[one]] <= u[one]
+    wide = np.flatnonzero(width > 1)
+    if wide.size:
+        lo[wide] = np.searchsorted(cdf, u[wide], side="right")
     return lo
 
 
@@ -227,17 +220,6 @@ def accumulate_unique(
     return uniq, sums, wsums
 
 
-def member_sorted(values: np.ndarray, sorted_ref: np.ndarray) -> np.ndarray:
-    """``np.isin(values, sorted_ref)`` for an already-sorted reference."""
-    if sorted_ref.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.searchsorted(sorted_ref, values)
-    in_range = pos < sorted_ref.size
-    out = np.zeros(values.shape, dtype=bool)
-    out[in_range] = sorted_ref[pos[in_range]] == values[in_range]
-    return out
-
-
 def write_fractions(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``min(w/h, 1)`` where ``h > 0`` else 0, elementwise."""
     out = np.zeros(h.size, dtype=np.float64)
@@ -268,9 +250,10 @@ def plan_span_stats(
     pfn_span[off_all] = pfn_all
     # Per-segment fast/slow splits from per-access tier membership.
     in_fast = pfn_all < fast_frames
-    csum = np.zeros(off_all.size + 1, dtype=np.int64)
-    np.cumsum(in_fast, out=csum[1:])
-    fast_seg = csum[offsets[1:]] - csum[offsets[:-1]]
+    n_seg = offsets.size - 1
+    fast_seg = np.empty(n_seg, dtype=np.int64)
+    for k in range(n_seg):
+        fast_seg[k] = np.count_nonzero(in_fast[offsets[k]:offsets[k + 1]])
     return total_counts, write_counts, pfn_span, fast_seg
 
 

@@ -200,8 +200,7 @@ class AddressSpace:
         the order-sensitive parts (sharing transitions and tid-bit ORs,
         both per-thread) walk the segments in order.  Returns
         per-segment ``(fast, slow)`` access-count arrays for FTHR
-        sampling (recovered from per-access tier membership via prefix
-        sums over the segment offsets).
+        sampling (per-access tier membership, counted per segment).
         """
         offsets = plan.offsets
         total_seg = np.diff(offsets)

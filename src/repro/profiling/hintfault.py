@@ -17,22 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
 from repro.profiling.base import AccessBatch, Profiler
 
 #: Application-side cost of taking one hinting fault.
 HINT_FAULT_COST_CYCLES = 2_500.0
 #: Daemon-side cost of re-poisoning one PTE.
 POISON_COST_CYCLES = 150.0
-
-
-def _member(values: np.ndarray, sorted_ref: np.ndarray) -> np.ndarray:
-    """``np.isin(values, sorted_ref)`` for an already-sorted reference.
-
-    Same boolean mask, without np.isin re-sorting the reference on
-    every call.  Dispatches to the kernel tier.
-    """
-    return kernels.member_sorted(values, sorted_ref)
 
 
 class HintFaultProfiler(Profiler):
@@ -47,68 +37,66 @@ class HintFaultProfiler(Profiler):
         self.window_fraction = window_fraction
         #: pid -> sorted array of known vpns (refreshed via register_pages)
         self._pages: dict[int, np.ndarray] = {}
-        #: pid -> currently poisoned vpn set
-        self._poisoned: dict[int, set[int]] = {}
-        #: pid -> *sorted* ndarray mirror of the poisoned set.  Only
-        #: membership is ever asked of it, so keeping it sorted lets
-        #: ``observe`` use searchsorted instead of np.isin (which
-        #: re-sorts both operands on every batch).
-        self._parr: dict[int, np.ndarray] = {}
+        #: pid -> (base, mask): the poisoned window as a dense bool array,
+        #: ``mask[vpn - base]`` true while ``vpn`` is poisoned.  The mask
+        #: spans the page range of the last rotation plus one never-set
+        #: guard slot at each end, so a clipped gather answers membership
+        #: for any vpn, in range or not, in one pass.
+        self._window: dict[int, tuple[int, np.ndarray]] = {}
         #: pid -> rotation cursor into the page array
         self._cursor: dict[int, int] = {}
 
     def register_pages(self, pid: int, vpns: np.ndarray) -> None:
-        """Declare the pages of ``pid`` the rotation should cover."""
+        """Declare the pages of ``pid`` the rotation should cover.
+
+        A pid already registered keeps its current window until the
+        next rotation."""
         self._pages[pid] = np.sort(np.asarray(vpns, dtype=np.int64))
         self._cursor.setdefault(pid, 0)
-        if pid not in self._poisoned:
+        if pid not in self._window:
             self._rotate(pid)
 
     def _rotate(self, pid: int) -> None:
         """Advance the poisoned window for ``pid``."""
-        pages = self._pages.get(pid)
-        if pages is None or pages.size == 0:
-            self._poisoned[pid] = set()
-            self._parr[pid] = np.empty(0, dtype=np.int64)
+        pages = self._pages[pid]
+        if pages.size == 0:
+            self._window[pid] = (0, np.zeros(0, dtype=bool))
             return
         window = max(int(pages.size * self.window_fraction), 1)
         start = self._cursor.get(pid, 0) % pages.size
         idx = (start + np.arange(window)) % pages.size
-        win = pages[idx]
-        self._poisoned[pid] = set(win.tolist())
-        self._parr[pid] = np.sort(win)
+        base = int(pages[0]) - 1
+        mask = np.zeros(int(pages[-1]) - base + 2, dtype=bool)
+        mask[pages[idx] - base] = True
+        self._window[pid] = (base, mask)
         self._cursor[pid] = (start + window) % pages.size
         self.stats.overhead_cycles += window * POISON_COST_CYCLES
 
     def observe(self, batch: AccessBatch) -> None:
         """Accesses hitting poisoned pages fault and get recorded exactly."""
         self.stats.accesses_seen += batch.n
-        if batch.n == 0:
+        win = self._window.get(batch.pid)
+        if batch.n == 0 or win is None:
             return
-        poisoned = self._poisoned.get(batch.pid)
-        if not poisoned:
+        base, mask = win
+        if not mask.any():
             return
-        parr = self._parr.get(batch.pid)
-        if parr is None or parr.size != len(poisoned):
-            parr = np.sort(np.fromiter(poisoned, dtype=np.int64))
-            self._parr[batch.pid] = parr
-        mask = _member(batch.vpns, parr)
-        hits = batch.vpns[mask]
+        hit = mask.take(batch.vpns - base, mode="clip")
+        hits = batch.vpns[hit]
         if hits.size == 0:
             return
         # Each poisoned page faults once, then is unpoisoned until the
         # next rotation — so count unique pages, not raw hits.
         uniq = np.unique(hits)
+        mask[uniq - base] = False
         self.stats.samples_taken += int(uniq.size)
         self.stats.app_overhead_cycles += uniq.size * HINT_FAULT_COST_CYCLES
-        poisoned.difference_update(uniq.tolist())
-        self._parr[batch.pid] = parr[~_member(parr, uniq)]
         # The first-touch indicator carries one heat unit; exact
         # write/read split is visible for the faulting access.
         writes_first = np.zeros(uniq.size, dtype=np.float64)
-        w_hits = np.unique(batch.vpns[mask & batch.is_write])
+        w_hits = hits[batch.is_write[hit]]
         if w_hits.size:
-            writes_first[_member(uniq, w_hits)] = 1.0
+            writes_first[np.searchsorted(uniq, w_hits)] = 1.0
         self._accumulate(batch.pid, uniq, np.ones(uniq.size), write_weights=writes_first)
 
     def end_epoch(self) -> None:
@@ -119,6 +107,5 @@ class HintFaultProfiler(Profiler):
     def forget(self, pid: int) -> None:
         super().forget(pid)
         self._pages.pop(pid, None)
-        self._poisoned.pop(pid, None)
-        self._parr.pop(pid, None)
+        self._window.pop(pid, None)
         self._cursor.pop(pid, None)

@@ -46,7 +46,8 @@ class Workload:
     #: epochs of plans generated per :meth:`planned_epoch` burst.  The
     #: harness sets this: static runs prefetch (every plan is a pure
     #: function of (seed, epoch, spec), so building several back to
-    #: back batches the Zipf LUT sampling across epochs); the scenario
+    #: back is safe, though it batches nothing: each plan still comes
+    #: from its own per-thread ``_thread_access`` calls); the scenario
     #: engine pins it to 1 because scripted events may reshape a
     #: workload between epochs, and a prefetched plan would have
     #: consumed ``issue_rate`` RNG draws the reshaped generator should

@@ -2,9 +2,12 @@
 
 ``numpy``'s built-in ``Generator.zipf`` is unbounded and slow for the
 truncated distributions tiered-memory studies use.  We precompute the
-normalized CDF of ``P(k) ∝ (k+1)^{-s}`` over ``k ∈ [0, n)`` once and
-sample whole batches with a single ``searchsorted`` — O(log n) per
-sample, fully vectorized, deterministic under a seeded generator.
+normalized CDF of ``P(k) ∝ (k+1)^{-s}`` over ``k ∈ [0, n)`` and a 2^16
+bucket inverse-CDF lookup table once, and invert whole batches of
+uniforms through the table: O(1) per sample where a bucket holds at
+most one CDF step, ``searchsorted`` only for the samples whose bucket
+holds more.  The result is exactly ``searchsorted``'s, fully
+vectorized, deterministic under a seeded generator.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ class ZipfSampler:
         generator per call).
     """
 
-    #: inverse-CDF lookup-table resolution (power of two: the bucket
-    #: boundaries b/M are then exact binary floats, so the bracket
-    #: invariant below holds with equality, not approximately)
+    #: inverse-CDF lookup-table resolution (power of two: ``u * M`` and
+    #: the bucket boundaries b/M are then exact binary floats, so the
+    #: bracket invariant below holds with equality, not approximately)
     _LUT_BUCKETS = 1 << 16
 
     def __init__(self, n: int, s: float = 0.99, *, permute: bool = False, rng: np.random.Generator | None = None) -> None:
@@ -62,13 +65,14 @@ class ZipfSampler:
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """Exactly ``np.searchsorted(self._cdf, u, side='right')``.
 
-        The LUT narrows each sample to a short index range in O(1);
-        the few samples whose bucket straddles a CDF step finish with a
-        vectorized bisection over that (tiny) range.  The result is the
-        same integer ``searchsorted`` returns for every input — callers
-        rely on that for bit-identical RNG-stream consumption.  The
-        arithmetic lives in the kernel tier (both backends return the
-        exact ``searchsorted`` integer for every input).
+        The LUT narrows each sample to a short index range in O(1); a
+        sample whose bucket holds one CDF step needs one compare, and
+        only buckets holding several fall back to ``searchsorted``.
+        The result is the same integer ``searchsorted`` returns for
+        every input — callers rely on that for bit-identical
+        RNG-stream consumption.  The arithmetic lives in the kernel
+        tier (both backends return the exact ``searchsorted`` integer
+        for every input).
         """
         return kernels.zipf_invert(self._cdf, self._lut, self._LUT_BUCKETS, u)
 

@@ -1,14 +1,17 @@
-"""Backend selection: the ``REPRO_KERNELS`` contract.
+"""Backend selection: the ``REPRO_KERNELS`` contract, and the kernel registry.
 
-Selection happens at import time, so every case runs in a fresh
-subprocess with the environment it is testing.
+Selection happens at import time, so every selection case runs in a
+fresh subprocess with the environment it is testing.  The registry
+guard reads the backends as text, so it runs without numba.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -59,3 +62,35 @@ def test_numba_forced():
         assert proc.returncode != 0
         assert "numba" in proc.stderr.lower()
 
+
+
+def _top_level_defs(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_every_kernel_pair_is_defined_warmed_and_called():
+    """Read as text, so it runs without numba: each ``KERNEL_NAMES``
+    entry has a body in both backends, is compiled by ``warmup()``, and
+    is still called from outside the kernel package.  A pair whose last
+    caller goes fails here instead of lingering."""
+    from repro.kernels import KERNEL_NAMES
+
+    pkg = pathlib.Path(SRC) / "repro"
+    kdir = pkg / "kernels"
+    np_defs = _top_level_defs(ast.parse((kdir / "np_backend.py").read_text()))
+    nb_defs = _top_level_defs(ast.parse((kdir / "nb_backend.py").read_text()))
+    warmed = {
+        node.func.id
+        for node in ast.walk(nb_defs["warmup"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    callers = "\n".join(
+        path.read_text() for path in sorted(pkg.rglob("*.py")) if kdir not in path.parents
+    )
+    for name in KERNEL_NAMES:
+        assert name in np_defs, f"{name}: no def in np_backend.py"
+        assert name in nb_defs, f"{name}: no def in nb_backend.py"
+        assert name in warmed, f"{name}: nb_backend.warmup() does not call it"
+        assert re.search(rf"\bkernels\.{name}\b", callers), (
+            f"{name}: nothing outside repro/kernels/ calls kernels.{name}"
+        )

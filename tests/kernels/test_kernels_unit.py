@@ -185,14 +185,6 @@ def test_accumulate_unique_matches_dict_oracle(be):
     np.testing.assert_array_equal(wsums, np.bincount(inv, weights=ww))
 
 
-def test_member_sorted_matches_isin(be):
-    rng = _rng()
-    ref = np.unique(rng.integers(0, 100, 30).astype(np.int64))
-    vals = rng.integers(-10, 120, 200).astype(np.int64)
-    np.testing.assert_array_equal(be.member_sorted(vals, ref), np.isin(vals, ref))
-    assert not be.member_sorted(vals, np.empty(0, dtype=np.int64)).any()
-
-
 def test_write_fractions(be):
     h = np.array([0.0, 2.0, 4.0, 1.0])
     w = np.array([1.0, 1.0, 8.0, 0.0])
@@ -278,4 +270,3 @@ def test_empty_inputs(be):
     )
     assert v.size == h.size == p.size == 0
     assert be.heat_gather(np.zeros(3), 0, e_i).size == 0
-    assert be.member_sorted(e_i, np.array([1], dtype=np.int64)).size == 0

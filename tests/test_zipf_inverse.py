@@ -5,7 +5,8 @@ the very integer ``np.searchsorted(cdf, u, side='right')`` would, for
 every float input — any divergence silently changes which pages a
 workload touches and breaks bit-identical replay.  These tests pin the
 equality on random draws, adversarial inputs sitting exactly on LUT
-bucket boundaries, and inputs equal to CDF steps themselves.
+bucket boundaries, inputs equal to CDF steps themselves, and supports
+that send most samples down each of the kernel's two finishing branches.
 """
 
 from __future__ import annotations
@@ -26,6 +27,31 @@ def test_invert_matches_searchsorted_on_random_draws(n: int, s: float) -> None:
     sampler = ZipfSampler(n, s)
     rng = np.random.default_rng(42)
     u = rng.random(20_000)
+    np.testing.assert_array_equal(sampler._invert(u.copy()), _reference(sampler, u))
+
+
+def _bracket_widths(sampler: ZipfSampler, u: np.ndarray) -> np.ndarray:
+    """``lut[b+1] - lut[b]`` for each sample's bucket ``b``: 0 needs no
+    CDF read, 1 takes the one-compare branch, more takes searchsorted."""
+    b = (u * sampler._LUT_BUCKETS).astype(np.int64)
+    return sampler._lut[b + 1] - sampler._lut[b]
+
+
+@pytest.mark.parametrize(
+    "n, s, branch",
+    [
+        # 300k ranks over 2**16 buckets: every bucket holds several steps
+        (300_000, 0.0, "wide"),
+        # mild skew, 50k ranks: each step has a bucket to itself
+        (50_000, 0.2, "one"),
+    ],
+)
+def test_invert_branches_match_searchsorted(n: int, s: float, branch: str) -> None:
+    sampler = ZipfSampler(n, s)
+    u = np.random.default_rng(11).random(50_000)
+    width = _bracket_widths(sampler, u)
+    taken = (width > 1) if branch == "wide" else (width == 1)
+    assert taken.mean() > 0.5
     np.testing.assert_array_equal(sampler._invert(u.copy()), _reference(sampler, u))
 
 
