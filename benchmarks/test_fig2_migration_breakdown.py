@@ -10,7 +10,6 @@ Paper anchors: total rises 50K → 750K cycles; preparation share rises
 38.3% → 76.9%; preparation alone grows ~30×.
 """
 
-import numpy as np
 import pytest
 
 from figutil import save_figure
@@ -29,7 +28,7 @@ CPU_COUNTS = (2, 4, 8, 16, 32)
 def migrate_one_page_with(n_cpus: int) -> dict[str, float]:
     """Run one real single-page migration on an ``n_cpus`` machine and
     return the engine's phase ledger."""
-    machine = Machine(paper_machine_config(n_cpus), rng=np.random.default_rng(0))
+    machine = Machine(paper_machine_config(n_cpus))
     alloc = FrameAllocator(fast_frames=1024, slow_frames=4096)
     lru = LruSubsystem(n_cpus=n_cpus)
     proc = Process(pid=1, name="bench", replication_enabled=False)

@@ -39,7 +39,7 @@ SLOW_COST = ns_to_cycles(162.0 + 90.0)
 
 
 def one_migration(sync: bool, write_fraction: float, seed: int):
-    machine = Machine(paper_machine_config(8), rng=np.random.default_rng(0))
+    machine = Machine(paper_machine_config(8))
     alloc = FrameAllocator(fast_frames=64, slow_frames=256)
     lru = LruSubsystem(n_cpus=8)
     proc = Process(pid=1, name="fig4", replication_enabled=True)

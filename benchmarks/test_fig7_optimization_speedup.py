@@ -9,7 +9,6 @@ Paper anchors: up to 3.44× with optimized preparation alone and 4.06×
 with both, at 2-page migrations; benefits shrink as batches grow.
 """
 
-import numpy as np
 import pytest
 
 from figutil import save_figure
@@ -28,7 +27,7 @@ N_CPUS = 32
 
 def engine_cycles(n_pages: int, flags: OptimizationFlags) -> float:
     """Cost of one real batched promotion under the given flags."""
-    machine = Machine(paper_machine_config(N_CPUS), rng=np.random.default_rng(0))
+    machine = Machine(paper_machine_config(N_CPUS))
     alloc = FrameAllocator(fast_frames=2048, slow_frames=8192)
     lru = LruSubsystem(n_cpus=N_CPUS)
     proc = Process(pid=1, name="fig7", replication_enabled=True)

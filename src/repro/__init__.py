@@ -5,13 +5,13 @@ Management for Multi-Applications", Tang, Wang, Wang & Wu, ICPP 2025.
 
 The package layers:
 
-* :mod:`repro.sim` — units, clocks, RNG streams, event loop;
-* :mod:`repro.machine` — cores, TLBs, memory tiers, interconnect;
+* :mod:`repro.sim` — machine/simulation configuration and units;
+* :mod:`repro.machine` — cores and IPIs, memory tiers, interconnect;
 * :mod:`repro.mm` — PTEs, 4-level page tables, per-thread replication,
   frame allocation, LRU pagevecs, the 5-phase migration engine and its
   paper-calibrated cost model, THP, page shadowing;
-* :mod:`repro.profiling` — PEBS / PT-scan / hint-fault / hybrid
-  profilers and the Memtis hotness histogram;
+* :mod:`repro.profiling` — PEBS / hint-fault / hybrid profilers over
+  dense per-pid heat arrays;
 * :mod:`repro.core` — Vulcan: QoS (GPT/FTHR/demand), CBFRP, Table 1
   page classes, priority queues, biased migration, the daemon;
 * :mod:`repro.policies` — TPP, Memtis, Nomad, static baselines, and

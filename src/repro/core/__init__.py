@@ -14,7 +14,6 @@ from repro.core.cbfrp import CbfrpState, CreditLedger, run_cbfrp
 from repro.core.classify import PageClass, ServiceClass, classify_page
 from repro.core.colloid import LatencyBalancer
 from repro.core.daemon import VulcanDaemon, WorkloadHandle
-from repro.core.replication_advisor import ReplicationAdvice, ReplicationAdvisor
 from repro.core.partition import PartitionLedger
 from repro.core.qos import QosTracker, WorkloadQos, demand_pages, gpt_for
 
@@ -36,6 +35,4 @@ __all__ = [
     "demand_pages",
     "gpt_for",
     "LatencyBalancer",
-    "ReplicationAdvisor",
-    "ReplicationAdvice",
 ]

@@ -218,17 +218,6 @@ class ExperimentResult:
 class ColocationExperiment:
     """Build a machine + policy + workloads and run the epoch loop."""
 
-    #: epochs of traffic plans each workload prefetches per burst (see
-    #: :meth:`Workload.planned_epoch`).  Safe for static runs because
-    #: plans are pure functions of (seed, epoch, spec) and the one
-    #: persistent RNG stream (issue-rate jitter) is drawn in the same
-    #: order a non-prefetching run draws it.  It batches no work: each
-    #: plan is built by the same per-thread calls either way.  The
-    #: scenario engine overrides this to 1: scripted reshape/reseed
-    #: events would invalidate prefetched plans after their RNG draws
-    #: were consumed.
-    plan_horizon = 4
-
     def __init__(
         self,
         policy: str | TieringPolicy,
@@ -242,7 +231,7 @@ class ColocationExperiment:
     ) -> None:
         self.sim = sim if sim is not None else SimulationConfig()
         mc = machine_config if machine_config is not None else MachineConfig()
-        self.machine = Machine(mc, page_size=self.sim.page_unit_bytes, rng=np.random.default_rng(seed))
+        self.machine = Machine(mc, page_size=self.sim.page_unit_bytes)
         self.allocator = FrameAllocator(
             fast_frames=self.machine.fast.total_frames,
             slow_frames=self.machine.slow.total_frames,
@@ -293,7 +282,6 @@ class ColocationExperiment:
             core_map[tid] = core
 
         vma = proc.mmap(wl.spec.rss_pages, name=f"{wl.name}-rss")
-        wl.plan_horizon = self.plan_horizon
         wl.bind(pid, vma)  # bind first: first_touch_tids may need region layout
         space = AddressSpace(proc, self.allocator)
         # First touch sets PTE ownership (§3.4): the workload says which

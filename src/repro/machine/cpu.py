@@ -1,20 +1,18 @@
 """Cores and inter-processor interrupts.
 
-A :class:`Core` tracks which thread is scheduled on it (migration-scope
-computation needs core→thread mapping) and owns a TLB.  The
+A :class:`Core` records which thread is scheduled on it.  The
 :class:`CpuComplex` delivers IPIs: the cost model follows the measured
 behaviour that a shootdown's initiator waits for every targeted core to
 acknowledge, so cost grows with the number of targets and a slow
-(busy/deep-sleep) responder stretches the whole operation.
+(busy/deep-sleep) responder stretches the whole operation.  Which cores
+a shootdown targets is resolved by the migration engine from the
+replicated page tables and its thread→core pinning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.machine.tlb import Tlb
 from repro.sim.units import ns_to_cycles
 
 
@@ -29,40 +27,23 @@ class IpiStats:
 
 @dataclass
 class Core:
-    """One CPU core: an id, its TLB, and the thread it runs."""
+    """One CPU core: an id and the thread it runs."""
 
     core_id: int
-    tlb: Tlb
     thread_id: int | None = None  # simulator-global thread id, None = idle
 
     def schedule(self, thread_id: int | None) -> None:
-        """Context-switch this core to ``thread_id`` (None parks it).
-
-        The TLB is *not* flushed here: with per-thread page tables and
-        PCID-style tagging the interesting flushes are the explicit
-        shootdowns, which the mm layer issues.
-        """
+        """Context-switch this core to ``thread_id`` (None parks it)."""
         self.thread_id = thread_id
 
 
 class CpuComplex:
     """All cores of the (single-socket) machine plus IPI machinery."""
 
-    def __init__(
-        self,
-        n_cores: int,
-        tlb_entries: int,
-        rng: np.random.Generator | None = None,
-        ipi_deliver_ns: float = 1200.0,
-    ) -> None:
+    def __init__(self, n_cores: int, ipi_deliver_ns: float = 1200.0) -> None:
         if n_cores <= 0:
             raise ValueError("need at least one core")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        # Give each core's TLB its own child stream for victim selection.
-        self.cores: list[Core] = [
-            Core(core_id=i, tlb=Tlb(entries=tlb_entries, rng=np.random.default_rng(rng.integers(2**63))))
-            for i in range(n_cores)
-        ]
+        self.cores: list[Core] = [Core(core_id=i) for i in range(n_cores)]
         self.ipi_deliver_cycles = ns_to_cycles(ipi_deliver_ns)
         self.ipi_stats = IpiStats()
 

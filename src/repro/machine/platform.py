@@ -1,13 +1,10 @@
-"""Machine assembly: cores + TLBs + tiers + interconnect."""
+"""Machine assembly: cores + tiers + interconnect."""
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.machine.cpu import CpuComplex
 from repro.machine.interconnect import Interconnect
 from repro.machine.memtier import MemoryTier
-from repro.sim.clock import Clock
 from repro.sim.config import MachineConfig
 from repro.sim.units import PAGE_SIZE
 
@@ -21,35 +18,22 @@ class Machine:
     Attributes
     ----------
     cpu:
-        The core complex (scheduling + IPIs + per-core TLBs).
+        The core complex (scheduling + IPIs).
     tiers:
         ``tiers[0]`` is fast DRAM, ``tiers[1]`` the slow CXL-like tier.
     link:
         Cross-tier interconnect for page copies.
-    clock:
-        Global cycle clock.
     """
 
-    def __init__(
-        self,
-        config: MachineConfig,
-        page_size: int = PAGE_SIZE,
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    def __init__(self, config: MachineConfig, page_size: int = PAGE_SIZE) -> None:
         self.config = config
         self.page_size = page_size
-        self.cpu = CpuComplex(
-            n_cores=config.n_cores,
-            tlb_entries=config.tlb_entries,
-            rng=rng,
-            ipi_deliver_ns=config.ipi_deliver_ns,
-        )
+        self.cpu = CpuComplex(n_cores=config.n_cores, ipi_deliver_ns=config.ipi_deliver_ns)
         self.tiers = [
             MemoryTier(config.fast, tier_id=FAST_TIER, page_size=page_size),
             MemoryTier(config.slow, tier_id=SLOW_TIER, page_size=page_size),
         ]
         self.link = Interconnect(bandwidth_gbps=min(config.slow.bandwidth_gbps, 25.0))
-        self.clock = Clock()
 
     @property
     def fast(self) -> MemoryTier:
@@ -67,11 +51,7 @@ class Machine:
         return self.link.transfer_cost_cycles(nbytes, concurrent_streams)
 
 
-def build_machine(
-    config: MachineConfig | None = None,
-    page_size: int = PAGE_SIZE,
-    seed: int = 0,
-) -> Machine:
+def build_machine(config: MachineConfig | None = None, page_size: int = PAGE_SIZE) -> Machine:
     """Construct a :class:`Machine` (paper defaults when no config given)."""
     cfg = config if config is not None else MachineConfig()
-    return Machine(cfg, page_size=page_size, rng=np.random.default_rng(seed))
+    return Machine(cfg, page_size=page_size)

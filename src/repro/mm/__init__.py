@@ -33,7 +33,6 @@ from repro.mm.pte import (
 from repro.mm.replication import ReplicatedPageTables
 from repro.mm.shadow import ShadowTracker
 from repro.mm.thp import HugePageManager
-from repro.mm.tlb_coherence import ShootdownScope, compute_scope
 
 __all__ = [
     "AddressSpace",
@@ -64,6 +63,4 @@ __all__ = [
     "ReplicatedPageTables",
     "ShadowTracker",
     "HugePageManager",
-    "ShootdownScope",
-    "compute_scope",
 ]

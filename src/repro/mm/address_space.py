@@ -9,14 +9,14 @@ allocator and implements the fault path:
 * touch by a second thread → private→shared promotion in the PTE
   ownership bits (see :mod:`repro.mm.replication`).
 
-Two access paths are provided.  ``touch()`` is the fully structural
-per-access path used by the microbenchmarks (it exercises TLBs and page
-tables).  ``record_plan()`` is the vectorized path used by the
-epoch-driven co-location simulator: it updates frame access counters for
-a whole epoch of numpy traffic at once and leaves TLB effects to the
-statistical model, as DESIGN.md §4 describes.  Likewise ``fault()``
-maps one page, and ``populate()`` — the admission path — maps a whole
-VMA in array passes with the same result.
+Two access paths are provided.  ``touch()`` is the scalar per-access
+reference (fault, sharing promotion, counting) that tests drive.
+``record_plan()`` is the vectorized path the epoch-driven simulator
+runs: it updates frame access counters for a whole epoch of numpy
+traffic at once, and TLB reach enters the harness analytically (see
+DESIGN.md §1).  Likewise ``fault()`` maps one page, and
+``populate()`` — the admission path — maps a whole VMA in array passes
+with the same result.
 """
 
 from __future__ import annotations

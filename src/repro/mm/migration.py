@@ -3,9 +3,11 @@
 Paper §2.1 decomposes migration into: ① kernel trapping, ② PTE locking
 and unmapping, ③ TLB shootdown via IPIs, ④ content copy between tiers,
 ⑤ PTE remapping.  This engine executes those phases against the
-*structural* substrate (page tables, TLBs, allocator, LRU) while cycle
-costs come from the calibrated :class:`MigrationCostModel`, so both the
-mechanism's behaviour and its price are observable.
+*structural* substrate (page tables, allocator, LRU) while cycle costs
+come from the calibrated :class:`MigrationCostModel`, so both the
+mechanism's behaviour and its price are observable.  TLB contents are
+not modelled: a shootdown's scope (the cores its IPIs reach) comes from
+the replicated page tables, and its price from the cost model.
 
 Three copy disciplines are implemented:
 
@@ -24,8 +26,9 @@ Vulcan's two mechanism optimizations are flags:
 
 * ``opt_prep`` — scoped (per-application) LRU drain instead of
   ``lru_add_drain_all()``;
-* ``opt_tlb`` — per-thread page-table shootdown scoping via
-  :func:`repro.mm.tlb_coherence.compute_scope`.
+* ``opt_tlb`` — per-thread page-table shootdown scoping: IPIs reach
+  only the cores of threads that can cache the page's translation
+  (paper insight #3).
 
 There is one executor, :meth:`MigrationEngine.migrate_batch`.  Every
 order-sensitive effect — cost accounting, RNG draws, injected-fault
@@ -53,7 +56,6 @@ from repro.mm.migration_costs import MigrationCostModel
 from repro.mm.page_store import NONE_SENTINEL, STATE_FREE, STATE_MAPPED, STATE_SHADOW
 from repro.mm.page_table import LEVEL_BITS
 from repro.mm.shadow import ShadowTracker
-from repro.mm.tlb_coherence import trace_shootdown
 from repro.obs.events import EventKind
 from repro.obs.trace import get_tracer
 
@@ -163,6 +165,26 @@ _COPY_KEY = MigrationPhase.COPY.value
 _REMAP_KEY = MigrationPhase.REMAP.value
 
 
+def trace_shootdown(vpn: int, n_targets: int, process_wide: bool, ipi_cycles: int) -> None:
+    """Record one delivered shootdown as an event and in the metrics
+    (callers check ``tracer.enabled`` first)."""
+    tracer = get_tracer()
+    tracer.emit(
+        EventKind.TLB_SHOOTDOWN,
+        "shootdown",
+        args={
+            "vpn": vpn,
+            "n_targets": n_targets,
+            "process_wide": process_wide,
+            "ipi_cycles": ipi_cycles,
+        },
+    )
+    tracer.metrics.histogram("shootdown_scope_cores").observe(n_targets)
+    tracer.metrics.counter(
+        "shootdowns", scope="process_wide" if process_wide else "scoped"
+    ).inc()
+
+
 class MigrationEngine:
     """Executes migrations for one process against shared hardware."""
 
@@ -175,7 +197,7 @@ class MigrationEngine:
         *,
         cost_model: MigrationCostModel | None = None,
         flags: OptimizationFlags | None = None,
-        thread_core_map: dict[int, int] | None = None,
+        thread_core_map: dict[int, int],
         shadow: ShadowTracker | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
@@ -209,7 +231,6 @@ class MigrationEngine:
         # (fixed) thread→core pinning; shared scope on a leaf's linked
         # tids, which only ever grows, so a (len, cores) pair detects
         # staleness; process-wide scope likewise keys on thread count.
-        # None of these are used when the live schedule must be read.
         self._core_of_private: dict[int, tuple[int, ...]] = {}
         self._shared_scope_cache: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._pw_scope_cache: tuple[int, tuple[int, ...]] | None = None
@@ -257,13 +278,12 @@ class MigrationEngine:
             self.lru.drain(None)
         return self._prep_cost
 
-    def _scope_cores(self, repl, cpu, vpn: int) -> tuple[int, ...]:
-        """:func:`compute_scope`'s target cores, via the flat mirror."""
+    def _scope_cores(self, repl, vpn: int) -> tuple[int, ...]:
+        """Cores that may cache ``vpn``'s translation, via the flat mirror:
+        the owner's core for a private page, the cores of the threads
+        linked to the covering leaf for a shared one, none when unmapped.
+        Threads outside ``thread_core_map`` are skipped."""
         tcm = self.thread_core_map
-        if tcm is None:
-            # Live-schedule scope is mutable state — never cached.
-            tids = repl.sharing_tids(vpn)
-            return tuple(sorted({c.core_id for c in cpu.cores_running(tids)}))
         flat = repl.flat
         i = vpn - flat.base
         if i < 0 or i >= flat.pfn.size or flat.pfn[i] < 0:
@@ -286,12 +306,10 @@ class MigrationEngine:
         self._shared_scope_cache[base] = (len(tids), cores)
         return cores
 
-    def _process_wide_cores(self, repl, cpu) -> tuple[int, ...]:
+    def _process_wide_cores(self, repl) -> tuple[int, ...]:
         """Every core running any thread of the process."""
         tids = repl.thread_tables
         tcm = self.thread_core_map
-        if tcm is None:
-            return tuple(sorted({c.core_id for c in cpu.cores_running(tids.keys())}))
         entry = self._pw_scope_cache
         if entry is not None and entry[0] == len(tids):
             return entry[1]
@@ -348,7 +366,6 @@ class MigrationEngine:
         opt_tlb = self.flags.opt_tlb and repl.enabled
         retry_limit = self.flags.async_retry_limit
         tlb_cache = self._tlb1_cache
-        cpu_cores = cpu.cores
         pte_with_pfn = pte_mod.pte_with_pfn
         pte_clear_flag = pte_mod.pte_clear_flag
         pte_set_flag = pte_mod.pte_set_flag
@@ -398,17 +415,11 @@ class MigrationEngine:
                 unmap_acc += u1; total += u1
                 if trace:
                     phase(_UNMAP_KEY, u1)
-                # Phase ③: resolve scope, deliver IPIs, invalidate TLBs.  The
-                # structural IPI cost is folded into the model cost (the
-                # model is calibrated to measurements that include it).
-                cores = self._scope_cores(repl, cpu, vpn) if opt_tlb else self._process_wide_cores(repl, cpu)
-                ipi_cycles = 0
-                if cores:
-                    ipi_cycles = cpu.deliver_ipis(cores)
-                    for core_id in cores:
-                        tlb = cpu_cores[core_id].tlb
-                        if tlb._map:
-                            tlb.invalidate(vpn)
+                # Phase ③: resolve scope and deliver IPIs.  The structural
+                # IPI cost is folded into the model cost (the model is
+                # calibrated to measurements that include it).
+                cores = self._scope_cores(repl, vpn) if opt_tlb else self._process_wide_cores(repl)
+                ipi_cycles = cpu.deliver_ipis(cores)
                 if trace:
                     trace_shootdown(vpn, len(cores), not opt_tlb, ipi_cycles)
                 n_targets = len(cores) or 1

@@ -8,8 +8,8 @@ Three cooperating pieces:
 * :mod:`repro.obs.metrics` — a process-wide registry of labelled
   counters / gauges / histograms, zero-cost when disabled;
 * :mod:`repro.obs.trace` — the span/instant tracer API instrumented
-  through ``mm.migration``, ``mm.tlb_coherence``, ``core.daemon``,
-  ``core.cbfrp``, ``core.queues`` and ``harness.experiment``;
+  through ``mm.migration``, ``core.daemon``, ``core.cbfrp``,
+  ``core.queues`` and ``harness.experiment``;
 * :mod:`repro.obs.export` — JSONL, Chrome ``trace_event``
   (chrome://tracing / Perfetto loadable) and human-readable summary
   exporters, plus the reader that powers ``python -m repro trace``.

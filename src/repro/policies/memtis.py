@@ -3,7 +3,9 @@
 Re-implemented from the paper's description:
 
 * **Profiling**: PEBS sampling with per-page access counts and periodic
-  halving (our decay), feeding a global hotness histogram.
+  halving (our decay).  Memtis bins these counts into a global
+  histogram to find its hot threshold; at simulator scale we rank the
+  pages exactly instead (one lexsort per pass).
 * **Placement**: capacity-based — "ranks memory pages based on their
   absolute access frequency and promotes them to fast memory in
   descending order of heat until the fast memory capacity is fully
@@ -23,7 +25,6 @@ import numpy as np
 from repro.mm.migration import MigrationRequest, OptimizationFlags
 from repro.policies.base import TieringPolicy
 from repro.profiling.base import Profiler
-from repro.profiling.histogram import HotnessHistogram
 from repro.profiling.pebs import PebsProfiler
 
 
@@ -43,7 +44,6 @@ class MemtisPolicy(TieringPolicy):
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        self.histogram = HotnessHistogram()
         self.sampling_period = sampling_period
         self.migration_budget = migration_budget
         self.reserve_frac = reserve_frac

@@ -51,15 +51,9 @@ class VulcanPolicy(TieringPolicy):
         #: Colloid-style latency balancing (§3.6): suspend migration when
         #: the loaded fast tier stops being meaningfully faster.
         from repro.core.colloid import LatencyBalancer
-        from repro.core.replication_advisor import ReplicationAdvisor
 
         self.balancer = LatencyBalancer(enabled=colloid)
         self._migrate_this_epoch = True
-        #: §3.6 auto-enable/disable advisor for per-thread page tables;
-        #: fed each epoch, queryable via `replication_advice(pid)`.
-        self.advisor = ReplicationAdvisor()
-        self._prev_moved: dict[int, int] = {}
-        self._prev_links: dict[int, int] = {}
 
     def _make_profiler(self, pid: int) -> Profiler:
         return HybridProfiler(
@@ -90,8 +84,6 @@ class VulcanPolicy(TieringPolicy):
 
     def _on_unregister(self, rt: WorkloadRuntime) -> None:
         self.daemon.detach(rt.pid)
-        self._prev_moved.pop(rt.pid, None)
-        self._prev_links.pop(rt.pid, None)
 
     def _on_service_change(self, rt: WorkloadRuntime, old) -> None:
         # The daemon holds its own handle object; both views must agree
@@ -115,36 +107,6 @@ class VulcanPolicy(TieringPolicy):
     def _plan_and_migrate(self) -> None:
         self.last_report = self.daemon.tick(migrate=self._migrate_this_epoch)
         self._migrate_this_epoch = True  # default until next latency note
-        self._feed_advisor()
-
-    def _feed_advisor(self) -> None:
-        """Per-epoch replication cost/benefit evidence (§3.6 advisor)."""
-        for pid, rt in self.workloads.items():
-            repl = rt.space.process.repl
-            moved_total = rt.engine.stats.pages_moved
-            moved = moved_total - self._prev_moved.get(pid, 0)
-            self._prev_moved[pid] = moved_total
-            links_total = repl.stats.leaf_links
-            links = links_total - self._prev_links.get(pid, 0)
-            self._prev_links[pid] = links_total
-            n_threads = max(len(repl.tids), 1)
-            # Sharing degree among live pages approximates migrated-page
-            # scope (exact per-move tracking would be per-page logging).
-            shared = repl.stats.shared_promotions
-            private = max(repl.stats.private_faults - shared, 1)
-            avg_sharers = (private * 1.0 + shared * n_threads) / (private + shared)
-            self.advisor.note_epoch(
-                pid,
-                migrations=moved,
-                avg_sharers=min(avg_sharers, n_threads),
-                n_threads=n_threads,
-                new_leaf_links=links,
-                replica_upper_pages=repl.upper_table_overhead(),
-            )
-
-    def replication_advice(self, pid: int):
-        """Current §3.6 enable/disable verdict for one workload."""
-        return self.advisor.advise(pid)
 
     # -- introspection for the Fig. 9 benches -------------------------------
 

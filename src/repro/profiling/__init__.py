@@ -5,35 +5,23 @@ hardware sees and produces per-page hotness estimates — but each with
 its mechanism's characteristic distortions and costs:
 
 * :class:`PebsProfiler` — hardware-event sampling: cheap, but misses
-  pages at low sampling rates (false negatives at scale).
-* :class:`PtScanProfiler` — accessed-bit scanning: sees only a binary
-  touched/untouched signal per scan interval; cost scales with RSS.
+  pages at low sampling rates (false negatives at scale); Memtis's.
 * :class:`HintFaultProfiler` — NUMA-hinting faults: exact recency for
-  poisoned pages, but each hit costs the *application* a fault.
+  poisoned pages, but each hit costs the *application* a fault; TPP's.
 * :class:`HybridProfiler` — FlexMem-style fusion of counter-based
   frequency and fault-based recency; Vulcan's default (§3.2).
-* :class:`HotnessHistogram` — Memtis-style global histogram used to
-  turn "heat" into a capacity-constrained hot/cold threshold.
 """
 
 from repro.profiling.base import AccessBatch, Profiler, ProfilerStats
-from repro.profiling.chrono import ChronoProfiler
 from repro.profiling.hintfault import HintFaultProfiler
-from repro.profiling.histogram import HotnessHistogram
 from repro.profiling.hybrid import HybridProfiler
 from repro.profiling.pebs import PebsProfiler
-from repro.profiling.ptscan import PtScanProfiler
-from repro.profiling.telescope import TelescopeProfiler
 
 __all__ = [
     "AccessBatch",
     "Profiler",
     "ProfilerStats",
     "PebsProfiler",
-    "PtScanProfiler",
     "HintFaultProfiler",
     "HybridProfiler",
-    "HotnessHistogram",
-    "ChronoProfiler",
-    "TelescopeProfiler",
 ]

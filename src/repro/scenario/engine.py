@@ -139,11 +139,6 @@ class ScenarioResult:
 class ScenarioExperiment(ColocationExperiment):
     """A colocation experiment driven by a :class:`ScenarioSpec`."""
 
-    #: no plan prefetch under scripted events: a reshape/reseed between
-    #: epochs must see RNG draws exactly as a per-epoch run makes them,
-    #: and prefetched plans would already have consumed future draws.
-    plan_horizon = 1
-
     def __init__(
         self,
         spec: ScenarioSpec,

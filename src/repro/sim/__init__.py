@@ -1,19 +1,16 @@
-"""Discrete simulation substrate: units, clocks, RNG streams, event loop.
+"""Simulation substrate: machine and run configuration, and units.
 
-This package provides the low-level scaffolding every other subsystem is
-built on.  Nothing here knows about memory tiering; it is generic
-discrete-event machinery with cycle-denominated time.
+This package holds the configuration every other subsystem is built
+from and the cycle/byte/page unit conversions they share.  The
+simulator is epoch-driven, and every component seeds its own generator.
 """
 
-from repro.sim.clock import Clock
 from repro.sim.config import (
     MachineConfig,
     SimulationConfig,
     TierConfig,
     paper_machine_config,
 )
-from repro.sim.events import Event, EventLoop
-from repro.sim.rng import RngStreams
 from repro.sim.units import (
     CYCLES_PER_NS,
     GiB,
@@ -31,10 +28,6 @@ from repro.sim.units import (
 )
 
 __all__ = [
-    "Clock",
-    "Event",
-    "EventLoop",
-    "RngStreams",
     "MachineConfig",
     "SimulationConfig",
     "TierConfig",

@@ -41,18 +41,7 @@ class WorkloadSpec:
 
 
 class Workload:
-    """Base class; subclasses implement :meth:`_thread_vpns`."""
-
-    #: epochs of plans generated per :meth:`planned_epoch` burst.  The
-    #: harness sets this: static runs prefetch (every plan is a pure
-    #: function of (seed, epoch, spec), so building several back to
-    #: back is safe, though it batches nothing: each plan still comes
-    #: from its own per-thread ``_thread_access`` calls); the scenario
-    #: engine pins it to 1 because scripted events may reshape a
-    #: workload between epochs, and a prefetched plan would have
-    #: consumed ``issue_rate`` RNG draws the reshaped generator should
-    #: have made.
-    plan_horizon = 1
+    """Base class; subclasses implement :meth:`_thread_access`."""
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0) -> None:
         self.spec = spec
@@ -60,11 +49,11 @@ class Workload:
         self.pid: int | None = None
         self.vma: Vma | None = None
         self._rng = np.random.default_rng(seed)
-        #: epoch -> (issue_rate, EpochPlan) built by the current burst
-        self._plan_cache: dict[int, tuple[float, EpochPlan]] = {}
-        #: per-burst-slot reusable plan buffers (allocation-free epochs)
-        self._plan_slots: list[dict] = []
-        self._plan_tids: np.ndarray | None = None
+        #: the reusable plan buffer every epoch is built into
+        self._plan_vpns = np.empty(0, dtype=np.int64)
+        self._plan_writes = np.empty(0, dtype=bool)
+        self._plan_offsets = np.zeros(0, dtype=np.int64)
+        self._plan_tids = np.zeros(0, dtype=np.int64)
 
     # -- harness binding -----------------------------------------------------
 
@@ -95,9 +84,6 @@ class Workload:
             setattr(self, name, value)
         if reseed is not None:
             self.seed = int(reseed)
-        # Any prefetched plans were built by the pre-reshape generator;
-        # they must not outlive it.
-        self._plan_cache.clear()
         self._on_bind()
 
     @property
@@ -119,70 +105,38 @@ class Workload:
         """The epoch's ``(issue_rate, EpochPlan)``: one batch of accesses
         per thread, in tid order, ``_thread_access`` supplying each.
 
-        Plans are burst-prefetched and allocation-free.  On a cache
-        miss the next ``plan_horizon`` epochs of plans are built back
-        to back into a rotating pool of reusable buffers (one slot per
-        horizon step, so a cached plan is never overwritten before its
-        epoch consumes it).  RNG draw order is
-        preserved exactly: for each prefetched epoch the harness-side
-        ``issue_rate`` draw happens first, then the plan's own internal
-        draw — the same ``A_e, B_e, A_{e+1}, B_{e+1}, ...`` sequence a
-        non-prefetching run makes.  The returned plan's arrays are
-        *views into reused buffers*: valid until ``plan_horizon``
-        further epochs have been planned, which the epoch-driven
-        harness guarantees by consuming each plan within its epoch.
+        RNG draw order: ``issue_rate`` once for the harness's ops budget
+        (the returned rate), once more for the plan's access count, then
+        each thread's traffic.  The plan is written into one reusable
+        buffer without per-epoch allocations, so its arrays are views
+        valid until the next call, which the epoch-driven harness
+        guarantees by consuming each plan within its epoch.
         """
-        hit = self._plan_cache.pop(epoch, None)
-        if hit is not None:
-            return hit
-        # Stale prefetch (epoch jumped, or reshape cleared the cache):
-        # drop and rebuild from here.
-        self._plan_cache.clear()
-        horizon = max(int(self.plan_horizon), 1)
-        for i in range(horizon):
-            e = epoch + i
-            issue = self.issue_rate(e)
-            self._plan_cache[e] = (issue, self._plan_into(i, e))
-        return self._plan_cache.pop(epoch)
-
-    def _plan_into(self, slot_i: int, epoch: int) -> EpochPlan:
-        """Build epoch ``epoch``'s plan into reusable buffer slot
-        ``slot_i``: one ``issue_rate`` draw, then ``_thread_access`` per
-        tid in order, written without per-epoch allocations."""
         if self.pid is None or self.vma is None:
             raise RuntimeError(f"workload {self.name!r} not bound to a process")
+        issue = self.issue_rate(epoch)
         n = int(self.spec.accesses_per_thread * self.issue_rate(epoch))
         nt = self.spec.n_threads
-        while len(self._plan_slots) <= slot_i:
-            self._plan_slots.append(
-                {
-                    "vpns": np.empty(0, dtype=np.int64),
-                    "writes": np.empty(0, dtype=bool),
-                    "offsets": np.zeros(nt + 1, dtype=np.int64),
-                }
-            )
-        slot = self._plan_slots[slot_i]
-        offsets = slot["offsets"]
-        if offsets.size != nt + 1:
-            offsets = slot["offsets"] = np.zeros(nt + 1, dtype=np.int64)
-        if self._plan_tids is None or self._plan_tids.size != nt:
+        if self._plan_offsets.size != nt + 1:
+            self._plan_offsets = np.zeros(nt + 1, dtype=np.int64)
             self._plan_tids = np.arange(nt, dtype=np.int64)
+        offsets = self._plan_offsets
         offsets[0] = 0
         if n <= 0:
             offsets[:] = 0
-            return EpochPlan(
+            return issue, EpochPlan(
                 pid=self.pid,
-                vpns=slot["vpns"][:0],
-                is_write=slot["writes"][:0],
+                vpns=self._plan_vpns[:0],
+                is_write=self._plan_writes[:0],
                 offsets=offsets,
                 tids=self._plan_tids,
             )
         cap = n * nt
-        if slot["vpns"].size < cap:
-            slot["vpns"] = np.empty(cap, dtype=np.int64)
-            slot["writes"] = np.empty(cap, dtype=bool)
-        buf_v = slot["vpns"]
-        buf_w = slot["writes"]
+        if self._plan_vpns.size < cap:
+            self._plan_vpns = np.empty(cap, dtype=np.int64)
+            self._plan_writes = np.empty(cap, dtype=bool)
+        buf_v = self._plan_vpns
+        buf_w = self._plan_writes
         pos = 0
         for tid in range(nt):
             vpns, writes = self._thread_access(tid, n, epoch)
@@ -191,13 +145,13 @@ class Workload:
                 # A thread may emit more than ``n`` accesses (YCSB scans
                 # touch up to a run of pages per operation): grow.
                 grown = 2 * (pos + m)
-                buf_v = slot["vpns"] = np.concatenate([buf_v[:pos], np.empty(grown - pos, dtype=np.int64)])
-                buf_w = slot["writes"] = np.concatenate([buf_w[:pos], np.empty(grown - pos, dtype=bool)])
+                buf_v = self._plan_vpns = np.concatenate([buf_v[:pos], np.empty(grown - pos, dtype=np.int64)])
+                buf_w = self._plan_writes = np.concatenate([buf_w[:pos], np.empty(grown - pos, dtype=bool)])
             buf_v[pos : pos + m] = vpns
             buf_w[pos : pos + m] = writes
             pos += m
             offsets[tid + 1] = pos
-        return EpochPlan(
+        return issue, EpochPlan(
             pid=self.pid,
             vpns=buf_v[:pos],
             is_write=buf_w[:pos],

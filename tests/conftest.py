@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.machine.platform import Machine
@@ -24,7 +23,7 @@ def small_machine_config(n_cores: int = 8, fast_pages: int = 64, slow_pages: int
 
 @pytest.fixture
 def machine() -> Machine:
-    return Machine(small_machine_config(), rng=np.random.default_rng(7))
+    return Machine(small_machine_config())
 
 
 @pytest.fixture

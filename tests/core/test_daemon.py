@@ -17,7 +17,7 @@ from tests.conftest import make_process, small_machine_config
 
 
 def build_world(fast=32, slow=256):
-    machine = Machine(small_machine_config(fast_pages=fast, slow_pages=slow), rng=np.random.default_rng(0))
+    machine = Machine(small_machine_config(fast_pages=fast, slow_pages=slow))
     alloc = FrameAllocator(fast_frames=fast, slow_frames=slow)
     lru = LruSubsystem(n_cpus=machine.cpu.n_cores)
     daemon = VulcanDaemon(alloc, fast_capacity_pages=fast, unit_pages=4, promotion_budget_per_epoch=16)

@@ -1,13 +1,12 @@
 """Core complex and IPI delivery."""
 
-import numpy as np
 import pytest
 
 from repro.machine.cpu import CpuComplex
 
 
 def make_cpu(n: int = 8) -> CpuComplex:
-    return CpuComplex(n_cores=n, tlb_entries=64, rng=np.random.default_rng(1))
+    return CpuComplex(n_cores=n)
 
 
 def test_cores_created():
@@ -50,10 +49,4 @@ def test_empty_ipi_free():
 
 def test_zero_cores_rejected():
     with pytest.raises(ValueError):
-        CpuComplex(n_cores=0, tlb_entries=64)
-
-
-def test_per_core_tlbs_are_distinct():
-    cpu = make_cpu(2)
-    cpu.core(0).tlb.insert(1, 10)
-    assert not cpu.core(1).tlb.contains(1)
+        CpuComplex(n_cores=0)

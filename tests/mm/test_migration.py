@@ -21,7 +21,7 @@ from tests.conftest import make_process, small_machine_config
 
 
 def build(fast=8, slow=64, flags=None, shadow=False, n_threads=4, replication=True):
-    machine = Machine(small_machine_config(fast_pages=fast, slow_pages=slow), rng=np.random.default_rng(0))
+    machine = Machine(small_machine_config(fast_pages=fast, slow_pages=slow))
     alloc = FrameAllocator(fast_frames=fast, slow_frames=slow)
     lru = LruSubsystem(n_cpus=machine.cpu.n_cores)
     proc = make_process(n_threads=n_threads, replication=replication)
@@ -84,6 +84,8 @@ class TestBasicMoves:
         out = engine.migrate(MigrationRequest(pid=1, vpn=424242, dest_tier=0))
         assert out is MigrationOutcome.FAILED
         assert engine.stats.failures == 1
+        # It fails before phase ③: no shootdown is delivered.
+        assert engine.machine.cpu.ipi_stats.broadcasts == 0
 
     def test_full_destination_fails(self):
         engine, space, alloc, _ = build(fast=1)
@@ -240,6 +242,15 @@ class TestOptimizationFlags:
         v2 = fault_pages(wide_space, 1, tier=1)
         wide_engine.migrate(MigrationRequest(pid=1, vpn=v2.start_vpn, dest_tier=0))
         assert wide_machine.cpu.ipi_stats.unicast_targets == 4  # all threads
+
+    def test_opt_tlb_scopes_shared_page_to_linked_threads(self):
+        engine, space, _, machine = build(flags=OptimizationFlags(opt_tlb=True))
+        vma = fault_pages(space, 1, tier=1)  # faulted by tid 0
+        space.process.repl.note_access(vma.start_vpn, tid=3)  # now shared
+        engine.migrate(MigrationRequest(pid=1, vpn=vma.start_vpn, dest_tier=0))
+        # Only tids 0 and 3 linked the leaf; tids 1 and 2 get no IPI.
+        assert machine.cpu.ipi_stats.broadcasts == 1
+        assert machine.cpu.ipi_stats.unicast_targets == 2
 
     def test_opt_tlb_without_replication_falls_back_wide(self):
         engine, space, _, machine = build(flags=OptimizationFlags(opt_tlb=True), replication=False)

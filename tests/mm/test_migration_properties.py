@@ -30,7 +30,7 @@ SLOW = 24
 
 
 def build(shadow: bool, seed: int):
-    machine = Machine(small_machine_config(fast_pages=FAST, slow_pages=SLOW), rng=np.random.default_rng(0))
+    machine = Machine(small_machine_config(fast_pages=FAST, slow_pages=SLOW))
     alloc = FrameAllocator(fast_frames=FAST, slow_frames=SLOW)
     lru = LruSubsystem(n_cpus=machine.cpu.n_cores)
     proc = make_process(n_threads=2)

@@ -8,7 +8,6 @@ from repro.harness import ColocationExperiment
 from repro.mm import pte as pte_mod
 from repro.sim.config import MachineConfig, SimulationConfig, TierConfig
 from repro.workloads.base import WorkloadSpec
-from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.ycsb import YcsbWorkload
 
 UNIT = 10**6
@@ -112,25 +111,6 @@ def test_write_heavy_kv_exercises_sync_path_under_vulcan():
     # Hot pages are ~50% writes; the planner must have sent sync requests,
     # so transactional retries should be near zero.
     assert rt.engine.stats.retries <= rt.engine.stats.pages_moved * 0.05
-
-
-def test_vulcan_advisor_integration():
-    wl = MemcachedWorkload(
-        WorkloadSpec(name="mc", service=ServiceClass.LC, rss_pages=200,
-                     n_threads=2, accesses_per_thread=2000),
-        seed=0,
-    )
-    exp = ColocationExperiment(
-        "vulcan", [wl], machine_config=machine(fast=64), sim=sim(),
-        seed=1, cores_per_workload=4,
-    )
-    exp.run(6)
-    pid = next(iter(exp.policy.workloads))
-    advice = exp.policy.replication_advice(pid)
-    assert advice.pid == pid
-    assert advice.benefit_cycles_per_epoch >= 0.0
-    assert advice.cost_cycles_per_epoch >= 0.0
-    assert isinstance(advice.enable, bool)
 
 
 def test_deterministic_across_policies_and_seeds():

@@ -32,14 +32,11 @@ def test_docstring_quickstart_runs():
 
 
 def test_subpackages_import_cleanly():
-    import repro.core
-    import repro.harness
-    import repro.machine
-    import repro.metrics
-    import repro.mm
-    import repro.policies
-    import repro.profiling
-    import repro.sim
-    import repro.workloads
+    import importlib
 
-    assert repro.core and repro.mm and repro.policies
+    for sub in ("core", "harness", "machine", "metrics", "mm", "policies", "profiling", "sim", "workloads"):
+        pkg = importlib.import_module(f"repro.{sub}")
+        # A name left in __all__ after its definition is gone breaks only
+        # ``from repro.<sub> import *``; catch it here.
+        for name in pkg.__all__:
+            assert hasattr(pkg, name), f"repro.{sub}.__all__ names missing {name}"
