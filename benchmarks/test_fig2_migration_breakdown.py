@@ -35,7 +35,6 @@ def migrate_one_page_with(n_cpus: int) -> dict[str, float]:
     core_map = {}
     for tid in range(n_cpus):  # one app thread per CPU, as in §2.2
         proc.spawn_thread(tid)
-        machine.cpu.schedule_thread(tid, tid)
         core_map[tid] = tid
     vma = proc.mmap(1)
     space = AddressSpace(proc, alloc)

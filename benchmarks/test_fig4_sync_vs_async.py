@@ -44,7 +44,6 @@ def one_migration(sync: bool, write_fraction: float, seed: int):
     lru = LruSubsystem(n_cpus=8)
     proc = Process(pid=1, name="fig4", replication_enabled=True)
     proc.spawn_thread(0)
-    machine.cpu.schedule_thread(0, 0)
     vma = proc.mmap(1)
     space = AddressSpace(proc, alloc)
     space.fault(vma.start_vpn, tid=0, prefer_tier=1)

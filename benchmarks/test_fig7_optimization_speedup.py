@@ -34,7 +34,6 @@ def engine_cycles(n_pages: int, flags: OptimizationFlags) -> float:
     core_map = {}
     for tid in range(N_CPUS):
         proc.spawn_thread(tid)
-        machine.cpu.schedule_thread(tid, tid)
         core_map[tid] = tid
     vma = proc.mmap(n_pages)
     space = AddressSpace(proc, alloc)

@@ -53,7 +53,7 @@ class FrequencyLruPolicy(TieringPolicy):
         for pid, rt in self.workloads.items():
             heat = rt.profiler.hotness(pid)
             fast, slow = [], []
-            for vpn, value in rt.space.process.repl.process_table.iter_ptes():
+            for vpn, value in rt.space.process.repl.iter_ptes():
                 pfn = pte_mod.pte_pfn(value)
                 entry = (heat.get(vpn, 0.0), self.allocator.page(pfn).last_access_cycle, vpn)
                 (fast if self.allocator.tier_of_pfn(pfn) == 0 else slow).append(entry)

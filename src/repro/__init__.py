@@ -7,7 +7,7 @@ The package layers:
 
 * :mod:`repro.sim` — machine/simulation configuration and units;
 * :mod:`repro.machine` — cores and IPIs, memory tiers, interconnect;
-* :mod:`repro.mm` — PTEs, 4-level page tables, per-thread replication,
+* :mod:`repro.mm` — PTEs, the page table, per-thread replication,
   frame allocation, LRU pagevecs, the 5-phase migration engine and its
   paper-calibrated cost model, THP, page shadowing;
 * :mod:`repro.profiling` — PEBS / hint-fault / hybrid profilers over

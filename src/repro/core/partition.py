@@ -1,12 +1,9 @@
 """Fast-tier partition ledger (§3.3 enforcement).
 
-CBFRP outputs a per-workload fast-memory quota; this ledger tracks
-actual usage against it and answers the two enforcement questions the
-migration layer asks every epoch:
-
-* may this workload promote another page? (usage < quota)
-* must this workload demote, and how many pages? (usage > quota, after
-  a CBFRP shrink or an RSS change)
+CBFRP outputs a per-workload fast-memory quota; this ledger holds the
+quotas beside each workload's actual usage.  The daemon reads both every
+epoch to decide whether a workload may promote (usage < quota) or must
+demote (usage > quota, after a CBFRP shrink or an RSS change).
 """
 
 from __future__ import annotations
@@ -64,23 +61,3 @@ class PartitionLedger:
         if pages < 0:
             raise ValueError("usage cannot be negative")
         self.usage[pid] = pages
-
-    def add_usage(self, pid: int, delta: int) -> None:
-        new = self.usage.get(pid, 0) + delta
-        if new < 0:
-            raise ValueError(f"usage of pid {pid} would go negative")
-        self.usage[pid] = new
-
-    def headroom(self, pid: int) -> int:
-        """Pages this workload may still promote under its quota."""
-        return max(self.quotas.get(pid, 0) - self.usage.get(pid, 0), 0)
-
-    def overage(self, pid: int) -> int:
-        """Pages this workload must demote to respect its quota."""
-        return max(self.usage.get(pid, 0) - self.quotas.get(pid, 0), 0)
-
-    def total_usage(self) -> int:
-        return sum(self.usage.values())
-
-    def utilization(self) -> float:
-        return self.total_usage() / self.capacity_pages

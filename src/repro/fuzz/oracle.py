@@ -13,7 +13,7 @@ promises, callable from three places:
 
 Every check raises :class:`InvariantViolation` carrying a stable check
 id (``frame_conservation``, ``leaked_frames``, ``credit_conservation``,
-``capacity_cap``, ``heat_consistency``, ``store_rows``,
+``capacity_cap``, ``heat_consistency``, ``store_rows``, ``page_tables``,
 ``metrics_range``, ``fleet_conservation``) so the shrinker can hold the failure kind fixed
 while it minimizes, and the fuzz report can aggregate by kind.
 
@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.mm import pte as pte_mod
 from repro.mm.frame_alloc import FrameAllocator
-from repro.mm.page_store import STATE_FREE, PageStatsStore
+from repro.mm.page_store import STATE_FREE, STATE_MAPPED, PageStatsStore
 
 
 class InvariantViolation(AssertionError):
@@ -99,6 +100,71 @@ def check_store_rows(store: PageStatsStore) -> None:
         store.check_row_invariants()
     except AssertionError as exc:
         raise InvariantViolation("store_rows", str(exc)) from exc
+
+
+def check_page_tables(exp) -> None:
+    """Each live pid's page table and the frame rows it maps agree.
+
+    For every pid: the decoded ``pfn``/``owner``/``dirty`` columns match
+    the raw entry, whose P bit is set; every present PTE points at a
+    MAPPED row bound to the same pid and vpn; the pid has no other
+    MAPPED row; and ``rss_pages`` equals the number of present PTEs.
+    """
+    store = exp.allocator.store
+    rows = np.flatnonzero(store.state == STATE_MAPPED)
+    row_pids = store.pid[rows]
+    for pid, space in sorted(exp._spaces.items()):
+        flat = space.process.repl.flat
+        vpns = flat.present_vpns()
+        i = flat.indices(vpns)
+        raw, pfns, owners, dirty = flat.value[i], flat.pfn[i], flat.owner[i], flat.dirty[i]
+        stale = (
+            ((raw & pte_mod.PTE_PRESENT) == 0)
+            | (pte_mod.pte_pfn(raw) != pfns)
+            | (pte_mod.pte_tid(raw) != owners)
+            | (((raw & pte_mod.PTE_DIRTY) != 0) != dirty)
+        )
+        if stale.any():
+            k = int(np.flatnonzero(stale)[0])
+            vpn, pfn = int(vpns[k]), int(pfns[k])
+            raise InvariantViolation(
+                "page_tables",
+                f"pid {pid} vpn {vpn}: raw PTE {int(raw[k]):#x} disagrees with its "
+                f"columns (pfn {pfn}, owner {int(owners[k])}, dirty {bool(dirty[k])})",
+                context={"pid": pid, "vpn": vpn, "pfn": pfn},
+            )
+        row = np.minimum(pfns, store.capacity - 1)
+        bound = (
+            (pfns < store.capacity)
+            & (store.state[row] == STATE_MAPPED)
+            & (store.pid[row] == pid)
+            & (store.vpn[row] == vpns)
+        )
+        if not bound.all():
+            k = int(np.flatnonzero(~bound)[0])
+            vpn, pfn = int(vpns[k]), int(pfns[k])
+            raise InvariantViolation(
+                "page_tables",
+                f"pid {pid} vpn {vpn} maps pfn {pfn}, which is not a MAPPED row of "
+                f"that pid and vpn",
+                context={"pid": pid, "vpn": vpn, "pfn": pfn},
+            )
+        orphans = np.setdiff1d(rows[row_pids == pid], pfns)
+        if orphans.size:
+            pfn = int(orphans[0])
+            vpn = int(store.vpn[pfn])
+            raise InvariantViolation(
+                "page_tables",
+                f"pid {pid}: pfn {pfn} is MAPPED to vpn {vpn} but no PTE points at it "
+                f"({orphans.size} such row(s))",
+                context={"pid": pid, "vpn": vpn, "pfn": pfn},
+            )
+        if space.process.rss_pages != vpns.size:
+            raise InvariantViolation(
+                "page_tables",
+                f"pid {pid}: rss_pages {space.process.rss_pages} != {vpns.size} present PTEs",
+                context={"pid": pid, "rss_pages": space.process.rss_pages},
+            )
 
 
 def check_no_foreign_frames(store: PageStatsStore, live_pids: set[int]) -> None:
@@ -296,7 +362,8 @@ class InvariantOracle:
     """Runs the full check battery after epochs and at teardown.
 
     ``deep_every`` throttles the O(n_frames) sweeps (free-list
-    cross-check, row invariants) to every k-th epoch; the cheap global
+    cross-check, row invariants, page tables against frame rows) to
+    every k-th epoch; the cheap global
     checks (leaks, credits, caps, heat books) run every epoch.  The
     scenario engine's ``--check`` and the fuzzer both use the default
     (every epoch).
@@ -311,6 +378,7 @@ class InvariantOracle:
             if self.deep_every > 0 and epoch % self.deep_every == 0:
                 check_frame_conservation(exp.allocator)
                 check_store_rows(exp.allocator.store)
+                check_page_tables(exp)
             check_no_foreign_frames(exp.allocator.store, set(exp._active))
             check_credit_conservation(exp.policy)
             check_capacity_caps(exp.policy)
@@ -323,6 +391,7 @@ class InvariantOracle:
     def check_final(self, exp, result) -> None:
         check_frame_conservation(exp.allocator)
         check_store_rows(exp.allocator.store)
+        check_page_tables(exp)
         check_no_foreign_frames(exp.allocator.store, set(exp._active))
         check_credit_conservation(exp.policy)
         check_capacity_caps(exp.policy)

@@ -9,7 +9,7 @@ from repro.harness.experiment import (
 )
 
 from repro.harness.cache import ResultCache
-from repro.harness.export import to_json, to_rows, write_csv, write_json
+from repro.harness.export import to_json
 from repro.harness.parallel import CellFailure, SweepCellError, derive_cell_seed
 from repro.harness.sweeps import Sweep, SweepCell
 
@@ -23,8 +23,5 @@ __all__ = [
     "CellFailure",
     "ResultCache",
     "derive_cell_seed",
-    "to_rows",
     "to_json",
-    "write_csv",
-    "write_json",
 ]

@@ -277,9 +277,7 @@ class ColocationExperiment:
         core_map: dict[int, int] = {}
         for tid in range(n_threads):
             proc.spawn_thread(tid)
-            core = base_core + (tid % self.cores_per_workload)
-            self.machine.cpu.schedule_thread(tid, core)  # local tid on its core
-            core_map[tid] = core
+            core_map[tid] = base_core + (tid % self.cores_per_workload)
 
         vma = proc.mmap(wl.spec.rss_pages, name=f"{wl.name}-rss")
         wl.bind(pid, vma)  # bind first: first_touch_tids may need region layout

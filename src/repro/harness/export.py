@@ -1,19 +1,12 @@
-"""Export experiment results to CSV / JSON for external analysis.
+"""Export experiment results as JSON for external analysis.
 
-``ExperimentResult`` holds per-workload timeseries; plotting or
-notebook analysis wants flat tables.  Two exporters:
-
-* :func:`to_rows` / :func:`write_csv` — long-format rows, one per
-  (workload, epoch), every recorded metric as a column;
-* :func:`to_json` — a nested dict (JSON-serializable) preserving the
-  per-workload structure plus experiment-level series.
+:func:`to_json` turns an ``ExperimentResult`` into a nested dict
+(JSON-serializable) that keeps the per-workload timeseries plus the
+experiment-level series; ``repro run --json`` prints it.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-from pathlib import Path
 from typing import Any
 
 from repro.harness.experiment import ExperimentResult
@@ -37,50 +30,6 @@ _COLUMNS = (
 )
 
 
-def to_rows(result: ExperimentResult) -> list[dict[str, Any]]:
-    """Long-format rows: one per (workload, active epoch)."""
-    rows: list[dict[str, Any]] = []
-    for ts in result.workloads.values():
-        series = {
-            "epoch": ts.epochs,
-            "ops": ts.ops,
-            "avg_access_cycles": ts.avg_access_cycles,
-            "fast_pages": ts.fast_pages,
-            "rss_pages": ts.rss_pages,
-            "fthr_true": ts.fthr_true,
-            "hot_pages": ts.hot_pages,
-            "hot_in_fast": ts.hot_in_fast,
-            "cold_in_fast": ts.cold_in_fast,
-            "promotions": ts.promotions,
-            "demotions": ts.demotions,
-            "stall_cycles": ts.stall_cycles,
-            "fthr_policy": ts.fthr_policy,
-            "gpt": ts.gpt,
-            "quota": ts.quota,
-        }
-        n = len(ts.epochs)
-        for lengths in series.values():
-            if len(lengths) != n:
-                raise ValueError(f"ragged timeseries for workload {ts.name!r}")
-        for i in range(n):
-            row: dict[str, Any] = {"policy": result.policy_name, "workload": ts.name, "pid": ts.pid}
-            for col in _COLUMNS:
-                row[col] = series[col][i]
-            rows.append(row)
-    return rows
-
-
-def write_csv(result: ExperimentResult, path: str | Path) -> int:
-    """Write long-format CSV; returns the number of data rows."""
-    rows = to_rows(result)
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["policy", "workload", "pid", *_COLUMNS])
-        writer.writeheader()
-        writer.writerows(rows)
-    return len(rows)
-
-
 def to_json(result: ExperimentResult) -> dict[str, Any]:
     """Nested JSON-serializable structure of the full result."""
     return {
@@ -96,7 +45,3 @@ def to_json(result: ExperimentResult) -> dict[str, Any]:
             for ts in result.workloads.values()
         },
     }
-
-
-def write_json(result: ExperimentResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_json(result), indent=2))

@@ -8,13 +8,12 @@ the calibrated constants in :mod:`repro.mm.migration_costs` and
 analytically through ``MachineConfig.tlb_entries``.
 """
 
-from repro.machine.cpu import Core, CpuComplex, IpiStats
+from repro.machine.cpu import CpuComplex, IpiStats
 from repro.machine.interconnect import Interconnect
 from repro.machine.memtier import MemoryTier, TierStats
 from repro.machine.platform import Machine, build_machine
 
 __all__ = [
-    "Core",
     "CpuComplex",
     "IpiStats",
     "Interconnect",

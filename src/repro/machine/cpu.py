@@ -1,12 +1,11 @@
-"""Cores and inter-processor interrupts.
+"""The core complex and inter-processor interrupts.
 
-A :class:`Core` records which thread is scheduled on it.  The
-:class:`CpuComplex` delivers IPIs: the cost model follows the measured
-behaviour that a shootdown's initiator waits for every targeted core to
-acknowledge, so cost grows with the number of targets and a slow
-(busy/deep-sleep) responder stretches the whole operation.  Which cores
-a shootdown targets is resolved by the migration engine from the
-replicated page tables and its thread→core pinning.
+The :class:`CpuComplex` delivers IPIs: the cost model follows the
+measured behaviour that a shootdown's initiator waits for every
+targeted core to acknowledge, so cost grows with the number of targets
+and a slow (busy/deep-sleep) responder stretches the whole operation.
+Which cores a shootdown targets is resolved by the migration engine
+from the replicated page tables and its thread→core pinning.
 """
 
 from __future__ import annotations
@@ -25,42 +24,15 @@ class IpiStats:
     cycles_spent: int = 0
 
 
-@dataclass
-class Core:
-    """One CPU core: an id and the thread it runs."""
-
-    core_id: int
-    thread_id: int | None = None  # simulator-global thread id, None = idle
-
-    def schedule(self, thread_id: int | None) -> None:
-        """Context-switch this core to ``thread_id`` (None parks it)."""
-        self.thread_id = thread_id
-
-
 class CpuComplex:
-    """All cores of the (single-socket) machine plus IPI machinery."""
+    """The cores of the (single-socket) machine plus IPI machinery."""
 
     def __init__(self, n_cores: int, ipi_deliver_ns: float = 1200.0) -> None:
         if n_cores <= 0:
             raise ValueError("need at least one core")
-        self.cores: list[Core] = [Core(core_id=i) for i in range(n_cores)]
+        self.n_cores = n_cores
         self.ipi_deliver_cycles = ns_to_cycles(ipi_deliver_ns)
         self.ipi_stats = IpiStats()
-
-    @property
-    def n_cores(self) -> int:
-        return len(self.cores)
-
-    def core(self, core_id: int) -> Core:
-        return self.cores[core_id]
-
-    def cores_running(self, thread_ids: set[int]) -> list[Core]:
-        """Cores currently executing any of ``thread_ids``."""
-        return [c for c in self.cores if c.thread_id is not None and c.thread_id in thread_ids]
-
-    def schedule_thread(self, thread_id: int, core_id: int) -> None:
-        """Pin ``thread_id`` onto ``core_id`` (the paper pins 8 threads/app)."""
-        self.cores[core_id].schedule(thread_id)
 
     def deliver_ipis(self, target_core_ids: list[int]) -> int:
         """Deliver a synchronous IPI round to ``target_core_ids``.

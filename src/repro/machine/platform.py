@@ -18,7 +18,7 @@ class Machine:
     Attributes
     ----------
     cpu:
-        The core complex (scheduling + IPIs).
+        The core complex (core count + IPIs).
     tiers:
         ``tiers[0]`` is fast DRAM, ``tiers[1]`` the slow CXL-like tier.
     link:

@@ -1,8 +1,6 @@
-"""Performance normalization helpers used by the Fig. 10 benches."""
+"""Performance normalization used by the Fig. 10 benches."""
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def normalize_to_min(perf_by_system: dict[str, float]) -> dict[str, float]:
@@ -14,43 +12,3 @@ def normalize_to_min(perf_by_system: dict[str, float]) -> dict[str, float]:
     if floor <= 0:
         raise ValueError("performance values must be positive")
     return {k: v / floor for k, v in perf_by_system.items()}
-
-
-def slowdown(colocated: float, standalone: float) -> float:
-    """Normalized performance under co-location (Fig. 1(d)'s 0.8×)."""
-    if standalone <= 0:
-        raise ValueError("standalone performance must be positive")
-    return colocated / standalone
-
-
-def geometric_mean(values) -> float:
-    """Geomean, the right average for normalized performance ratios."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("geomean of nothing")
-    if np.any(x <= 0):
-        raise ValueError("geomean requires positive values")
-    return float(np.exp(np.mean(np.log(x))))
-
-
-def average_improvement(perf_by_system: dict[str, dict[str, float]], ours: str = "vulcan") -> float:
-    """Mean relative improvement of ``ours`` over the per-workload best
-    baseline — the paper's "12.4% on average" style summary.
-
-    Parameters
-    ----------
-    perf_by_system:
-        workload → {system → performance}.
-    """
-    if not perf_by_system:
-        raise ValueError("no workloads")
-    gains = []
-    for wl, by_sys in perf_by_system.items():
-        if ours not in by_sys:
-            raise KeyError(f"{ours} missing for workload {wl}")
-        others = [v for k, v in by_sys.items() if k != ours]
-        if not others:
-            raise ValueError(f"no baselines for workload {wl}")
-        baseline = max(others)
-        gains.append(by_sys[ours] / baseline - 1.0)
-    return float(np.mean(gains))

@@ -1,4 +1,4 @@
-"""Small statistics helpers: EMA, trial means with confidence intervals."""
+"""Trial means with 95% confidence intervals."""
 
 from __future__ import annotations
 
@@ -14,23 +14,6 @@ _T975 = [
     2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
     2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
 ]
-
-
-def ema(values, alpha: float) -> np.ndarray:
-    """Exponential moving average series (Eq. 2's smoother).
-
-    ``out[0] = values[0]``; ``out[t] = α·values[t] + (1-α)·out[t-1]``.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0,1]")
-    x = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(x)
-    if x.size == 0:
-        return out
-    out[0] = x[0]
-    for i in range(1, x.size):
-        out[i] = alpha * x[i] + (1.0 - alpha) * out[i - 1]
-    return out
 
 
 def mean_ci95(samples) -> tuple[float, float]:

@@ -1,8 +1,8 @@
 """OS memory-management substrate.
 
 Implements the structures Vulcan modifies in the real kernel: 64-bit
-PTEs (with the paper's thread-ownership bits 52-58), a 4-level radix
-page table, per-thread page-table replication with shared leaf tables,
+PTEs (with the paper's thread-ownership bits 52-58), a vpn-indexed page
+table, per-thread page-table replication with shared leaf tables,
 per-tier frame allocation with watermarks, per-CPU LRU pagevecs (the
 ``lru_add_drain_all()`` cost source), the five-phase migration engine
 with sync/async/transactional variants, transparent huge pages, and
@@ -22,7 +22,6 @@ from repro.mm.migration import (
 )
 from repro.mm.migration_costs import MigrationCostModel, SinglePageBreakdown
 from repro.mm.page import PageState, PhysPage
-from repro.mm.page_table import PageTable, PageTableNode
 from repro.mm.pte import (
     PTE_SHARED_TID,
     Pte,
@@ -53,8 +52,6 @@ __all__ = [
     "SinglePageBreakdown",
     "PhysPage",
     "PageState",
-    "PageTable",
-    "PageTableNode",
     "Pte",
     "pte_make",
     "pte_set_flag",

@@ -9,14 +9,11 @@ allocator and implements the fault path:
 * touch by a second thread → private→shared promotion in the PTE
   ownership bits (see :mod:`repro.mm.replication`).
 
-Two access paths are provided.  ``touch()`` is the scalar per-access
-reference (fault, sharing promotion, counting) that tests drive.
-``record_plan()`` is the vectorized path the epoch-driven simulator
-runs: it updates frame access counters for a whole epoch of numpy
-traffic at once, and TLB reach enters the harness analytically (see
-DESIGN.md §1).  Likewise ``fault()`` maps one page, and
-``populate()`` — the admission path — maps a whole VMA in array passes
-with the same result.
+``record_plan()`` is the access path the epoch-driven simulator runs:
+it updates frame access counters for a whole epoch of numpy traffic at
+once, and TLB reach enters the harness analytically (see DESIGN.md §1).
+``fault()`` maps one page, and ``populate()`` — the admission path —
+maps a whole VMA in array passes with the same result.
 """
 
 from __future__ import annotations
@@ -95,7 +92,7 @@ class Process:
     @property
     def rss_pages(self) -> int:
         """Resident set size in pages (frames actually faulted in)."""
-        return self.repl.process_table.mapped_count
+        return self.repl.flat.mapped
 
 
 class AddressSpace:
@@ -135,21 +132,6 @@ class AddressSpace:
         self.major_faults += 1
         return page
 
-    def touch(self, vpn: int, tid: int, *, is_write: bool = False, cycle: int = 0) -> PhysPage:
-        """One structural access: fault if needed, track sharing, count.
-
-        Returns the frame accessed.
-        """
-        pfn = self.translate(vpn)
-        if pfn is None:
-            page = self.fault(vpn, tid)
-        else:
-            page = self.allocator.page(pfn)
-            if self.process.repl.note_access(vpn, tid):
-                self.minor_faults += 1
-        page.record_access(is_write, tid=tid, cycle=cycle)
-        return page
-
     # -- vectorized access path (epoch simulator) ---------------------------
 
     def populate(self, vma: Vma, tids: int | np.ndarray, *, prefer_tier: int = 0) -> int:
@@ -158,10 +140,10 @@ class AddressSpace:
         ``tids`` is the first-touch thread of each page of the VMA (an
         int: one thread for all).  The result is exactly that of one
         :meth:`fault` per unmapped vpn in ascending order — the same
-        frames in the same pop order, PTEs, mirror entries, leaf links,
-        store rows and counters — built in a few array passes.  Unlike
-        that loop it is all or nothing: it raises before taking a frame
-        if the tiers cannot supply every page.
+        frames in the same pop order, PTEs, leaf links, store rows and
+        counters — built in a few array passes.  Unlike that loop it is
+        all or nothing: it raises before taking a frame if the tiers
+        cannot supply every page.
         """
         proc = self.process
         if vma not in proc.vmas:
@@ -178,7 +160,7 @@ class AddressSpace:
         if vpns.size == 0:
             return 0
         if repl.enabled:
-            unknown = set(tids.tolist()) - repl.thread_tables.keys()
+            unknown = set(tids.tolist()) - repl.tids
             if unknown:
                 raise KeyError(f"tid {min(unknown)} not registered")
         pfns = self.allocator.allocate_pfns(vpns.size, prefer_tier, fallback=True)

@@ -33,10 +33,10 @@ Vulcan's two mechanism optimizations are flags:
 There is one executor, :meth:`MigrationEngine.migrate_batch`.  Every
 order-sensitive effect — cost accounting, RNG draws, injected-fault
 rolls and their unwinds, free-list pops and appends, LRU and shadow
-bookkeeping, PTE stores, trace events and metrics — runs in one
-sequential per-page loop; the per-frame store and flat-mirror writes
-are deferred to grouped scatters.  Tracing, metrics and fault injection
-only add work inside that loop: they never select a different path.
+bookkeeping, trace events and metrics — runs in one sequential
+per-page loop; the per-frame store and page-table writes are deferred
+to grouped scatters.  Tracing, metrics and fault injection only add
+work inside that loop: they never select a different path.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.mm.frame_alloc import FrameAllocator
 from repro.mm.lru import LruSubsystem
 from repro.mm.migration_costs import MigrationCostModel
 from repro.mm.page_store import NONE_SENTINEL, STATE_FREE, STATE_MAPPED, STATE_SHADOW
-from repro.mm.page_table import LEVEL_BITS
+from repro.mm.replication import LEVEL_BITS
 from repro.mm.shadow import ShadowTracker
 from repro.obs.events import EventKind
 from repro.obs.trace import get_tracer
@@ -279,7 +279,7 @@ class MigrationEngine:
         return self._prep_cost
 
     def _scope_cores(self, repl, vpn: int) -> tuple[int, ...]:
-        """Cores that may cache ``vpn``'s translation, via the flat mirror:
+        """Cores that may cache ``vpn``'s translation, via the page table:
         the owner's core for a private page, the cores of the threads
         linked to the covering leaf for a shared one, none when unmapped.
         Threads outside ``thread_core_map`` are skipped."""
@@ -308,7 +308,7 @@ class MigrationEngine:
 
     def _process_wide_cores(self, repl) -> tuple[int, ...]:
         """Every core running any thread of the process."""
-        tids = repl.thread_tables
+        tids = repl._tids
         tcm = self.thread_core_map
         entry = self._pw_scope_cache
         if entry is not None and entry[0] == len(tids):
@@ -330,10 +330,10 @@ class MigrationEngine:
 
         Every order-sensitive effect — cost accounting (float adds in
         charge order), RNG draws, fault rolls, free-list pops/appends,
-        LRU and shadow bookkeeping, radix PTE stores, trace events —
-        runs in one sequential loop.  The per-frame stats-store and
-        flat-mirror writes are deferred and applied as grouped numpy
-        scatters, which needs each move to act on rows no other move
+        LRU and shadow bookkeeping, trace events — runs in one
+        sequential loop.  The per-frame stats-store and page-table
+        writes are deferred and applied as grouped numpy scatters,
+        which needs each move to act on rows no other move
         writes: sources are distinct pre-batch mappings and
         destinations distinct pops, provided no vpn repeats — so a
         batch that names a vpn twice is rejected.  The one overlap — a
@@ -361,7 +361,6 @@ class MigrationEngine:
         fast_frames = store.fast_frames
         shadow = self.shadow
         lru_lists = self.lru.lists
-        pt_update = repl.process_table.update
         tiers = self.allocator.tiers
         opt_tlb = self.flags.opt_tlb and repl.enabled
         retry_limit = self.flags.async_retry_limit
@@ -377,9 +376,9 @@ class MigrationEngine:
         phase = self._trace_phase
 
         # One vectorized translate for the whole batch (identical to a
-        # value_of() per request: the mirror is only mutated at apply
-        # time, and in-batch PTE rewrites never change the fields a
-        # later move's translate or shootdown scope reads).
+        # lookup() per request: the page table is only written at apply
+        # time, and in-batch remaps never change the fields a later
+        # move's translate or shootdown scope reads).
         if flat.pfn.size:
             idx_np = np.array(vpns, dtype=np.int64) - flat.base
             in_range = (idx_np >= 0) & (idx_np < flat.pfn.size)
@@ -446,8 +445,8 @@ class MigrationEngine:
             fin_src: list[int] = []; fin_dest: list[int] = []
             sh_vpn: list[int] = []; sh_pid: list[int] = []
             sh_src: list[int] = []; sh_dst: list[int] = []
-            mir_vpn: list[int] = []; mir_pfn: list[int] = []
-            mir_val: list[int] = []; mir_own: list[int] = []; mir_dirty: list[bool] = []
+            pt_vpn: list[int] = []; pt_pfn: list[int] = []
+            pt_val: list[int] = []; pt_own: list[int] = []; pt_dirty: list[bool] = []
             keep_src: list[int] = []  # sources retained as shadow rows
             det_src: list[int] = []   # sources fully detached (freed)
             txn_src: list[int] = []   # transactional sources (dirty reset)
@@ -488,9 +487,8 @@ class MigrationEngine:
                         shadow_pfn = shadow.shadow_of(src_pfn)
                         stall += window(vpn, None)
                         nv = pte_clear_flag(pte_with_pfn(value, shadow_pfn), PTE_SHADOW)
-                        pt_update(vpn, nv)
-                        mir_vpn.append(vpn); mir_pfn.append(shadow_pfn)
-                        mir_val.append(nv); mir_own.append(pte_tid(nv)); mir_dirty.append(pte_is_dirty(nv))
+                        pt_vpn.append(vpn); pt_pfn.append(shadow_pfn)
+                        pt_val.append(nv); pt_own.append(pte_tid(nv)); pt_dirty.append(pte_is_dirty(nv))
                         sh_vpn.append(vpn); sh_pid.append(req.pid)
                         sh_src.append(src_pfn); sh_dst.append(shadow_pfn)
                         shadow.consume(src_pfn)
@@ -578,9 +576,8 @@ class MigrationEngine:
                 nv = pte_clear_flag(pte_with_pfn(value, dest_pfn), PTE_DIRTY)
                 if keep_shadow:
                     nv = pte_set_flag(nv, PTE_SHADOW)
-                pt_update(vpn, nv)
-                mir_vpn.append(vpn); mir_pfn.append(dest_pfn)
-                mir_val.append(nv); mir_own.append(pte_tid(nv)); mir_dirty.append(pte_is_dirty(nv))
+                pt_vpn.append(vpn); pt_pfn.append(dest_pfn)
+                pt_val.append(nv); pt_own.append(pte_tid(nv)); pt_dirty.append(pte_is_dirty(nv))
                 fin_vpn.append(vpn); fin_pid.append(req.pid)
                 fin_src.append(src_pfn); fin_dest.append(dest_pfn)
                 lsrc = lru_lists[src_tier]
@@ -673,12 +670,12 @@ class MigrationEngine:
             store.dirty_since_copy[np.array(txn_src, dtype=np.int64)] = False
         if keep_src:
             store.state[np.array(keep_src, dtype=np.int64)] = STATE_SHADOW
-        if mir_vpn:
-            midx = np.array(mir_vpn, dtype=np.int64) - flat.base
-            flat.pfn[midx] = mir_pfn
-            flat.owner[midx] = mir_own
-            flat.dirty[midx] = mir_dirty
-            flat.value[midx] = mir_val
+        if pt_vpn:
+            pidx = np.array(pt_vpn, dtype=np.int64) - flat.base
+            flat.pfn[pidx] = pt_pfn
+            flat.owner[pidx] = pt_own
+            flat.dirty[pidx] = pt_dirty
+            flat.value[pidx] = pt_val
         return outcomes
 
     # -- injected faults ---------------------------------------------------------

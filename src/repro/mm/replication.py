@@ -7,36 +7,43 @@ small.  Ownership is tracked in the PTE itself (bits 52-58): a page
 first touched by thread *t* is owned by *t*; when a second thread
 touches it the entry is flipped to the shared sentinel ``0x7F``.
 
-Because leaf tables are shared by reference, a PTE update made through
-any thread's tree (or the process-wide tree) is instantly visible in all
-of them — exactly the single-store semantics of the real design, where
-there is only one physical leaf entry.
+The simulator stores exactly what shootdown scope reads.  A process's
+PTEs live in one vpn-indexed :class:`FlatPageTable` — the shared
+leaves, so a PTE update is one store every thread sees, the
+single-store semantics of the real design.  Replication is the set of
+threads that link each 512-vpn leaf; a thread's upper-level tables
+follow from that set and are not stored.
 
 The payoff computed here is the *shootdown scope*: for a private page
 only the owner thread's core needs an IPI; for a shared page only the
-threads whose trees link the covering leaf table do.  The process-wide
+threads linked to the covering leaf table do.  The process-wide
 fallback (no replication) must IPI every core running any thread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.mm import pte as pte_mod
-from repro.mm.page_table import LEVEL_BITS, PageTable, PageTableNode
 from repro.mm.pte import PTE_MAX_TID, PTE_SHARED_TID
 
+#: Radix bits per page-table level: one leaf (PT) table maps 512 vpns.
+LEVEL_BITS = 9
+#: Four 9-bit levels index a 36-bit vpn (48-bit virtual addresses).
+VPN_LIMIT = 1 << (4 * LEVEL_BITS)
 
-class FlatPteMirror:
-    """Dense vpn-indexed mirror of the process table's leaf entries.
 
-    The radix tree stays authoritative for structural queries (walks,
-    table-page accounting); this mirror exists so the per-epoch hot path
-    can translate and classify whole batches with numpy gathers instead
-    of per-vpn tree walks.  Every PTE mutation in
-    :class:`ReplicatedPageTables` updates the mirror in lock-step.
+class FlatPageTable:
+    """A process's PTEs in vpn-indexed arrays.
+
+    ``value`` holds each raw 64-bit PTE (0 = absent); ``pfn``, ``owner``
+    and ``dirty`` hold its decoded fields (-1, -1 and False when absent)
+    so the per-epoch hot path can translate and classify whole batches
+    with numpy gathers.  The arrays span the mapped vpns, growing on
+    demand from ``base``; ``mapped`` counts the present entries.
     """
 
     _GROW_PAD = 4096  # grow in 16 MiB-of-address-space steps
@@ -46,9 +53,8 @@ class FlatPteMirror:
         self.pfn = np.empty(0, dtype=np.int64)
         self.owner = np.empty(0, dtype=np.int16)
         self.dirty = np.zeros(0, dtype=bool)
-        #: raw 64-bit PTE value (0 = absent); lets the migration engine
-        #: read entries O(1) instead of walking the radix tree
         self.value = np.zeros(0, dtype=np.int64)
+        self.mapped = 0
         self._present_cache: np.ndarray | None = None
 
     def _ensure(self, lo: int, hi: int) -> None:
@@ -57,8 +63,11 @@ class FlatPteMirror:
         Growth at least doubles the arrays and puts the new slack on the
         side that ran out: below the data when ``lo`` fell under the
         base, above it otherwise.  Writes creeping in either direction
-        therefore reallocate O(log span) times.
+        therefore reallocate O(log span) times.  A vpn outside
+        ``[0, VPN_LIMIT)`` raises ``ValueError``.
         """
+        if lo < 0 or hi >= VPN_LIMIT:
+            raise ValueError(f"vpn {lo if lo < 0 else hi} outside the 36-bit index space")
         if self.pfn.size and self.base <= lo and hi < self.base + self.pfn.size:
             return
         if self.pfn.size == 0:
@@ -89,6 +98,7 @@ class FlatPteMirror:
         self._ensure(vpn, vpn)
         i = vpn - self.base
         if self.pfn[i] < 0:
+            self.mapped += 1
             self._present_cache = None
         self.pfn[i] = pfn
         self.owner[i] = owner
@@ -96,9 +106,14 @@ class FlatPteMirror:
         self.value[i] = raw
 
     def set_many(self, vpns: np.ndarray, pfns: np.ndarray, owners: np.ndarray, raws: np.ndarray) -> None:
-        """:meth:`set` a clean entry for each of the ascending ``vpns``."""
+        """:meth:`set` a clean entry for each of the ascending, unmapped
+        ``vpns``; raises ``ValueError`` before any write if one is mapped."""
         self._ensure(int(vpns[0]), int(vpns[-1]))
         i = vpns - self.base
+        present = self.pfn[i] >= 0
+        if present.any():
+            raise ValueError(f"vpn {int(vpns[present][0])} already mapped")
+        self.mapped += int(vpns.size)
         self.pfn[i] = pfns
         self.owner[i] = owners
         self.dirty[i] = False
@@ -113,6 +128,7 @@ class FlatPteMirror:
     def clear(self, vpn: int) -> None:
         i = vpn - self.base
         if 0 <= i < self.pfn.size and self.pfn[i] >= 0:
+            self.mapped -= 1
             self.pfn[i] = -1
             self.owner[i] = -1
             self.dirty[i] = False
@@ -137,11 +153,10 @@ class ReplicationStats:
     private_faults: int = 0
     shared_promotions: int = 0
     leaf_links: int = 0
-    replica_upper_pages: int = 0  # refreshed by `upper_table_overhead`
 
 
 class ReplicatedPageTables:
-    """The process-wide table plus per-thread replicas sharing leaves.
+    """A process's page table plus the threads linked to each leaf.
 
     Threads are identified by a small per-process ``tid`` (0..0x7E);
     ``0x7F`` is reserved for the shared sentinel, matching the 7-bit PTE
@@ -150,80 +165,50 @@ class ReplicatedPageTables:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.process_table = PageTable()
-        self.thread_tables: dict[int, PageTable] = {}
-        #: leaf_base (vpn >> 9) -> set of tids whose trees link that leaf.
+        self._tids: set[int] = set()
+        #: leaf base (vpn >> 9) -> tids whose upper levels link that leaf
         self._leaf_tids: dict[int, set[int]] = {}
-        #: vpn-indexed numpy mirror of the leaf entries (hot-path gathers)
-        self.flat = FlatPteMirror()
+        #: the PTEs, read directly by the hot-path gathers
+        self.flat = FlatPageTable()
         self.stats = ReplicationStats()
 
     # -- thread lifecycle ---------------------------------------------------
 
     def register_thread(self, tid: int) -> None:
-        """Create the (initially empty) replica for a new thread."""
+        """Register a new thread (its replica starts with no leaf linked)."""
         if not 0 <= tid <= PTE_MAX_TID:
             raise ValueError(f"tid {tid} outside the 7-bit ownership field (0x7F reserved)")
-        if tid in self.thread_tables:
+        if tid in self._tids:
             raise ValueError(f"tid {tid} already registered")
-        self.thread_tables[tid] = PageTable()
+        self._tids.add(tid)
 
     @property
     def tids(self) -> set[int]:
-        return set(self.thread_tables)
-
-    def table_for(self, tid: int) -> PageTable:
-        """The tree loaded into CR3 while ``tid`` runs (process-wide when
-        replication is disabled)."""
-        if not self.enabled:
-            return self.process_table
-        return self.thread_tables[tid]
+        return set(self._tids)
 
     # -- fault handling -------------------------------------------------------
 
-    def _leaf_base(self, vpn: int) -> int:
-        return vpn >> LEVEL_BITS
-
-    def _shared_leaf(self, vpn: int) -> PageTableNode:
-        """Get-or-create the canonical leaf for ``vpn`` in the process tree."""
-        leaf = self.process_table.leaf_for(vpn)
-        if leaf is None:
-            created: list[PageTableNode] = []
-
-            def factory() -> PageTableNode:
-                node = PageTableNode(level=0)
-                created.append(node)
-                return node
-
-            leaf = self.process_table._walk_to_leaf(vpn, create=True, leaf_factory=factory)
-            assert leaf is not None
-            if created:
-                self.process_table.node_count_by_level[0] += 1
-        return leaf
-
     def _link_leaf(self, vpn: int, tid: int) -> None:
-        """Make ``tid``'s tree reference the canonical leaf for ``vpn``."""
-        base = self._leaf_base(vpn)
-        linked = self._leaf_tids.setdefault(base, set())
-        if tid in linked:
-            return
-        leaf = self._shared_leaf(vpn)
-        self.thread_tables[tid].install_leaf(vpn, leaf)
-        linked.add(tid)
-        self.stats.leaf_links += 1
+        """Link the leaf covering ``vpn`` into ``tid``'s upper levels."""
+        linked = self._leaf_tids.setdefault(vpn >> LEVEL_BITS, set())
+        if tid not in linked:
+            linked.add(tid)
+            self.stats.leaf_links += 1
 
     def handle_fault(self, vpn: int, tid: int, pfn: int, *, writable: bool = True) -> int:
         """Install a new mapping on a demand fault by ``tid``.
 
         Returns the PTE value installed.  With replication enabled the
-        entry is stamped with ``tid`` as owner and the covering shared
-        leaf is linked into ``tid``'s replica.
+        entry is stamped with ``tid`` as owner and the covering leaf is
+        linked into ``tid``'s replica.  A mapped vpn, or one outside
+        ``[0, 2**36)``, raises ``ValueError``.
         """
-        if self.enabled and tid not in self.thread_tables:
+        if self.enabled and tid not in self._tids:
             raise KeyError(f"tid {tid} not registered")
         owner = tid if self.enabled else PTE_SHARED_TID
         value = pte_mod.pte_make(pfn=pfn, tid=owner, writable=writable, accessed=True)
-        self.process_table.map(vpn, value)
+        if self.lookup(vpn) is not None:
+            raise ValueError(f"vpn {vpn} already mapped")
         self.flat.set(vpn, pfn, owner, dirty=False, raw=value)
         if self.enabled:
             self._link_leaf(vpn, tid)
@@ -234,14 +219,14 @@ class ReplicatedPageTables:
         """:meth:`handle_fault` for each ascending, unmapped ``vpns[i]``
         by registered thread ``tids[i]`` onto ``pfns[i]``.
 
-        Leaves the trees, mirror and stats exactly as the scalar calls in
-        vpn order would, in a few array passes: one leaf-dict update per
-        leaf, one mirror write, and one :meth:`_link_leaf` per
-        (leaf, tid) pair in first-touch order.
+        Leaves the table, leaf links and stats exactly as the scalar
+        calls in vpn order would, in a few array passes: one table
+        write, then one :meth:`_link_leaf` per (leaf, tid) pair in
+        first-touch order.  A mapped or out-of-range vpn raises
+        ``ValueError`` before anything is written.
         """
         owners = tids if self.enabled else np.full(tids.size, PTE_SHARED_TID, dtype=np.int64)
         values = pte_mod.pte_make_many(pfns, owners, writable=True, accessed=True)
-        self.process_table.map_many(vpns, values)
         self.flat.set_many(vpns, pfns, owners, values)
         if self.enabled:
             pairs = (vpns >> LEVEL_BITS) * (PTE_SHARED_TID + 1) + tids
@@ -260,17 +245,16 @@ class ReplicatedPageTables:
         """
         if not self.enabled:
             return False
-        value = self.process_table.lookup(vpn)
+        value = self.lookup(vpn)
         if value is None:
             raise KeyError(f"vpn {vpn} not mapped")
         owner = pte_mod.pte_tid(value)
         if owner == tid:
             return False
-        if tid not in self.thread_tables:
+        if tid not in self._tids:
             raise KeyError(f"tid {tid} not registered")
         self._link_leaf(vpn, tid)
         if owner != PTE_SHARED_TID:
-            self.process_table.update(vpn, pte_mod.pte_with_tid(value, PTE_SHARED_TID))
             self.flat.set_owner(vpn, PTE_SHARED_TID)
             self.stats.shared_promotions += 1
             return True
@@ -281,9 +265,8 @@ class ReplicatedPageTables:
 
         Performs exactly the per-vpn transitions and leaf links the
         scalar path would, as array passes: pages owned by another
-        thread flip private→shared with one mirror write and one
-        leaf-dict update per leaf, after one :meth:`_link_leaf` per
-        covering leaf.  Returns the number of private→shared
+        thread flip private→shared with one table write, after one
+        :meth:`_link_leaf` per covering leaf.  Returns the number of private→shared
         transitions (minor faults to charge).
         """
         if not self.enabled or vpns.size == 0:
@@ -294,7 +277,7 @@ class ReplicatedPageTables:
         transition = (owners != tid) & (owners != PTE_SHARED_TID)
         n_transitions = 0
         if transition.any():
-            if tid not in self.thread_tables:
+            if tid not in self._tids:
                 raise KeyError(f"tid {tid} not registered")
             t_vpns = vpns[transition]
             t_idx = idx[transition]
@@ -303,17 +286,15 @@ class ReplicatedPageTables:
             first = np.sort(np.unique(t_vpns >> LEVEL_BITS, return_index=True)[1])
             for vpn in t_vpns[first].tolist():
                 self._link_leaf(vpn, tid)
-            shared = pte_mod.pte_with_tid(flat.value[t_idx], PTE_SHARED_TID)
-            self.process_table.update_many(t_vpns, shared)
             flat.owner[t_idx] = PTE_SHARED_TID
-            flat.value[t_idx] = shared
+            flat.value[t_idx] = pte_mod.pte_with_tid(flat.value[t_idx], PTE_SHARED_TID)
             n_transitions = int(t_vpns.size)
             self.stats.shared_promotions += n_transitions
         # Already-shared pages only need the covering leaf linked once
         # per (leaf, tid); the candidate leaves are few (512 vpns each).
         shared = owners == PTE_SHARED_TID
         if shared.any():
-            if tid not in self.thread_tables:
+            if tid not in self._tids:
                 raise KeyError(f"tid {tid} not registered")
             shared_vpns = vpns[shared]
             if shared_vpns.size == 1 or bool((shared_vpns[1:] >= shared_vpns[:-1]).all()):
@@ -341,26 +322,26 @@ class ReplicatedPageTables:
                         self._link_leaf(vpn, tid)
         return n_transitions
 
-    # -- queries the migration engine needs ---------------------------------
+    # -- queries ------------------------------------------------------------
 
     def lookup(self, vpn: int) -> int | None:
-        return self.process_table.lookup(vpn)
-
-    def value_of(self, vpn: int) -> int | None:
-        """O(1) :meth:`lookup` through the flat mirror.
-
-        The mirror is updated in lock-step with every PTE mutation, so
-        this returns exactly what the radix walk would.
-        """
+        """The PTE for ``vpn``, or ``None`` if unmapped."""
         flat = self.flat
         i = vpn - flat.base
         if i < 0 or i >= flat.pfn.size or flat.pfn[i] < 0:
             return None
         return int(flat.value[i])
 
+    def iter_ptes(self) -> Iterator[tuple[int, int]]:
+        """Yield ``(vpn, pte)`` for every mapped page, ascending by vpn."""
+        flat = self.flat
+        vpns = flat.present_vpns()
+        yield from zip(vpns.tolist(), flat.value[flat.indices(vpns)].tolist())
+
     def update(self, vpn: int, new_value: int) -> None:
-        """Single-store PTE update, visible through every replica."""
-        self.process_table.update(vpn, new_value)
+        """Single-store PTE update, visible to every thread."""
+        if self.lookup(vpn) is None:
+            raise KeyError(f"vpn {vpn} not mapped")
         self.flat.set(
             vpn,
             pte_mod.pte_pfn(new_value),
@@ -370,8 +351,11 @@ class ReplicatedPageTables:
         )
 
     def unmap(self, vpn: int) -> int:
-        """Clear the (shared) PTE; replicas see it vanish simultaneously."""
-        value = self.process_table.unmap(vpn)
+        """Clear the (shared) PTE and return its last value; every
+        thread sees it vanish at once."""
+        value = self.lookup(vpn)
+        if value is None:
+            raise KeyError(f"vpn {vpn} not mapped")
         self.flat.clear(vpn)
         return value
 
@@ -379,31 +363,22 @@ class ReplicatedPageTables:
         """Threads that may cache a translation for ``vpn``.
 
         Private page → exactly the owner.  Shared page → every thread
-        whose replica links the covering leaf table.  Replication
-        disabled → every registered thread (process-wide coherence).
+        linked to the covering leaf table.  Replication disabled →
+        every registered thread (process-wide coherence).
         """
-        value = self.process_table.lookup(vpn)
+        value = self.lookup(vpn)
         if value is None:
             return set()
         if not self.enabled:
-            return set(self.thread_tables) if self.thread_tables else set()
+            return set(self._tids)
         owner = pte_mod.pte_tid(value)
         if owner != PTE_SHARED_TID:
             return {owner}
-        return set(self._leaf_tids.get(self._leaf_base(vpn), set()))
+        return set(self._leaf_tids.get(vpn >> LEVEL_BITS, ()))
 
     def is_private(self, vpn: int) -> bool:
         """True when the page is owned by a single thread."""
-        value = self.process_table.lookup(vpn)
+        value = self.lookup(vpn)
         if value is None:
             raise KeyError(f"vpn {vpn} not mapped")
         return pte_mod.pte_tid(value) != PTE_SHARED_TID
-
-    # -- overhead accounting -------------------------------------------------
-
-    def upper_table_overhead(self) -> int:
-        """Extra table pages paid for replication (paper §3.6 trade-off):
-        the per-thread upper-level pages beyond the process-wide tree."""
-        extra = sum(t.table_pages(include_leaves=False) for t in self.thread_tables.values())
-        self.stats.replica_upper_pages = extra
-        return extra

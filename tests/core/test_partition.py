@@ -12,16 +12,6 @@ def make() -> PartitionLedger:
     return led
 
 
-def test_headroom_and_overage():
-    led = make()
-    led.set_usage(1, 25)
-    assert led.headroom(1) == 15
-    assert led.overage(1) == 0
-    led.set_usage(1, 55)
-    assert led.headroom(1) == 0
-    assert led.overage(1) == 15
-
-
 def test_set_quotas_replaces():
     led = make()
     led.set_quotas({1: 70, 2: 30})
@@ -46,24 +36,6 @@ def test_negative_values_rejected():
         led.set_quotas({1: -1, 2: 0})
     with pytest.raises(ValueError):
         led.set_usage(1, -1)
-    led.set_usage(1, 3)
-    with pytest.raises(ValueError):
-        led.add_usage(1, -5)
-
-
-def test_add_usage_delta():
-    led = make()
-    led.add_usage(1, 5)
-    led.add_usage(1, 2)
-    assert led.usage[1] == 7
-
-
-def test_utilization():
-    led = make()
-    led.set_usage(1, 30)
-    led.set_usage(2, 20)
-    assert led.total_usage() == 50
-    assert led.utilization() == pytest.approx(0.5)
 
 
 def test_register_unregister():

@@ -20,8 +20,10 @@ from repro.fuzz.oracle import (
     check_heat_consistency,
     check_no_foreign_frames,
     check_nonneg_metrics,
+    check_page_tables,
     check_store_rows,
 )
+from repro.mm import pte as pte_mod
 from repro.scenario.engine import ScenarioExperiment
 from repro.scenario.spec import ScenarioEvent, ScenarioSpec, WorkloadDef
 from repro.sim.config import MachineConfig, SimulationConfig, TierConfig
@@ -212,6 +214,63 @@ class TestStoreRows:
         finally:
             store.pid[pfn] = -1
         check_store_rows(store)
+
+
+class TestPageTables:
+    def _table(self, bed):
+        """A live pid, its page table and its first two mapped vpns."""
+        pid = next(iter(bed._active))
+        flat = bed._spaces[pid].process.repl.flat
+        a, b = flat.present_vpns()[:2].tolist()
+        return pid, flat, a, b
+
+    def test_stale_raw_pte_is_reported(self, bed):
+        pid, flat, vpn, other = self._table(bed)
+        i, j = vpn - flat.base, other - flat.base
+        old = int(flat.value[i])
+        # the remap wrote the pfn column but left the raw entry behind
+        flat.value[i] = pte_mod.pte_with_pfn(old, int(flat.pfn[j]))
+        try:
+            with pytest.raises(InvariantViolation) as exc:
+                InvariantOracle().check_final(bed, bed.scenario_result.result)
+            assert exc.value.check == "page_tables"
+            assert f"pid {pid} vpn {vpn}:" in str(exc.value)
+            assert f"pfn {int(flat.pfn[i])}" in str(exc.value)
+        finally:
+            flat.value[i] = old
+        check_page_tables(bed)
+
+    def test_pte_pointing_at_another_vpns_frame_is_reported(self, bed):
+        pid, flat, vpn, other = self._table(bed)
+        i, j = vpn - flat.base, other - flat.base
+        old_pfn, old_value = int(flat.pfn[i]), int(flat.value[i])
+        stolen = int(flat.pfn[j])
+        flat.pfn[i] = stolen  # decoded and raw agree, but the frame is other's
+        flat.value[i] = pte_mod.pte_with_pfn(old_value, stolen)
+        try:
+            with pytest.raises(InvariantViolation) as exc:
+                check_page_tables(bed)
+            assert exc.value.check == "page_tables"
+            assert f"pid {pid} vpn {vpn} maps pfn {stolen}" in str(exc.value)
+            assert exc.value.context == {"pid": pid, "vpn": vpn, "pfn": stolen}
+        finally:
+            flat.pfn[i], flat.value[i] = old_pfn, old_value
+        check_page_tables(bed)
+
+    def test_mapped_row_without_pte_is_reported(self, bed):
+        pid, flat, vpn, _ = self._table(bed)
+        i = vpn - flat.base
+        saved = int(flat.pfn[i]), int(flat.owner[i]), bool(flat.dirty[i]), int(flat.value[i])
+        flat.clear(vpn)  # the PTE vanished; its frame row still says MAPPED
+        try:
+            with pytest.raises(InvariantViolation) as exc:
+                InvariantOracle().check_epoch(bed, 2)
+            assert exc.value.check == "page_tables"
+            assert f"pid {pid}: pfn {saved[0]} is MAPPED to vpn {vpn}" in str(exc.value)
+            assert exc.value.epoch == 2
+        finally:
+            flat.set(vpn, *saved)
+        check_page_tables(bed)
 
 
 class TestMetricsRange:

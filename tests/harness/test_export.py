@@ -1,13 +1,12 @@
-"""CSV/JSON result export."""
+"""JSON result export."""
 
-import csv
 import json
 
 import pytest
 
 from repro.core.classify import ServiceClass
 from repro.harness import ColocationExperiment
-from repro.harness.export import to_json, to_rows, write_csv, write_json
+from repro.harness.export import to_json
 from repro.sim.config import MachineConfig, SimulationConfig, TierConfig
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.memcached import MemcachedWorkload
@@ -35,28 +34,7 @@ def result():
     return exp.run(4)
 
 
-def test_to_rows_shape(result):
-    rows = to_rows(result)
-    assert len(rows) == 4 + 2  # a: 4 epochs, b: 2 epochs
-    for row in rows:
-        assert row["policy"] == "memtis"
-        assert row["workload"] in ("a", "b")
-        assert "fthr_true" in row and 0.0 <= row["fthr_true"] <= 1.0
-
-
-def test_write_csv_roundtrip(result, tmp_path):
-    path = tmp_path / "out.csv"
-    n = write_csv(result, path)
-    with path.open() as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == n == 6
-    assert {r["workload"] for r in rows} == {"a", "b"}
-    # Epochs of the latecomer start at its admission.
-    b_epochs = sorted(int(r["epoch"]) for r in rows if r["workload"] == "b")
-    assert b_epochs == [2, 3]
-
-
-def test_json_roundtrip(result, tmp_path):
+def test_json_roundtrip(result):
     blob = to_json(result)
     encoded = json.dumps(blob)  # must be serializable
     decoded = json.loads(encoded)
@@ -65,7 +43,5 @@ def test_json_roundtrip(result, tmp_path):
     assert set(decoded["workloads"]) == {"a", "b"}
     assert len(decoded["workloads"]["a"]["ops"]) == 4
     assert len(decoded["free_fast_pages"]) == 4
-
-    path = tmp_path / "out.json"
-    write_json(result, path)
-    assert json.loads(path.read_text())["policy"] == "memtis"
+    # Epochs of the latecomer start at its admission.
+    assert decoded["workloads"]["b"]["epoch"] == [2, 3]

@@ -12,23 +12,6 @@ def make_cpu(n: int = 8) -> CpuComplex:
 def test_cores_created():
     cpu = make_cpu(4)
     assert cpu.n_cores == 4
-    assert [c.core_id for c in cpu.cores] == [0, 1, 2, 3]
-    assert all(c.thread_id is None for c in cpu.cores)
-
-
-def test_schedule_and_find_threads():
-    cpu = make_cpu()
-    cpu.schedule_thread(thread_id=7, core_id=2)
-    cpu.schedule_thread(thread_id=8, core_id=5)
-    running = cpu.cores_running({7, 8, 99})
-    assert sorted(c.core_id for c in running) == [2, 5]
-
-
-def test_park_core():
-    cpu = make_cpu()
-    cpu.schedule_thread(3, 1)
-    cpu.core(1).schedule(None)
-    assert cpu.cores_running({3}) == []
 
 
 def test_ipi_cost_grows_with_targets():

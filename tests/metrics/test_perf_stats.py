@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.metrics.perf import average_improvement, geometric_mean, normalize_to_min, slowdown
-from repro.metrics.stats import ema, mean_ci95
+from repro.metrics.perf import normalize_to_min
+from repro.metrics.stats import mean_ci95
 
 
 class TestPerf:
@@ -20,51 +20,8 @@ class TestPerf:
         with pytest.raises(ValueError):
             normalize_to_min({"a": 0.0})
 
-    def test_slowdown(self):
-        assert slowdown(colocated=80.0, standalone=100.0) == pytest.approx(0.8)
-        with pytest.raises(ValueError):
-            slowdown(1.0, 0.0)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_average_improvement_vs_best_baseline(self):
-        perf = {
-            "wl1": {"vulcan": 1.2, "tpp": 1.0, "memtis": 1.1},  # +9.1% vs best
-            "wl2": {"vulcan": 1.0, "tpp": 1.0, "memtis": 0.9},  # +0%
-        }
-        imp = average_improvement(perf)
-        assert imp == pytest.approx((1.2 / 1.1 - 1.0) / 2)
-
-    def test_average_improvement_validation(self):
-        with pytest.raises(ValueError):
-            average_improvement({})
-        with pytest.raises(KeyError):
-            average_improvement({"wl": {"tpp": 1.0}})
-        with pytest.raises(ValueError):
-            average_improvement({"wl": {"vulcan": 1.0}})
-
 
 class TestStats:
-    def test_ema_first_value_passthrough(self):
-        out = ema([10.0, 0.0], alpha=0.8)
-        assert out[0] == 10.0
-        assert out[1] == pytest.approx(0.8 * 0.0 + 0.2 * 10.0)
-
-    def test_ema_alpha_one_tracks_input(self):
-        np.testing.assert_array_equal(ema([1.0, 5.0, 2.0], 1.0), [1.0, 5.0, 2.0])
-
-    def test_ema_alpha_zero_freezes(self):
-        np.testing.assert_array_equal(ema([3.0, 9.0, 1.0], 0.0), [3.0, 3.0, 3.0])
-
-    def test_ema_validation(self):
-        with pytest.raises(ValueError):
-            ema([1.0], alpha=1.5)
-
     def test_mean_ci95_single_sample(self):
         assert mean_ci95([4.2]) == (4.2, 0.0)
 

@@ -66,17 +66,6 @@ def test_translate():
     assert space.translate(vma.start_vpn) == page.pfn
 
 
-def test_touch_faults_then_counts():
-    space, proc, alloc = make_space()
-    vma = proc.mmap(2)
-    page = space.touch(vma.start_vpn, tid=0, is_write=True, cycle=7)
-    assert page.writes == 1 and page.last_access_cycle == 7
-    page2 = space.touch(vma.start_vpn, tid=1)  # second thread: share
-    assert page2 == page  # same store row (views are built per call)
-    assert space.minor_faults == 1
-    assert not proc.repl.is_private(vma.start_vpn)
-
-
 def test_rss_tracks_faulted_pages():
     space, proc, _ = make_space()
     vma = proc.mmap(6)

@@ -15,7 +15,6 @@ from repro.harness.experiment import ColocationExperiment
 from repro.mm.address_space import AddressSpace
 from repro.mm.frame_alloc import FrameAllocator, OutOfFramesError
 from repro.mm.lru import PAGEVEC_SIZE, LruSubsystem
-from repro.mm.page_table import PageTable, PageTableNode
 from repro.mm.replication import ReplicatedPageTables
 from repro.sim.config import MachineConfig, SimulationConfig, TierConfig
 from repro.workloads.base import WorkloadSpec
@@ -30,31 +29,15 @@ N_THREADS = 16
 # -- state snapshots ----------------------------------------------------------
 
 
-def _node(node: PageTableNode, ordered: bool):
-    items = list(node.entries.items())
-    if not ordered:
-        items.sort(key=lambda kv: kv[0])
-    if node.is_leaf:
-        return tuple(items)
-    return tuple((idx, _node(child, ordered)) for idx, child in items)
-
-
-def tree(table: PageTable, ordered: bool = True):
-    """A tree's structure and entries; ``ordered`` keeps dict order."""
-    cache = list(table._leaf_cache) if ordered else sorted(table._leaf_cache)
-    return (_node(table.root, ordered), tuple(table.node_count_by_level), table.mapped_count, cache)
-
-
 def repl_state(repl: ReplicatedPageTables, ordered: bool = True) -> dict:
+    """The PTEs, leaf links and stats; ``ordered`` keeps link order."""
     flat = repl.flat
     vpns = flat.present_vpns()
     i = flat.indices(vpns)
     leaf_tids = [(base, list(tids)) for base, tids in repl._leaf_tids.items()]
     return {
-        "process": tree(repl.process_table, ordered),
-        "threads": {tid: tree(t, ordered) for tid, t in repl.thread_tables.items()},
         "leaf_tids": leaf_tids if ordered else sorted((b, sorted(t)) for b, t in leaf_tids),
-        "flat": (vpns.tolist(), flat.pfn[i].tolist(), flat.owner[i].tolist(),
+        "flat": (flat.mapped, vpns.tolist(), flat.pfn[i].tolist(), flat.owner[i].tolist(),
                  flat.dirty[i].tolist(), flat.value[i].tolist()),
         "stats": (repl.stats.private_faults, repl.stats.shared_promotions, repl.stats.leaf_links),
     }
@@ -304,7 +287,7 @@ def test_bulk_note_access_matches_scalar(seed):
         flips = bulk.bulk_note_access(vpns, tid)
         assert flips == sum(ref.note_access(vpn, tid) for vpn in vpns.tolist())
     # Link order within one call may differ (flips link before shared
-    # pages do), so trees are compared up to dict order.
+    # pages do), so leaf links are compared up to order.
     assert repl_state(bulk, ordered=False) == repl_state(ref, ordered=False)
     assert bulk.stats.shared_promotions > 0
 

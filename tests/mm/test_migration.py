@@ -27,8 +27,6 @@ def build(fast=8, slow=64, flags=None, shadow=False, n_threads=4, replication=Tr
     proc = make_process(n_threads=n_threads, replication=replication)
     space = AddressSpace(proc, alloc)
     core_map = {tid: tid for tid in range(n_threads)}
-    for tid, core in core_map.items():
-        machine.cpu.schedule_thread(tid, core)
     tracker = ShadowTracker() if shadow else None
     engine = MigrationEngine(
         machine, alloc, space, lru,

@@ -38,8 +38,6 @@ def build(shadow: bool, seed: int):
     vma = proc.mmap(N_PAGES)
     for i, vpn in enumerate(range(vma.start_vpn, vma.end_vpn)):
         space.fault(vpn, tid=i % 2, prefer_tier=i % 2)
-    for tid, core in {0: 0, 1: 1}.items():
-        machine.cpu.schedule_thread(tid, core)
     engine = MigrationEngine(
         machine, alloc, space, lru,
         flags=OptimizationFlags(opt_prep=True, opt_tlb=True),
@@ -52,7 +50,7 @@ def build(shadow: bool, seed: int):
 
 def check_invariants(space, alloc):
     seen = {}
-    for vpn, value in space.process.repl.process_table.iter_ptes():
+    for vpn, value in space.process.repl.iter_ptes():
         assert pte_mod.pte_is_present(value)
         pfn = pte_mod.pte_pfn(value)
         assert pfn not in seen, f"frame {pfn} double-mapped ({seen[pfn]} and {vpn})"

@@ -42,7 +42,7 @@ def test_every_policy_conserves_frames(policy):
     exp.run(8)
     seen_pfns: set[int] = set()
     for space in exp._spaces.values():
-        for vpn, value in space.process.repl.process_table.iter_ptes():
+        for vpn, value in space.process.repl.iter_ptes():
             pfn = pte_mod.pte_pfn(value)
             assert pfn not in seen_pfns, f"{policy}: pfn {pfn} mapped twice"
             seen_pfns.add(pfn)
