@@ -157,6 +157,10 @@ class FleetExperiment:
         self.telemetry: dict[str, NodeTelemetry] = {}
         #: key → [multiplier, rounds_remaining] while a flash crowd is live
         self.crowd: dict[str, list] = {}
+        #: (demands, capacities) items → best oracle score, or None when
+        #: the search is refused or infeasible; the search is pure, and a
+        #: fleet revisits few distinct inputs
+        self._oracle_best: dict[tuple, float | None] = {}
         self.result = FleetResult(spec=spec)
         for d in spec.workloads:
             self.result.weighted_alloc[d.key] = 0.0
@@ -258,13 +262,11 @@ class FleetExperiment:
             self.assignment[key] = dst
 
         score = placement_score(new, demands, capacities)
-        try:
-            _, best = oracle_assignment(
-                demands, capacities, max_per_node=node_workload_slots(),
-            )
+        best = self._oracle_score(demands, capacities)
+        if best is None:
+            vs_oracle = None
+        else:
             vs_oracle = 1.0 if best == 0.0 else score / best
-        except ValueError:
-            best, vs_oracle = None, None
         return {
             "round": round_index,
             "active": sorted(self.active),
@@ -274,6 +276,21 @@ class FleetExperiment:
             "oracle_score": best,
             "vs_oracle": vs_oracle,
         }
+
+    def _oracle_score(self, demands: dict[str, int], capacities: dict[str, int]) -> float | None:
+        """The oracle's best score for these inputs, searched once per
+        distinct input (``_place`` builds both dicts in sorted key order,
+        so their items are a canonical key)."""
+        key = (tuple(demands.items()), tuple(capacities.items()))
+        if key not in self._oracle_best:
+            try:
+                _, best = oracle_assignment(
+                    demands, capacities, max_per_node=node_workload_slots(),
+                )
+            except ValueError:
+                best = None
+            self._oracle_best[key] = best
+        return self._oracle_best[key]
 
     def _advance_nodes(self, round_index: int) -> dict[str, NodeTelemetry]:
         """Advance every active node one round, in this process."""

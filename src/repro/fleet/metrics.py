@@ -101,23 +101,6 @@ def oracle_assignment(
     return best, best_score
 
 
-def placement_quality(
-    assignment: dict[str, str],
-    demands: dict[str, int],
-    capacities: dict[str, int],
-    *,
-    max_per_node: int | None = None,
-) -> dict:
-    """The achieved/oracle score ratio, or achieved-only at large N."""
-    achieved = placement_score(assignment, demands, capacities)
-    try:
-        _, best = oracle_assignment(demands, capacities, max_per_node=max_per_node)
-    except ValueError:
-        return {"score": achieved, "oracle_score": None, "vs_oracle": None}
-    ratio = 1.0 if best == 0.0 else achieved / best
-    return {"score": achieved, "oracle_score": best, "vs_oracle": ratio}
-
-
 def fleet_cfi(weighted_alloc: dict[str, float]) -> float:
     """Eq. 4 lifted to the fleet: Jain over per-*workload* cumulative
     FTHR-weighted fast allocations, summed across every node and round

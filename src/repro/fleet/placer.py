@@ -189,15 +189,23 @@ class OraclePlacer(Placer):
     Exhaustively maximizes the analytic placement score; raises
     ``ValueError`` past ``ORACLE_MAX_ASSIGNMENTS`` candidates.  Used to
     score the heuristics, and runnable as a placer for tiny fleets.
+    The search is a pure function of demands and capacities, so each
+    distinct input is searched once per placer and served as a copy.
     """
 
     name = "oracle"
 
+    def __init__(self) -> None:
+        #: sorted (demands, capacities) items → best assignment
+        self._best: dict[tuple, dict[str, str]] = {}
+
     def assign(self, *, demands, capacities, current, telemetry):
-        assignment, _score = oracle_assignment(
-            demands, capacities, max_per_node=node_workload_slots(),
-        )
-        return assignment
+        key = (tuple(sorted(demands.items())), tuple(sorted(capacities.items())))
+        if key not in self._best:
+            self._best[key], _score = oracle_assignment(
+                demands, capacities, max_per_node=node_workload_slots(),
+            )
+        return dict(self._best[key])
 
 
 PLACER_REGISTRY: dict[str, type[Placer]] = {

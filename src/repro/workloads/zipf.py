@@ -6,7 +6,10 @@ normalized CDF of ``P(k) ∝ (k+1)^{-s}`` over ``k ∈ [0, n)`` and a 2^16
 bucket inverse-CDF lookup table once, and invert whole batches of
 uniforms through the table: O(1) per sample where a bucket holds at
 most one CDF step, ``searchsorted`` only for the samples whose bucket
-holds more.  The result is exactly ``searchsorted``'s, fully
+holds more.  The table itself is counted, not searched: each rank's
+first bucket is ``ceil(cdf * 2^16)``, exact because the bucket count is
+a power of two, and one run-length pass lays the table out, O(n + 2^16)
+per sampler.  The result is exactly ``searchsorted``'s, fully
 vectorized, deterministic under a seeded generator.
 """
 
@@ -35,9 +38,10 @@ class ZipfSampler:
         generator per call).
     """
 
-    #: inverse-CDF lookup-table resolution (power of two: ``u * M`` and
-    #: the bucket boundaries b/M are then exact binary floats, so the
-    #: bracket invariant below holds with equality, not approximately)
+    #: inverse-CDF lookup-table resolution (power of two: ``u * M``,
+    #: ``cdf * M`` and the bucket boundaries b/M are then exact binary
+    #: floats, so the table build and the bracket invariant below hold
+    #: with equality, not approximately)
     _LUT_BUCKETS = 1 << 16
 
     def __init__(self, n: int, s: float = 0.99, *, permute: bool = False, rng: np.random.Generator | None = None) -> None:
@@ -50,12 +54,19 @@ class ZipfSampler:
         weights = (np.arange(1, n + 1, dtype=np.float64)) ** (-s)
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
-        # Bucket b of the LUT brackets searchsorted's answer for any
-        # u in [b/M, (b+1)/M): monotonicity gives
-        #   lut[b] <= searchsorted(cdf, u, 'right') <= lut[b+1].
+        # lut[b] = searchsorted(cdf, b/M, 'right'), the count of ranks
+        # with cdf[i] <= b/M, so bucket b brackets the answer for any u
+        # in [b/M, (b+1)/M):  lut[b] <= searchsorted(cdf, u) <= lut[b+1].
+        # M is a power of two, so cdf[i] * M is exact and cdf[i] <= b/M
+        # holds exactly when first[i] = ceil(cdf[i] * M) <= b.  Rank
+        # count k then fills buckets [first[k-1], first[k]), with
+        # first[-1] = 0 and first[n] = M + 1: one O(n + M) run-length
+        # pass instead of M + 1 binary searches.
         m = self._LUT_BUCKETS
-        grid = np.arange(m + 1, dtype=np.float64) / m
-        self._lut = np.searchsorted(self._cdf, grid, side="right").astype(np.int64)
+        first = np.ceil(self._cdf * m).astype(np.int64)
+        self._lut = np.repeat(
+            np.arange(n + 1, dtype=np.int64), np.diff(first, prepend=0, append=m + 1)
+        )
         if permute:
             gen = rng if rng is not None else np.random.default_rng(0)
             self._perm: np.ndarray | None = gen.permutation(n)
@@ -88,17 +99,3 @@ class ZipfSampler:
         if self._perm is not None:
             return self._perm[ranks]
         return ranks
-
-    def pmf(self) -> np.ndarray:
-        """Probability of each index (rank order, pre-permutation)."""
-        p = np.empty(self.n)
-        p[0] = self._cdf[0]
-        p[1:] = np.diff(self._cdf)
-        return p
-
-    def hot_fraction(self, top_frac: float) -> float:
-        """Probability mass on the hottest ``top_frac`` of items."""
-        if not 0.0 < top_frac <= 1.0:
-            raise ValueError("top_frac must be in (0, 1]")
-        k = max(int(self.n * top_frac), 1)
-        return float(self._cdf[k - 1])

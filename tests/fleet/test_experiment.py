@@ -157,6 +157,78 @@ class TestOracleDominance:
             assert placement_score(out, self.DEMANDS, self.CAPS) <= best + 1e-12
 
 
+def _count_searches(monkeypatch, module) -> list:
+    """Wrap ``module.oracle_assignment`` in a call counter."""
+    calls: list = []
+    real = module.oracle_assignment
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "oracle_assignment", counted)
+    return calls
+
+
+class TestOracleMemo:
+    """The oracle is a pure function of (demands, capacities), so a fleet
+    searches once per distinct input and a round's oracle fields are
+    still exactly what a direct search gives."""
+
+    @pytest.mark.parametrize("name, searches", [
+        ("drain_rebalance", 3),  # 3 nodes, then 2 after the drain, then 3 after the join
+        ("flash_crowd_fleet", 2),  # base demands, then crowded, then base again
+    ])
+    def test_one_search_per_distinct_input(self, monkeypatch, name, searches):
+        import repro.fleet.experiment as experiment
+
+        spec = get_fleet_scenario(name).with_overrides(n_rounds=20)
+        calls = _count_searches(monkeypatch, experiment)
+        res = run_fleet(spec)
+        assert len(calls) == searches
+
+        fast_gb = {n.node_id: n.fast_gb for n in spec.nodes}
+        for rec in res.rounds:
+            caps = {n: node_capacity_pages(fast_gb[n]) for n in rec["active"]}
+            _, best = oracle_assignment(rec["demands"], caps, max_per_node=node_workload_slots())
+            assert rec["oracle_score"] == best
+            assert rec["vs_oracle"] == (1.0 if best == 0.0 else rec["score"] / best)
+            assert rec["oracle_score"] >= rec["score"]
+            assert 0.0 <= rec["vs_oracle"] <= 1.0
+
+    def test_refused_search_records_none_every_round(self, monkeypatch):
+        import repro.fleet.experiment as experiment
+
+        # 3 nodes ^ 12 workloads = 531,441 candidates > ORACLE_MAX_ASSIGNMENTS
+        spec = _small_fleet(
+            n_rounds=3, epochs_per_round=1,
+            workloads=tuple(_wl(f"w{i:02d}", 30) for i in range(12)),
+        )
+        calls = _count_searches(monkeypatch, experiment)
+        res = run_fleet(spec)
+        assert len(calls) == 1  # the refusal is remembered too
+        for rec in res.rounds:
+            assert rec["oracle_score"] is None and rec["vs_oracle"] is None
+            assert 0.0 <= rec["score"] <= 1.0
+
+    def test_oracle_placer_searches_once_and_serves_copies(self, monkeypatch):
+        import repro.fleet.placer as placer_module
+
+        demands = TestOracleDominance.DEMANDS
+        caps = TestOracleDominance.CAPS
+        calls = _count_searches(monkeypatch, placer_module)
+        placer = make_placer("oracle")
+        inputs = dict(demands=demands, capacities=caps,
+                      current={k: None for k in demands}, telemetry={})
+        first = placer.assign(**inputs)
+        want = dict(first)
+        first["mc-a"] = "elsewhere"
+        second = placer.assign(**inputs)
+        assert len(calls) == 1
+        assert second == want
+        assert want == oracle_assignment(demands, caps, max_per_node=node_workload_slots())[0]
+
+
 class TestObsRegistry:
     """Satellite 1: the fleet loop feeds the process-wide metrics
     registry — counters for moves/rounds, gauges for node state."""

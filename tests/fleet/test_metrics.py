@@ -9,7 +9,6 @@ from repro.fleet.metrics import (
     node_cfi_spread,
     oracle_assignment,
     percentile,
-    placement_quality,
     placement_score,
 )
 
@@ -73,20 +72,6 @@ class TestOracle:
         demands = {"a": 10, "b": 10, "c": 10}
         with pytest.raises(ValueError, match="satisfies max"):
             oracle_assignment(demands, {"n0": 100}, max_per_node=2)
-
-    def test_quality_ratio_in_unit_interval(self):
-        demands = {"a": 350, "b": 200, "c": 150}
-        q = placement_quality({"a": "n0", "b": "n0", "c": "n1"}, demands, CAPS)
-        assert 0.0 <= q["vs_oracle"] <= 1.0
-        assert q["oracle_score"] >= q["score"]
-
-    def test_quality_degrades_gracefully_at_scale(self):
-        demands = {f"w{i}": 10 for i in range(20)}
-        caps = {f"n{i}": 100 for i in range(4)}
-        assignment = {k: "n0" for k in demands}
-        q = placement_quality(assignment, demands, caps)
-        assert q["oracle_score"] is None and q["vs_oracle"] is None
-        assert 0.0 <= q["score"] <= 1.0
 
 
 class TestRollups:

@@ -12,6 +12,11 @@ The ``trace_*.json`` snapshots pin what a *traced* run emits: the event
 count plus sha256 digests of the full ``tracer.events()`` stream and of
 the metrics registry, so a refactor that reorders, drops or re-times a
 single event (or changes one counter) is caught across commits.
+
+The ``fleet_*.json`` snapshots pin each canned fleet (and the drain
+fleet under the oracle placer): the spec hash plus the sha256 of
+``FleetResult.canonical_json()``, which holds every round record,
+oracle score and move.
 """
 
 import hashlib
@@ -50,6 +55,7 @@ def main() -> int:
         print(f"wrote {path.name}")
     capture_scenario()
     capture_traces()
+    capture_fleets()
     return 0
 
 
@@ -123,6 +129,36 @@ def capture_traces() -> None:
     for name in TRACE_CASES:
         path = GOLDEN_DIR / f"trace_{name}.json"
         payload = {"case": name, "trace": trace_digest(name)}
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {path.name}")
+
+
+#: fleets pinned by ``fleet_<case>.json``: case -> (canned fleet, spec overrides)
+FLEET_CASES = {
+    "balanced_trio": ("balanced_trio", {}),
+    "drain_rebalance": ("drain_rebalance", {}),
+    "flash_crowd_fleet": ("flash_crowd_fleet", {}),
+    "drain_rebalance_oracle": ("drain_rebalance", {"placer": "oracle", "seed": 3}),
+}
+
+
+def fleet_digest(name: str) -> dict:
+    """Run one fleet case; digest its canonical result."""
+    from repro.fleet import get_fleet_scenario, run_fleet
+
+    fleet, overrides = FLEET_CASES[name]
+    spec = get_fleet_scenario(fleet).with_overrides(**overrides)
+    res = run_fleet(spec)
+    return {
+        "spec_hash": spec.content_hash(),
+        "result_sha256": hashlib.sha256(res.canonical_json().encode()).hexdigest(),
+    }
+
+
+def capture_fleets() -> None:
+    for name in FLEET_CASES:
+        path = GOLDEN_DIR / f"fleet_{name}.json"
+        payload = {"case": name, "fleet": fleet_digest(name)}
         path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path.name}")
 

@@ -166,3 +166,30 @@ def test_traced_stream_bit_identical(path):
     assert trace_digest(frozen["case"]) == frozen["trace"], (
         f"{path.name}: traced event stream or metrics diverged from the frozen run"
     )
+
+
+# -- frozen fleets: cross-commit, every canned fleet ---------------------------
+#
+# Each canned fleet (and the drain fleet under the oracle placer) is
+# pinned by the sha256 of its FleetResult.canonical_json(): every round
+# record, oracle score and move, so a change to the fleet loop, a placer
+# or the oracle's bookkeeping cannot move a fleet number unnoticed.
+
+FLEET_GOLDENS = sorted(GOLDEN_DIR.glob("fleet_*.json"))
+
+
+def test_fleet_goldens_are_present():
+    assert [p.stem for p in FLEET_GOLDENS] == [
+        "fleet_balanced_trio", "fleet_drain_rebalance",
+        "fleet_drain_rebalance_oracle", "fleet_flash_crowd_fleet",
+    ]
+
+
+@pytest.mark.parametrize("path", FLEET_GOLDENS, ids=lambda p: p.stem)
+def test_fleet_result_bit_identical(path):
+    from tests.golden.capture import fleet_digest
+
+    frozen = json.loads(path.read_text())
+    assert fleet_digest(frozen["case"]) == frozen["fleet"], (
+        f"{path.name}: fleet result diverged from the frozen run"
+    )

@@ -6,7 +6,9 @@ every float input — any divergence silently changes which pages a
 workload touches and breaks bit-identical replay.  These tests pin the
 equality on random draws, adversarial inputs sitting exactly on LUT
 bucket boundaries, inputs equal to CDF steps themselves, and supports
-that send most samples down each of the kernel's two finishing branches.
+that send most samples down each of the kernel's two finishing branches,
+and they pin the counted lookup table to the ``searchsorted`` grid it
+replaces.
 """
 
 from __future__ import annotations
@@ -19,6 +21,22 @@ from repro.workloads.zipf import ZipfSampler
 
 def _reference(sampler: ZipfSampler, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(sampler._cdf, u, side="right").astype(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 221, 1000, 65_537, 300_000])
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.99, 6.0])
+def test_lut_equals_searchsorted_over_the_bucket_grid(n: int, s: float) -> None:
+    # The table is counted from ceil(cdf * M), not searched; it must
+    # still be searchsorted's answer at every bucket edge b/M.  s = 6.0
+    # reaches cdf == 1.0 long before the last rank (many steps share
+    # bucket M); n = 300k has more ranks than buckets.
+    sampler = ZipfSampler(n, s)
+    m = sampler._LUT_BUCKETS
+    grid = np.arange(m + 1, dtype=np.float64) / m
+    want = np.searchsorted(sampler._cdf, grid, side="right").astype(np.int64)
+    assert sampler._lut.dtype == np.int64
+    assert sampler._lut.shape == (m + 1,)
+    np.testing.assert_array_equal(sampler._lut, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 65_537])

@@ -29,22 +29,6 @@ def test_zero_skew_is_uniform():
     assert counts.std() / counts.mean() < 0.05
 
 
-def test_pmf_sums_to_one_and_decreases():
-    z = ZipfSampler(64, 0.9)
-    p = z.pmf()
-    assert p.sum() == pytest.approx(1.0)
-    assert np.all(np.diff(p) <= 1e-15)
-
-
-def test_hot_fraction():
-    z = ZipfSampler(1000, 0.99)
-    top10 = z.hot_fraction(0.10)
-    assert 0.3 < top10 < 0.9
-    assert z.hot_fraction(1.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        z.hot_fraction(0.0)
-
-
 def test_permutation_scatters_but_preserves_distribution():
     plain = ZipfSampler(100, 1.0)
     perm = ZipfSampler(100, 1.0, permute=True, rng=np.random.default_rng(4))
