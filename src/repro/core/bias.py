@@ -30,6 +30,9 @@ from repro.mm.replication import ReplicatedPageTables
 from repro.mm.shadow import ShadowTracker
 from repro.profiling.base import Profiler
 
+#: profiled write fraction at or above which a page is write-intensive
+WRITE_INTENSIVE_THRESHOLD = 0.25
+
 
 class PlannedMigration(NamedTuple):
     """One selected page move."""
@@ -59,10 +62,8 @@ class BiasedMigrationPolicy:
         *,
         hot_threshold: float = 10.0,
         boost_factor: float = 2.0,
-        write_intensive_threshold: float = 0.25,
     ) -> None:
         self.hot_threshold = hot_threshold
-        self.write_intensive_threshold = write_intensive_threshold
         #: pid -> its promotion queues (workload-dependent, §3.2)
         self._queues: dict[int, PromotionQueues] = {}
         self._boost_factor = boost_factor
@@ -104,7 +105,7 @@ class BiasedMigrationPolicy:
         )
         if cand_vpns.size == 0:
             return 0
-        wi = profiler.write_fraction_many(pid, cand_vpns) >= self.write_intensive_threshold
+        wi = profiler.write_fraction_many(pid, cand_vpns) >= WRITE_INTENSIVE_THRESHOLD
         # Vectorized classify_page: write_fraction_many guarantees
         # [0, 1] so the scalar range check is redundant, and the
         # elementwise >= is the same compare it made per page.

@@ -66,10 +66,6 @@ class LatencyBalancer:
         return not self.suspended
 
     @property
-    def migration_allowed(self) -> bool:
-        return not self.suspended
-
-    @property
     def last_advantage_ratio(self) -> float:
         """Most recent slow/fast loaded-latency ratio."""
         return self._last_ratio

@@ -140,11 +140,6 @@ class WorkloadQos:
         self._samples.clear()
         return self.fthr
 
-    @property
-    def under_allocated(self) -> bool:
-        """Paper: FTHR below GPT means fast memory is insufficient."""
-        return self.fthr < self.gpt
-
     def demand(
         self,
         alloc_pages: int,

@@ -83,19 +83,6 @@ class WorkloadTimeseries:
         """Last active epoch (a departed workload's series ends early)."""
         return self.epochs[-1] if self.epochs else -1
 
-    def active_mask(self, n_epochs: int) -> np.ndarray:
-        """Boolean per-epoch presence over ``[0, n_epochs)``.
-
-        The recorded epochs need not be contiguous: a workload may
-        arrive late, depart early, or (in principle) skip epochs, and
-        every consumer that aligns series across workloads must go
-        through this mask rather than assume ``epochs == range(n)``.
-        """
-        mask = np.zeros(n_epochs, dtype=bool)
-        idx = np.asarray(self.epochs, dtype=np.int64)
-        mask[idx[(idx >= 0) & (idx < n_epochs)]] = True
-        return mask
-
     def aligned(self, name: str, n_epochs: int, fill: float = np.nan) -> np.ndarray:
         """One recorded series re-indexed onto the global epoch axis.
 
@@ -178,14 +165,6 @@ class ExperimentResult:
             if ts.name == name:
                 return ts
         raise KeyError(f"no workload named {name!r}")
-
-    def alloc_series(self) -> dict[int, np.ndarray]:
-        """pid → fast-page allocation per active epoch (CFI's x_i(t))."""
-        return {pid: np.asarray(ts.fast_pages, dtype=np.float64) for pid, ts in self.workloads.items()}
-
-    def fthr_series(self) -> dict[int, np.ndarray]:
-        """pid → ground-truth FTHR per active epoch (CFI's FTHR_i(t))."""
-        return {pid: np.asarray(ts.fthr_true, dtype=np.float64) for pid, ts in self.workloads.items()}
 
     def to_dict(self) -> dict:
         """Lossless plain-data form for cross-process transport / caching.
@@ -290,7 +269,7 @@ class ColocationExperiment:
         space.populate(vma, tids, prefer_tier=wl.spec.populate_tier)
         pfns = proc.repl.flat.pfn[proc.repl.flat.indices(vma.vpns())]
         cores = np.array([core_map[tid] for tid in range(n_threads)], dtype=np.int64)
-        self.lru.add_pages(pfns, self.allocator.store.tier_id[pfns], cores[tids])
+        self.lru.add_pages(pfns, cores[tids])
         self.lru.drain(None)  # initial bulk drain, not charged to anyone
 
         # Rough per-page access rate for the transactional dirty model.
@@ -317,7 +296,7 @@ class ColocationExperiment:
         Order matters: the policy unregisters first (Vulcan detaches the
         pid from the daemon, so CBFRP re-partitions the freed credits on
         the very next epoch's pass), then every frame reference leaves
-        the LRU machinery, then the allocator bulk-frees all frames the
+        the LRU pagevecs, then the allocator bulk-frees all frames the
         pid owns — mapped, mid-migration, and retained shadows alike —
         with its own no-leak/no-double-free invariant, and finally the
         dedicated core block returns to the reuse pool.

@@ -2,7 +2,7 @@
 
 The measured hot loops of the epoch pipeline — Zipf LUT inversion,
 ``PageStatsStore`` row updates and touched-set resets, ``HeatStore``
-accumulate/decay/gather/top-k, ``EpochPlan`` execution, and the
+accumulate/decay/gather, ``EpochPlan`` execution, and the
 promotion-candidate gather — are routed through this module.  Two
 backends implement the same function set:
 
@@ -73,7 +73,6 @@ KERNEL_NAMES = (
     "heat_compact",
     "heat_min_live",
     "heat_gather",
-    "topk_live",
     "accumulate_unique",
     "write_fractions",
     "plan_span_stats",
@@ -92,7 +91,6 @@ heat_decay = _impl.heat_decay
 heat_compact = _impl.heat_compact
 heat_min_live = _impl.heat_min_live
 heat_gather = _impl.heat_gather
-topk_live = _impl.topk_live
 accumulate_unique = _impl.accumulate_unique
 write_fractions = _impl.write_fractions
 plan_span_stats = _impl.plan_span_stats

@@ -115,7 +115,7 @@ def pid_ground_truth(state, pid_col, epoch_reads, epoch_writes, pid, fast_frames
     return (hot, hot_fast, fast - hot_fast, fast)
 
 
-# -- HeatStore accumulate / decay / gather / top-k -------------------------------
+# -- HeatStore accumulate / decay / gather -------------------------------------
 
 
 @njit(cache=True)
@@ -194,40 +194,6 @@ def heat_gather(heat, base, vpns):
         if 0 <= j < size:
             out[i] = heat[j]
     return out
-
-
-@njit(cache=True)
-def topk_live(heat, live, base, n):
-    count = 0
-    for i in range(live.size):
-        if live[i]:
-            count += 1
-    vpns = np.empty(count, dtype=np.int64)
-    heats = np.empty(count, dtype=np.float64)
-    j = 0
-    for i in range(live.size):
-        if live[i]:
-            vpns[j] = i + base
-            heats[j] = heat[i]
-            j += 1
-    if n < count:
-        # k-th largest by order statistic; identical to np.partition's
-        # pivot value in the reference backend.
-        kth = np.sort(heats)[count - n]
-        keep = 0
-        for i in range(count):
-            if heats[i] >= kth:
-                keep += 1
-        kv = np.empty(keep, dtype=np.int64)
-        kh = np.empty(keep, dtype=np.float64)
-        j = 0
-        for i in range(count):
-            if heats[i] >= kth:
-                kv[j] = vpns[i]
-                kh[j] = heats[i]
-                j += 1
-        return kv, kh
-    return vpns, heats
 
 
 # -- profiler helpers ------------------------------------------------------------
@@ -385,7 +351,6 @@ def warmup() -> None:
     heat_compact(f64.copy(), b.copy(), 1e-6)
     heat_min_live(f64, b)
     heat_gather(f64, 0, i64)
-    topk_live(f64, np.ones(2, dtype=np.bool_), 0, 1)
     accumulate_unique(i64, f64, f64)
     write_fractions(f64, f64)
     plan_span_stats(i64, b, i64, 1, np.array([0, 2], dtype=np.int64), 2)

@@ -80,7 +80,7 @@ def page_record_rows(
     last_access_cycle[pfns] = cycle
     touched[pfns] = True
     # Writes landing while a transactional copy is in flight dirty the
-    # source frame (same rule as PhysPage.record_access).
+    # source frame.
     migrating = (state[pfns] == _STATE_MIGRATING) & (n_writes > 0)
     if migrating.any():
         dirty_since_copy[pfns[migrating]] = True
@@ -130,7 +130,7 @@ def pid_ground_truth(
     return (hot, hot_fast, fast - hot_fast, fast)
 
 
-# -- HeatStore accumulate / decay / gather / top-k -------------------------------
+# -- HeatStore accumulate / decay / gather -------------------------------------
 
 
 def heat_accumulate(
@@ -184,23 +184,6 @@ def heat_gather(heat: np.ndarray, base: int, vpns: np.ndarray) -> np.ndarray:
     ok = (idx >= 0) & (idx < heat.size)
     out[ok] = heat[idx[ok]]
     return out
-
-
-def topk_live(
-    heat: np.ndarray, live: np.ndarray, base: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Prune the live set to everything tied with the ``n``-th largest
-    heat (ascending vpn); the caller applies the exact (-heat, vpn)
-    lexsort on the survivors."""
-    vpns = np.flatnonzero(live) + base  # ascending
-    heats = heat[vpns - base]
-    if n < vpns.size:
-        # Keep everything tied with the k-th largest heat so the vpn
-        # tiebreak stays exact, then order the survivors.
-        kth = np.partition(heats, vpns.size - n)[vpns.size - n]
-        keep = heats >= kth
-        vpns, heats = vpns[keep], heats[keep]
-    return vpns, heats
 
 
 # -- profiler helpers ------------------------------------------------------------

@@ -10,7 +10,7 @@ analytically through ``MachineConfig.tlb_entries``.
 
 from repro.machine.cpu import CpuComplex, IpiStats
 from repro.machine.interconnect import Interconnect
-from repro.machine.memtier import MemoryTier, TierStats
+from repro.machine.memtier import MemoryTier
 from repro.machine.platform import Machine, build_machine
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "IpiStats",
     "Interconnect",
     "MemoryTier",
-    "TierStats",
     "Machine",
     "build_machine",
 ]

@@ -9,20 +9,8 @@ bandwidth hunger visible to co-runners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.sim.config import TierConfig
-from repro.sim.units import PAGE_SIZE, ns_to_cycles
-
-
-@dataclass
-class TierStats:
-    """Counters for one tier."""
-
-    reads: int = 0
-    writes: int = 0
-    bytes_copied_in: int = 0
-    bytes_copied_out: int = 0
+from repro.sim.units import PAGE_SIZE
 
 
 class MemoryTier:
@@ -45,7 +33,6 @@ class MemoryTier:
         self.total_frames = config.capacity_bytes // page_size
         if self.total_frames <= 0:
             raise ValueError(f"tier {config.name!r} smaller than one page")
-        self.stats = TierStats()
 
     @property
     def name(self) -> str:
@@ -67,17 +54,3 @@ class MemoryTier:
         u = min(max(utilization, 0.0), 0.96)
         lat = self.load_latency_cycles / (1.0 - u)
         return min(lat, 4.0 * self.load_latency_cycles)
-
-    def copy_cost_cycles(self, nbytes: int) -> int:
-        """Cycles for a streaming copy of ``nbytes`` limited by this
-        tier's bandwidth (the slower side bounds a cross-tier copy)."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        ns = nbytes / self.config.bandwidth_gbps  # GB/s == bytes/ns
-        return ns_to_cycles(ns)
-
-    def record_access(self, is_write: bool, count: int = 1) -> None:
-        if is_write:
-            self.stats.writes += count
-        else:
-            self.stats.reads += count

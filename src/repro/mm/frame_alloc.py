@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mm.page import PageState, PhysPage
+from repro.mm.page import PhysPage
 from repro.mm.page_store import (
     STATE_FREE,
     STATE_MAPPED,
@@ -449,15 +449,3 @@ class FrameAllocator:
 
     def free_frames(self, tier_id: int) -> int:
         return self.tiers[tier_id].free
-
-    def used_frames(self, tier_id: int) -> int:
-        return self.tiers[tier_id].used
-
-    def mapped_pages(self, tier_id: int | None = None):
-        """Iterate live (mapped or migrating) frames, optionally by tier."""
-        st = self.store.state
-        live = (st == STATE_MAPPED) | (st == STATE_MIGRATING)
-        if tier_id is not None:
-            live &= self.store.tier_id == tier_id
-        for pfn in np.flatnonzero(live).tolist():
-            yield PhysPage(pfn=pfn, store=self.store)

@@ -3,7 +3,7 @@
 Paper §2.1 decomposes migration into: ① kernel trapping, ② PTE locking
 and unmapping, ③ TLB shootdown via IPIs, ④ content copy between tiers,
 ⑤ PTE remapping.  This engine executes those phases against the
-*structural* substrate (page tables, allocator, LRU) while cycle costs
+*structural* substrate (page tables, allocator, LRU pagevecs) while cycle costs
 come from the calibrated :class:`MigrationCostModel`, so both the
 mechanism's behaviour and its price are observable.  TLB contents are
 not modelled: a shootdown's scope (the cores its IPIs reach) comes from
@@ -32,7 +32,7 @@ Vulcan's two mechanism optimizations are flags:
 
 There is one executor, :meth:`MigrationEngine.migrate_batch`.  Every
 order-sensitive effect — cost accounting, RNG draws, injected-fault
-rolls and their unwinds, free-list pops and appends, LRU and shadow
+rolls and their unwinds, free-list pops and appends, shadow
 bookkeeping, trace events and metrics — runs in one sequential
 per-page loop; the per-frame store and page-table writes are deferred
 to grouped scatters.  Tracing, metrics and fault injection only add
@@ -136,10 +136,6 @@ class MigrationStats:
         default_factory=lambda: {p.value: 0.0 for p in MigrationPhase}
     )
 
-    def charge(self, phase: MigrationPhase, cycles: float) -> None:
-        self.phase_cycles[phase.value] += cycles
-        self.total_cycles += cycles
-
 
 @dataclass(frozen=True)
 class OptimizationFlags:
@@ -195,7 +191,6 @@ class MigrationEngine:
         space: AddressSpace,
         lru: LruSubsystem,
         *,
-        cost_model: MigrationCostModel | None = None,
         flags: OptimizationFlags | None = None,
         thread_core_map: dict[int, int],
         shadow: ShadowTracker | None = None,
@@ -205,7 +200,7 @@ class MigrationEngine:
         self.allocator = allocator
         self.space = space
         self.lru = lru
-        self.costs = cost_model if cost_model is not None else MigrationCostModel()
+        self.costs = MigrationCostModel()
         self.flags = flags if flags is not None else OptimizationFlags()
         self.thread_core_map = thread_core_map
         self.shadow = shadow
@@ -330,7 +325,7 @@ class MigrationEngine:
 
         Every order-sensitive effect — cost accounting (float adds in
         charge order), RNG draws, fault rolls, free-list pops/appends,
-        LRU and shadow bookkeeping, trace events — runs in one
+        shadow bookkeeping, trace events — runs in one
         sequential loop.  The per-frame stats-store and page-table
         writes are deferred and applied as grouped numpy scatters,
         which needs each move to act on rows no other move
@@ -360,7 +355,6 @@ class MigrationEngine:
         cpu = self.machine.cpu
         fast_frames = store.fast_frames
         shadow = self.shadow
-        lru_lists = self.lru.lists
         tiers = self.allocator.tiers
         opt_tlb = self.flags.opt_tlb and repl.enabled
         retry_limit = self.flags.async_retry_limit
@@ -492,12 +486,6 @@ class MigrationEngine:
                         sh_vpn.append(vpn); sh_pid.append(req.pid)
                         sh_src.append(src_pfn); sh_dst.append(shadow_pfn)
                         shadow.consume(src_pfn)
-                        lsrc = lru_lists[0]
-                        if src_pfn in lsrc:
-                            lsrc.remove(src_pfn)
-                        ldst = lru_lists[1]
-                        if shadow_pfn not in ldst:
-                            ldst.insert(shadow_pfn)
                         tiers[src_tier].free_list.append(src_pfn)
                         det_src.append(src_pfn)
                         st.demotions += 1
@@ -580,12 +568,6 @@ class MigrationEngine:
                 pt_val.append(nv); pt_own.append(pte_tid(nv)); pt_dirty.append(pte_is_dirty(nv))
                 fin_vpn.append(vpn); fin_pid.append(req.pid)
                 fin_src.append(src_pfn); fin_dest.append(dest_pfn)
-                lsrc = lru_lists[src_tier]
-                if src_pfn in lsrc:
-                    lsrc.remove(src_pfn)
-                ldst = lru_lists[dest_tier]
-                if dest_pfn not in ldst:
-                    ldst.insert(dest_pfn)
                 if keep_shadow:
                     shadow.retain(fast_pfn=dest_pfn, shadow_pfn=src_pfn)
                     keep_src.append(src_pfn)

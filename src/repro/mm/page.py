@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 from repro.mm.page_store import NONE_SENTINEL, PageStatsStore
 
 
@@ -239,24 +237,6 @@ class PhysPage:
         return self.writes / total if total else 0.0
 
     # -- mutations -------------------------------------------------------
-
-    def record_access(self, is_write: bool, tid: int, cycle: int, count: int = 1) -> None:
-        """Account ``count`` accesses by thread ``tid`` at ``cycle``."""
-        s, r = self._store, self._row
-        if is_write:
-            s.writes[r] += count
-            s.epoch_writes[r] += count
-            if s.state[r] == _CODE_BY_STATE[PageState.MIGRATING]:
-                s.dirty_since_copy[r] = True
-        else:
-            s.reads[r] += count
-            s.epoch_reads[r] += count
-        s.last_access_cycle[r] = cycle
-        if tid < 64:
-            s.tids_lo[r] |= np.uint64(1 << tid)
-        else:
-            s.tids_hi[r] |= np.uint64(1 << (tid - 64))
-        s.touched[r] = True
 
     def reset_epoch_counters(self) -> None:
         """Start a fresh profiling epoch (heat is decayed elsewhere)."""

@@ -188,23 +188,13 @@ class PageStatsStore:
 
     # -- vectorized queries ----------------------------------------------
 
-    def frames_of_pid(self, pid: int) -> np.ndarray:
-        """PFNs mapped (or mid-migration) by ``pid``, ascending.
-
-        Equivalent to walking the process page table: SHADOW frames keep
-        their (pid, vpn) reverse map but their PTEs point at the
-        promoted copy, so they are excluded here.
-        """
-        live = (self.state == STATE_MAPPED) | (self.state == STATE_MIGRATING)
-        return np.flatnonzero(live & (self.pid == pid))
-
     def owned_frames(self, pid: int) -> np.ndarray:
         """Every non-free frame bound to ``pid``, ascending.
 
-        Unlike :meth:`frames_of_pid` this *includes* SHADOW frames: a
-        retained slow-tier twin still belongs to the process that
-        promoted it, and teardown must reclaim it too (otherwise stale
-        shadows leak when their owner exits).
+        This *includes* SHADOW frames: a retained slow-tier twin still
+        belongs to the process that promoted it, and teardown must
+        reclaim it too (otherwise stale shadows leak when their owner
+        exits).
         """
         return np.flatnonzero((self.pid == pid) & (self.state != STATE_FREE))
 

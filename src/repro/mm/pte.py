@@ -178,9 +178,5 @@ def pte_is_dirty(value: int) -> bool:
     return bool(value & PTE_DIRTY)
 
 
-def pte_is_accessed(value: int) -> bool:
-    return bool(value & PTE_ACCESSED)
-
-
 def pte_is_shared(value: int) -> bool:
     return pte_tid(value) == PTE_SHARED_TID

@@ -2,11 +2,15 @@
 
 When a page is promoted to the fast tier, its slow-tier copy is retained
 as a *shadow* instead of being freed.  If the page later needs demotion
-and has not been dirtied since promotion, demotion degenerates to a
-remap — no copy at all.  A write to the promoted page invalidates the
-shadow (the copies diverged).
+and its PTE is clean, demotion degenerates to a remap — no copy at all.
+A dirty PTE at demotion time drops the shadow (the copies diverged) and
+the demotion copies in full.
 
-Shadows consume slow-tier frames, so the tracker supports reclaim when
+As modelled, nothing sets a PTE's dirty bit: ``record_plan`` counts
+writes on the frame, faults install clean PTEs and migration clears the
+bit.  So no write ever invalidates a shadow.  A retained shadow is
+consumed by a remap-demotion, discarded by an injected poison fault, or
+freed with its owner at teardown; nothing reclaims shadow frames when
 the slow tier runs short.
 """
 
@@ -22,7 +26,6 @@ class ShadowStats:
     retained: int = 0
     invalidated_by_write: int = 0
     remap_demotions: int = 0
-    reclaimed: int = 0
     poisoned: int = 0
 
 
@@ -33,9 +36,6 @@ class ShadowTracker:
     enabled: bool = True
     #: fast pfn -> retained slow pfn
     _shadows: dict[int, int] = field(default_factory=dict)
-    #: shadows invalidated by writes but whose frame is not yet freed;
-    #: the owner (allocator-side caller) reclaims these lazily.
-    _stale: set[int] = field(default_factory=set)
     stats: ShadowStats = field(default_factory=ShadowStats)
 
     def __len__(self) -> int:
@@ -63,11 +63,11 @@ class ShadowTracker:
     def on_write(self, fast_pfn: int) -> int | None:
         """A write diverged the copies; drop the shadow.
 
-        Returns the now-stale slow pfn (for the caller to free) or None.
+        Returns the dropped slow pfn, or None.  Its frame stays bound to
+        the owner until teardown frees it.
         """
         shadow_pfn = self._shadows.pop(fast_pfn, None)
         if shadow_pfn is not None:
-            self._stale.add(shadow_pfn)
             self.stats.invalidated_by_write += 1
         return shadow_pfn
 
@@ -91,27 +91,12 @@ class ShadowTracker:
     def poison(self, fast_pfn: int) -> int | None:
         """Fault injection: the retained slow-tier copy is corrupt.
 
-        Unlike :meth:`on_write` the frame is handed straight back to the
-        caller (not parked in the stale set) — a poisoned copy must be
-        discarded immediately, and the demotion that wanted it falls
-        back to a full copy.  Returns the poisoned slow pfn or ``None``.
+        The caller frees the returned frame at once — a poisoned copy
+        must be discarded immediately, and the demotion that wanted it
+        falls back to a full copy.  Returns the poisoned slow pfn or
+        ``None``.
         """
         shadow_pfn = self._shadows.pop(fast_pfn, None)
         if shadow_pfn is not None:
             self.stats.poisoned += 1
         return shadow_pfn
-
-    def drain_stale(self) -> list[int]:
-        """Hand back stale shadow frames for freeing."""
-        out = list(self._stale)
-        self._stale.clear()
-        self.stats.reclaimed += len(out)
-        return out
-
-    def reclaim_all(self) -> list[int]:
-        """Emergency: drop every shadow (slow tier under pressure)."""
-        out = list(self._shadows.values()) + list(self._stale)
-        self.stats.reclaimed += len(out)
-        self._shadows.clear()
-        self._stale.clear()
-        return out

@@ -71,9 +71,6 @@ class HugePageManager:
                 created += 1
         return created
 
-    def is_huge(self, vpn: int) -> bool:
-        return self.huge_base(vpn) in self.regions
-
     def record_accesses(self, vpns: np.ndarray) -> None:
         """Account a batch of accesses to the covering regions."""
         if not self.enabled or not self.regions:

@@ -27,6 +27,11 @@ from repro.policies.base import TieringPolicy
 from repro.profiling.base import Profiler
 from repro.profiling.pebs import PebsProfiler
 
+#: most pages promoted, and most demoted, per kmigrated pass
+MIGRATION_BUDGET = 512
+#: share of the fast tier kept free for new allocations
+RESERVE_FRAC = 0.01
+
 
 class MemtisPolicy(TieringPolicy):
     """Global-threshold capacity tiering with async migration."""
@@ -35,22 +40,9 @@ class MemtisPolicy(TieringPolicy):
     replication_enabled = False
     engine_flags = OptimizationFlags(opt_prep=False, opt_tlb=False)
 
-    def __init__(
-        self,
-        *args,
-        sampling_period: int = 64,
-        migration_budget: int = 512,
-        reserve_frac: float = 0.01,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.sampling_period = sampling_period
-        self.migration_budget = migration_budget
-        self.reserve_frac = reserve_frac
-
     def _make_profiler(self, pid: int) -> Profiler:
         return PebsProfiler(
-            period=self.sampling_period,
+            period=64,
             decay=0.5,
             rng=np.random.default_rng(self.rng.integers(2**63)),
         )
@@ -59,7 +51,7 @@ class MemtisPolicy(TieringPolicy):
         """One kmigrated pass: compute the global hot set, converge."""
         if not self.workloads:
             return
-        capacity = int(self.allocator.tiers[0].total * (1.0 - self.reserve_frac))
+        capacity = int(self.allocator.tiers[0].total * (1.0 - RESERVE_FRAC))
 
         # Build the global heat table as parallel columns (heat, pid, vpn, tier).
         cols: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -100,7 +92,7 @@ class MemtisPolicy(TieringPolicy):
         demo_idx = n_hot + np.flatnonzero(tiers[n_hot:] == 0)
         demo_idx = demo_idx[np.lexsort((vpns[demo_idx], pids[demo_idx], h[demo_idx]))]
         free = self.allocator.free_frames(0)
-        budget = self.migration_budget
+        budget = MIGRATION_BUDGET
 
         n_promote = min(promo_idx.size, budget)
         # Demote enough to make room for the promotions.

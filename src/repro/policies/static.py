@@ -9,6 +9,9 @@ from repro.policies.base import TieringPolicy, WorkloadRuntime
 from repro.profiling.base import Profiler
 from repro.profiling.pebs import PebsProfiler
 
+#: most pages the uniform policy promotes per workload per epoch
+PROMOTION_BUDGET = 256
+
 
 class NoMigrationPolicy(TieringPolicy):
     """First-touch placement forever.  The floor every tiering system
@@ -34,10 +37,6 @@ class UniformStaticPolicy(TieringPolicy):
     its slice."""
 
     name = "uniform"
-
-    def __init__(self, *args, promotion_budget: int = 256, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.promotion_budget = promotion_budget
 
     def _make_profiler(self, pid: int) -> Profiler:
         return PebsProfiler(period=64, rng=self.rng)
@@ -73,7 +72,7 @@ class UniformStaticPolicy(TieringPolicy):
 
         # Promote hottest slow pages into remaining headroom.
         headroom = share - (fvpns.size - max(overage, 0))
-        headroom = min(headroom, self.promotion_budget)
+        headroom = min(headroom, PROMOTION_BUDGET)
         if headroom > 0 and svpns.size:
             # Hottest first — descending (heat, vpn), the old reverse sort.
             for i in np.lexsort((-svpns, -sh))[:headroom].tolist():

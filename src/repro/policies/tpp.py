@@ -27,6 +27,11 @@ from repro.policies.base import TieringPolicy, WorkloadRuntime
 from repro.profiling.base import Profiler
 from repro.profiling.hintfault import HintFaultProfiler
 
+#: heat (≈ hint faults within the decay horizon) to promote
+PROMOTE_THRESHOLD = 0.4
+#: most pages promoted per epoch
+PROMOTION_BUDGET = 256
+
 
 class TppPolicy(TieringPolicy):
     """Hint-fault promotion + watermark demotion, all synchronous."""
@@ -34,18 +39,6 @@ class TppPolicy(TieringPolicy):
     name = "tpp"
     replication_enabled = False
     engine_flags = OptimizationFlags(opt_prep=False, opt_tlb=False)
-
-    def __init__(
-        self,
-        *args,
-        promote_threshold: float = 0.4,
-        promotion_budget: int = 256,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        #: heat (≈ hint faults within the decay horizon) to promote
-        self.promote_threshold = promote_threshold
-        self.promotion_budget = promotion_budget
 
     def _make_profiler(self, pid: int) -> Profiler:
         # Aggressive poisoning of a wide window: TPP instruments every
@@ -105,7 +98,7 @@ class TppPolicy(TieringPolicy):
     # -- promotion: second-touch hint faults ------------------------------------
 
     def _promote_hot(self) -> None:
-        budget = self.promotion_budget
+        budget = PROMOTION_BUDGET
         # Global hottest-first ordering across workloads — raw counts,
         # exactly the behaviour Observation #1 criticizes.
         candidates: list[tuple[float, int, int]] = []
@@ -115,7 +108,7 @@ class TppPolicy(TieringPolicy):
             vpns, heats = rt.profiler.heat_view(pid)
             if vpns.size == 0:
                 continue
-            hot = heats >= self.promote_threshold
+            hot = heats >= PROMOTE_THRESHOLD
             vpns, heats = vpns[hot], heats[hot]
             if vpns.size == 0:
                 continue

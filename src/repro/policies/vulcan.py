@@ -29,24 +29,13 @@ class VulcanPolicy(TieringPolicy):
     replication_enabled = True
     engine_flags = OptimizationFlags(opt_prep=True, opt_tlb=True, prep_scope_cpus=2)
 
-    def __init__(
-        self,
-        *args,
-        unit_pages: int = 16,
-        promotion_budget: int = 256,
-        sampling_period: int = 64,
-        colloid: bool = False,
-        **kwargs,
-    ) -> None:
+    def __init__(self, *args, colloid: bool = False, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.daemon = VulcanDaemon(
             self.allocator,
             fast_capacity_pages=self.allocator.tiers[0].total,
-            unit_pages=unit_pages,
-            promotion_budget_per_epoch=promotion_budget,
             rng=np.random.default_rng(self.rng.integers(2**63)),
         )
-        self.sampling_period = sampling_period
         self.last_report = None
         #: Colloid-style latency balancing (§3.6): suspend migration when
         #: the loaded fast tier stops being meaningfully faster.
@@ -57,7 +46,7 @@ class VulcanPolicy(TieringPolicy):
 
     def _make_profiler(self, pid: int) -> Profiler:
         return HybridProfiler(
-            period=self.sampling_period,
+            period=64,
             window_fraction=0.0625,  # light poisoning: app pays for faults
             decay=0.5,
             rng=np.random.default_rng(self.rng.integers(2**63)),

@@ -198,10 +198,6 @@ class Profiler:
         w = self._write_heat.gather(pid, vpns)
         return kernels.write_fractions(h, w)
 
-    def hottest(self, pid: int, n: int) -> list[tuple[int, float]]:
-        """Top-``n`` (vpn, heat) pairs, hottest first, vpn-tiebroken."""
-        return self._heat.hottest(pid, n)
-
     def forget(self, pid: int) -> None:
         """Drop all state for an exited process."""
         self._heat.forget(pid)

@@ -268,17 +268,3 @@ class HeatStore:
                         f"pid {pid}: min_live bound {ph.min_live} above true "
                         f"minimum live heat {true_min} (lazy compaction unsound)"
                     )
-
-    def hottest(self, pid: int, n: int) -> list[tuple[int, float]]:
-        """Top-``n`` (vpn, heat), hottest first, vpn-tiebroken.
-
-        ``argpartition`` prunes to the candidate set before the exact
-        ``(-heat, vpn)`` ordering (a stable lexsort) so the full-table
-        sort only touches ~n entries.
-        """
-        ph = self._pids.get(pid)
-        if ph is None or n <= 0 or not ph.order:
-            return []
-        vpns, heats = kernels.topk_live(ph.heat, ph.live, ph.base, n)
-        order = np.lexsort((vpns, -heats))[:n]
-        return list(zip(vpns[order].tolist(), heats[order].tolist()))

@@ -29,7 +29,6 @@ class HybridProfiler(Profiler):
         period: int = 64,
         window_fraction: float = 0.125,
         decay: float = 0.5,
-        fault_boost: float | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__(decay=decay)
@@ -41,7 +40,7 @@ class HybridProfiler(Profiler):
         #: scans fault every rotation yet have no reuse) — an eighth of a
         #: period keeps fault-only pages below typical hot thresholds
         #: while still surfacing sampling misses.
-        self.fault_boost = fault_boost if fault_boost is not None else period / 8.0
+        self.fault_boost = period / 8.0
 
     def register_pages(self, pid: int, vpns: np.ndarray) -> None:
         """Expose the fault rotation's coverage registration."""

@@ -43,10 +43,6 @@ class FaultInjector:
         """Disarm everything (no further RNG draws)."""
         self.probs.clear()
 
-    @property
-    def armed(self) -> bool:
-        return bool(self.probs)
-
     def roll(self, kind: FaultKind, *, pid: int, vpn: int) -> bool:
         """Should this migration step fail?  Draws only when armed."""
         p = self.probs.get(kind, 0.0)

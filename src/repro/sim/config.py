@@ -72,10 +72,6 @@ class MachineConfig:
     def tiers(self) -> tuple[TierConfig, TierConfig]:
         return (self.fast, self.slow)
 
-    def with_cores(self, n_cores: int) -> "MachineConfig":
-        """Copy of this config with a different core count."""
-        return replace(self, n_cores=n_cores)
-
     def with_fast_gb(self, fast_gb: float) -> "MachineConfig":
         """Copy of this config with the fast tier resized to ``fast_gb`` GiB."""
         return replace(self, fast=replace(self.fast, capacity_bytes=int(fast_gb * GiB)))

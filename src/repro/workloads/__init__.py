@@ -21,7 +21,6 @@ from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.microbench import MicrobenchWorkload
 from repro.workloads.mixes import PAPER_RSS_BYTES, paper_colocation_mix
 from repro.workloads.pagerank import PageRankWorkload
-from repro.workloads.ycsb import YCSB_MIXES, YcsbWorkload
 from repro.workloads.zipf import ZipfSampler
 
 __all__ = [
@@ -34,6 +33,4 @@ __all__ = [
     "MicrobenchWorkload",
     "paper_colocation_mix",
     "PAPER_RSS_BYTES",
-    "YcsbWorkload",
-    "YCSB_MIXES",
 ]

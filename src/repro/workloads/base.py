@@ -141,12 +141,10 @@ class Workload:
         for tid in range(nt):
             vpns, writes = self._thread_access(tid, n, epoch)
             m = vpns.size
-            if pos + m > buf_v.size:
-                # A thread may emit more than ``n`` accesses (YCSB scans
-                # touch up to a run of pages per operation): grow.
-                grown = 2 * (pos + m)
-                buf_v = self._plan_vpns = np.concatenate([buf_v[:pos], np.empty(grown - pos, dtype=np.int64)])
-                buf_w = self._plan_writes = np.concatenate([buf_w[:pos], np.empty(grown - pos, dtype=bool)])
+            if m > n:
+                raise ValueError(
+                    f"workload {self.name!r} thread {tid} emitted {m} accesses, more than its {n}"
+                )
             buf_v[pos : pos + m] = vpns
             buf_w[pos : pos + m] = writes
             pos += m
@@ -160,7 +158,8 @@ class Workload:
         )
 
     def _thread_access(self, tid: int, n: int, epoch: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (vpns, is_write) for one thread's epoch traffic."""
+        """Return (vpns, is_write) for one thread's epoch traffic: at most
+        ``n`` accesses."""
         raise NotImplementedError
 
     def first_touch_tids(self) -> np.ndarray:

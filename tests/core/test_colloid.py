@@ -8,7 +8,7 @@ from repro.core.colloid import LatencyBalancer
 def test_migrates_while_fast_is_faster():
     b = LatencyBalancer()
     assert b.update(210.0, 600.0) is True
-    assert b.migration_allowed
+    assert not b.suspended
     assert b.last_advantage_ratio == pytest.approx(600 / 210)
 
 

@@ -62,15 +62,6 @@ class TestFthr:
         with pytest.raises(ValueError):
             WorkloadQos(pid=1).add_sample(-1, 0)
 
-    def test_under_allocated_flag(self):
-        q = WorkloadQos(pid=1, rss_pages=100, gpt=0.5)
-        q.add_sample(10, 90)
-        q.end_window()
-        assert q.under_allocated
-        q.add_sample(90, 10)
-        q.end_window()
-        assert not q.under_allocated
-
 
 class TestDemand:
     def test_under_target_grows_hard(self):

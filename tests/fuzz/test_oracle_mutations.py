@@ -65,6 +65,12 @@ def _ran_experiment(policy: str = "vulcan") -> ScenarioExperiment:
     return exp
 
 
+def _mapped_pfn(bed: ScenarioExperiment, pid: int) -> int:
+    """The frame behind ``pid``'s first present PTE."""
+    flat = bed._spaces[pid].process.repl.flat
+    return int(flat.pfn[flat.pfn >= 0][0])
+
+
 @pytest.fixture(scope="module")
 def bed() -> ScenarioExperiment:
     # one shared run; every test corrupts a *copy-free* aspect, so each
@@ -76,7 +82,7 @@ class TestLeakedFrame:
     def test_frame_bound_to_dead_pid_is_reported(self, bed):
         store = bed.allocator.store
         live_pid = next(iter(bed._active))
-        pfn = int(store.frames_of_pid(live_pid)[0])
+        pfn = _mapped_pfn(bed, live_pid)
         old_pid = int(store.pid[pfn])
         store.pid[pfn] = 4242  # nobody is running pid 4242
         try:
@@ -118,7 +124,7 @@ class TestDoubleFree:
     def test_live_frame_on_free_list_is_reported(self, bed):
         store = bed.allocator.store
         live_pid = next(iter(bed._active))
-        pfn = int(store.frames_of_pid(live_pid)[0])
+        pfn = _mapped_pfn(bed, live_pid)
         store.in_free_list[pfn] = True
         try:
             with pytest.raises(InvariantViolation) as exc:

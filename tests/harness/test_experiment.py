@@ -101,15 +101,6 @@ def test_deterministic_given_seed():
     np.testing.assert_allclose(r1.by_name("w").fthr_true, r2.by_name("w").fthr_true)
 
 
-def test_alloc_and_fthr_series_shapes():
-    res = make_exp(workloads=[wl("a"), wl("b", start=2, seed=1)]).run(4)
-    alloc = res.alloc_series()
-    fthr = res.fthr_series()
-    assert set(alloc) == set(fthr)
-    for pid in alloc:
-        assert alloc[pid].shape == fthr[pid].shape
-
-
 def test_by_name_missing_raises():
     res = make_exp().run(1)
     with pytest.raises(KeyError):
@@ -160,10 +151,6 @@ class TestGapTolerantSeries:
         empty = WorkloadTimeseries(pid=1, name="e")
         assert empty.first_epoch == -1
         assert empty.last_epoch == -1
-
-    def test_active_mask(self):
-        mask = _late_short_ts().active_mask(8)
-        assert mask.tolist() == [False, False, True, True, True, False, False, False]
 
     def test_aligned_fills_gaps_with_nan(self):
         al = _late_short_ts().aligned("ops", 8)

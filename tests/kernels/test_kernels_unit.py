@@ -159,17 +159,6 @@ def test_heat_gather_out_of_range_is_zero(be):
     np.testing.assert_allclose(got, [0.0, 1.0, 3.0, 0.0])
 
 
-def test_topk_live_keeps_kth_ties(be):
-    heat = np.array([5.0, 1.0, 5.0, 3.0, 0.0, 2.0])
-    live = np.array([True, True, True, True, False, True])
-    vpns, heats = be.topk_live(heat, live, 10, 2)
-    # everything tied with the 2nd-largest (5.0) survives, ascending vpn
-    np.testing.assert_array_equal(vpns, [10, 12])
-    np.testing.assert_allclose(heats, [5.0, 5.0])
-    vpns_all, _ = be.topk_live(heat, live, 10, 99)
-    np.testing.assert_array_equal(vpns_all, [10, 11, 12, 13, 15])
-
-
 # -- profiler helpers ------------------------------------------------------------
 
 

@@ -33,26 +33,6 @@ def test_loaded_latency_capped_at_4x():
     assert t.access_latency_cycles(0.999) <= 4.0 * t.load_latency_cycles
 
 
-def test_copy_cost_scales_with_bytes():
-    t = make_tier(bw=10.0)  # 10 bytes per ns
-    # 4096 bytes / 10 B/ns = 409.6 ns = ~1229 cycles
-    assert t.copy_cost_cycles(4096) == pytest.approx(1229, abs=2)
-    assert t.copy_cost_cycles(8192) == pytest.approx(2 * t.copy_cost_cycles(4096), rel=0.01)
-
-
-def test_copy_cost_negative_rejected():
-    with pytest.raises(ValueError):
-        make_tier().copy_cost_cycles(-1)
-
-
-def test_access_recording():
-    t = make_tier()
-    t.record_access(False, count=3)
-    t.record_access(True, count=2)
-    assert t.stats.reads == 3
-    assert t.stats.writes == 2
-
-
 def test_sub_page_tier_rejected():
     with pytest.raises(ValueError):
         make_tier(capacity=100)

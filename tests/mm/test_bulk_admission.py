@@ -152,8 +152,8 @@ def test_handle_faults_links_in_first_touch_order():
 
 
 def test_admit_fills_lru_as_per_page_adds():
-    """``_admit`` hands add_pages each page's frame, tier and the core
-    of its first-touch thread, in vpn order."""
+    """``_admit`` hands add_pages each page's frame and the core of its
+    first-touch thread, in vpn order, then drains every pagevec."""
     unit = 10**6
 
     def tier(name: str, pages: int) -> TierConfig:
@@ -164,18 +164,26 @@ def test_admit_fills_lru_as_per_page_adds():
         "vulcan", [wl], seed=1, sim=SimulationConfig(page_unit_bytes=unit),
         machine_config=MachineConfig(n_cores=16, fast=tier("fast", 256), slow=tier("slow", 2048)),
     )
+    calls = []
+    add_pages = exp.lru.add_pages
+
+    def spy(pfns, cpus):
+        calls.append((pfns.tolist(), cpus.tolist()))
+        add_pages(pfns, cpus)
+
+    exp.lru.add_pages = spy
     pid = exp._admit(wl, 0)
     flat = exp._spaces[pid].process.repl.flat
     pfns = flat.pfn[flat.indices(wl.vma.vpns())]
     tids = wl.first_touch_tids() % wl.spec.n_threads
     assert flat.owner[flat.indices(wl.vma.vpns())].tolist() == tids.tolist()
     core_map = exp.policy.workloads[pid].thread_core_map
+    assert calls == [(pfns.tolist(), [core_map[tid] for tid in tids.tolist()])]
     ref = LruSubsystem(n_cpus=16)
     for pfn, tid in zip(pfns.tolist(), tids.tolist()):
-        ref.add_page(pfn, exp.allocator.tier_of_pfn(pfn), core_map[tid])
+        ref.add_page(pfn, core_map[tid])
     ref.drain(None)
     assert lru_state(exp.lru) == lru_state(ref)
-    assert len(exp.lru.lists[1]) == 700 - 256
 
 
 @pytest.mark.parametrize("prefer_tier", [0, 1])
@@ -214,21 +222,8 @@ def test_populate_rejects_foreign_vma():
 def lru_state(lru: LruSubsystem) -> dict:
     return {
         "pending": [list(vec.pending) for vec in lru.pagevecs],
-        "pending_tier": dict(lru._pending_tier),
-        "lists": [(list(lst.inactive), list(lst.active)) for lst in lru.lists],
         "drains": (lru.drain_all_calls, lru.scoped_drain_calls),
     }
-
-
-def seeded_lru(n_cpus: int) -> LruSubsystem:
-    """LRU lists already holding pfns 0..9, some active, each on one
-    tier's list, so the skip-if-present rule is exercised."""
-    lru = LruSubsystem(n_cpus=n_cpus)
-    for pfn in range(10):
-        lru.lists[pfn % 2].insert(pfn)
-    for pfn in (2, 3, 6, 7):
-        lru.lists[pfn % 2].mark_accessed(pfn)
-    return lru
 
 
 @pytest.mark.parametrize("n", [0, 1, PAGEVEC_SIZE - 1, PAGEVEC_SIZE, PAGEVEC_SIZE + 1, 97, 1000])
@@ -236,14 +231,12 @@ def seeded_lru(n_cpus: int) -> LruSubsystem:
 def test_add_pages_matches_scalar_adds(n, seed):
     rng = np.random.default_rng(seed)
     n_cpus = 5
-    # Mostly fresh pfns, plus some already on a list.
     pfns = rng.permutation(np.arange(n + 10, dtype=np.int64))[:n]
-    tiers = rng.integers(0, 2, size=n)
     cpus = rng.integers(0, n_cpus, size=n) if seed else np.zeros(n, dtype=np.int64)
-    bulk, ref = seeded_lru(n_cpus), seeded_lru(n_cpus)
-    bulk.add_pages(pfns, tiers, cpus)
-    for pfn, tier, cpu in zip(pfns.tolist(), tiers.tolist(), cpus.tolist()):
-        ref.add_page(pfn, tier, cpu)
+    bulk, ref = LruSubsystem(n_cpus), LruSubsystem(n_cpus)
+    bulk.add_pages(pfns, cpus)
+    for pfn, cpu in zip(pfns.tolist(), cpus.tolist()):
+        ref.add_page(pfn, cpu)
     assert lru_state(bulk) == lru_state(ref)
     assert bulk.drain(None) == ref.drain(None)
     assert lru_state(bulk) == lru_state(ref)
@@ -251,9 +244,9 @@ def test_add_pages_matches_scalar_adds(n, seed):
 
 def test_add_pages_needs_empty_pagevecs():
     lru = LruSubsystem(n_cpus=2)
-    lru.add_page(1, 0, 1)
+    lru.add_page(1, 1)
     with pytest.raises(RuntimeError):
-        lru.add_pages(np.array([2]), np.array([0]), np.array([0]))
+        lru.add_pages(np.array([2]), np.array([0]))
 
 
 # -- bulk_note_access vs note_access × n ----------------------------------------

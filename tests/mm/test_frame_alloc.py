@@ -78,17 +78,6 @@ def test_watermarks():
     assert tier.frames_to_reclaim() == 15  # to reach 20 free
 
 
-def test_mapped_pages_iteration():
-    a = make_alloc()
-    p1 = a.allocate(0)
-    p1.attach(1, 100)
-    p2 = a.allocate(1)
-    p2.attach(1, 101)
-    a.allocate(1)  # never attached: not mapped
-    assert {p.pfn for p in a.mapped_pages()} == {p1.pfn, p2.pfn}
-    assert {p.pfn for p in a.mapped_pages(tier_id=0)} == {p1.pfn}
-
-
 def test_bad_watermark_ordering_rejected():
     with pytest.raises(ValueError):
         FrameAllocator(4, 4, low_watermark_frac=0.5, high_watermark_frac=0.1)

@@ -1,8 +1,8 @@
-"""Per-CPU pagevecs and the active/inactive LRU lists."""
+"""Per-CPU pagevecs and the drains that flush them."""
 
 import pytest
 
-from repro.mm.lru import PAGEVEC_SIZE, LruList, LruSubsystem, PerCpuPagevec
+from repro.mm.lru import PAGEVEC_SIZE, LruSubsystem, PerCpuPagevec
 
 
 class TestPagevec:
@@ -18,93 +18,41 @@ class TestPagevec:
         assert PerCpuPagevec(cpu_id=0).capacity == PAGEVEC_SIZE == 15
 
 
-class TestLruList:
-    def test_new_pages_enter_inactive(self):
-        l = LruList()
-        l.insert(1)
-        assert 1 in l.inactive and 1 not in l.active
-
-    def test_second_touch_activates(self):
-        l = LruList()
-        l.insert(1)
-        l.mark_accessed(1)
-        assert 1 in l.active
-
-    def test_coldest_returns_inactive_cold_end(self):
-        l = LruList()
-        for pfn in (1, 2, 3):
-            l.insert(pfn)
-        assert l.coldest(2) == [1, 2]
-
-    def test_age_moves_active_to_inactive(self):
-        l = LruList()
-        for pfn in (1, 2):
-            l.insert(pfn)
-            l.mark_accessed(pfn)
-        assert l.age(1) == 1
-        assert 1 in l.inactive  # oldest active demoted first
-
-    def test_duplicate_insert_rejected(self):
-        l = LruList()
-        l.insert(1)
-        with pytest.raises(ValueError):
-            l.insert(1)
-
-    def test_remove(self):
-        l = LruList()
-        l.insert(1)
-        l.remove(1)
-        assert len(l) == 0
-        with pytest.raises(KeyError):
-            l.remove(1)
-
-
 class TestLruSubsystem:
     def test_pages_stuck_in_pagevec_until_drain(self):
         sub = LruSubsystem(n_cpus=2)
-        sub.add_page(pfn=1, tier_id=0, cpu_id=0)
-        assert not sub.is_isolatable(1, 0)
-        sub.drain([0])
-        assert sub.is_isolatable(1, 0)
+        sub.add_page(pfn=1, cpu_id=0)
+        assert list(sub.pagevecs[0].pending) == [1]
+        assert sub.drain([0]) == 1
+        assert not sub.pagevecs[0].pending
 
     def test_full_pagevec_autodrains(self):
         sub = LruSubsystem(n_cpus=1)
-        for pfn in range(PAGEVEC_SIZE):
-            sub.add_page(pfn, tier_id=0, cpu_id=0)
-        assert sub.is_isolatable(0, 0)  # vec filled and flushed itself
+        for pfn in range(PAGEVEC_SIZE - 1):
+            sub.add_page(pfn, cpu_id=0)
+        assert len(sub.pagevecs[0].pending) == PAGEVEC_SIZE - 1
+        sub.add_page(PAGEVEC_SIZE - 1, cpu_id=0)
+        assert not sub.pagevecs[0].pending  # vec filled and flushed itself
+        assert sub.drain_all_calls == sub.scoped_drain_calls == 0
 
     def test_global_drain_covers_all_cpus(self):
         sub = LruSubsystem(n_cpus=4)
         for cpu in range(4):
-            sub.add_page(100 + cpu, tier_id=1, cpu_id=cpu)
+            sub.add_page(100 + cpu, cpu_id=cpu)
         flushed = sub.drain(None)
         assert flushed == 4
         assert sub.drain_all_calls == 1
-        for cpu in range(4):
-            assert sub.is_isolatable(100 + cpu, 1)
+        assert not any(vec.pending for vec in sub.pagevecs)
 
     def test_scoped_drain_leaves_other_cpus_buffered(self):
         sub = LruSubsystem(n_cpus=4)
-        sub.add_page(1, tier_id=0, cpu_id=0)
-        sub.add_page(2, tier_id=0, cpu_id=3)
-        sub.drain([0])
+        sub.add_page(1, cpu_id=0)
+        sub.add_page(2, cpu_id=3)
+        assert sub.drain([0]) == 1
         assert sub.scoped_drain_calls == 1
-        assert sub.is_isolatable(1, 0)
-        assert not sub.is_isolatable(2, 0)
-
-    def test_tier_recorded_through_drain(self):
-        sub = LruSubsystem(n_cpus=1)
-        sub.add_page(5, tier_id=1, cpu_id=0)
-        sub.drain(None)
-        assert 5 in sub.lists[1]
-        assert 5 not in sub.lists[0]
-
-    def test_move_tier(self):
-        sub = LruSubsystem(n_cpus=1)
-        sub.add_page(5, tier_id=0, cpu_id=0)
-        sub.drain(None)
-        sub.move_tier(5, 0, 1)
-        assert 5 in sub.lists[1] and 5 not in sub.lists[0]
+        assert sub.drain_all_calls == 0
+        assert not sub.pagevecs[0].pending
+        assert list(sub.pagevecs[3].pending) == [2]
 
     def test_zero_cpus_rejected(self):
         with pytest.raises(ValueError):
@@ -112,38 +60,25 @@ class TestLruSubsystem:
 
 
 class TestForgetPages:
-    """Teardown support: a departing pid's frames must vanish from the
-    pagevecs, the global lists, and the pending-tier map alike."""
+    """Teardown support: a departing pid's frames must leave every pagevec."""
 
     def test_removes_from_pagevecs_and_global_lists(self):
         sub = LruSubsystem(n_cpus=2)
-        # pfns 1..15 drain cpu 0's pagevec into the tier-0 global list;
-        # 20 and 21 stay buffered in cpu 1's pagevec.
+        # pfns 1..15 fill cpu 0's pagevec, which flushes itself; 20 and
+        # 21 stay buffered in cpu 1's pagevec.
         for pfn in range(1, 16):
-            sub.add_page(pfn, tier_id=0, cpu_id=0)
-        sub.add_page(20, tier_id=1, cpu_id=1)
-        sub.add_page(21, tier_id=1, cpu_id=1)
-        removed = sub.forget_pages([1, 2, 20])
-        assert removed == 3
-        assert 1 not in sub.lists[0] and 2 not in sub.lists[0]
-        assert 3 in sub.lists[0]
-        assert 20 not in sub.pagevecs[1].pending
-        assert 21 in sub.pagevecs[1].pending
-        # The buffered survivor still knows its tier.
-        sub.drain()
-        assert 21 in sub.lists[1]
-
-    def test_clears_pending_tier(self):
-        sub = LruSubsystem(n_cpus=1)
-        sub.add_page(5, tier_id=1, cpu_id=0)
-        assert sub.forget_pages([5]) == 1
+            sub.add_page(pfn, cpu_id=0)
+        sub.add_page(20, cpu_id=1)
+        sub.add_page(21, cpu_id=1)
+        # Flushed pages hold no pagevec entry, so only 20 is removed.
+        assert sub.forget_pages([1, 2, 20]) == 1
+        assert list(sub.pagevecs[1].pending) == [21]
         # A later drain must not resurrect the forgotten page.
-        sub.drain()
-        assert 5 not in sub.lists[0] and 5 not in sub.lists[1]
+        assert sub.drain() == 1
 
     def test_empty_and_unknown_pfns_are_noops(self):
         sub = LruSubsystem(n_cpus=1)
-        sub.add_page(5, tier_id=0, cpu_id=0)
+        sub.add_page(5, cpu_id=0)
         assert sub.forget_pages([]) == 0
         assert sub.forget_pages([99]) == 0
         assert 5 in sub.pagevecs[0].pending

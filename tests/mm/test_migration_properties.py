@@ -136,7 +136,7 @@ def test_batch_promotion_respects_capacity(batch, seed):
     outcomes = engine.migrate_batch(reqs)
     assert len(outcomes) == len(batch)
     check_invariants(space, alloc)
-    fast_used = alloc.used_frames(0)
+    fast_used = alloc.tiers[0].used
     assert fast_used <= FAST
 
 

@@ -1,8 +1,23 @@
 """Physical frame metadata."""
 
+import numpy as np
 import pytest
 
 from repro.mm.page import PageState, PhysPage
+from repro.mm.page_store import PageStatsStore
+
+
+def store_page(state: PageState = PageState.FREE) -> tuple[PhysPage, PageStatsStore]:
+    """A view over frame 1 of its own two-frame store."""
+    store = PageStatsStore(n_frames=2, fast_frames=2)
+    return PhysPage(pfn=1, tier_id=0, state=state, store=store), store
+
+
+def access(store: PageStatsStore, pfn: int, *, reads=0, writes=0, tid=0, cycle=0) -> None:
+    """Account accesses to one frame the way an epoch does."""
+    pfns = np.array([pfn])
+    store.record_epoch_rows(pfns, np.array([reads]), np.array([writes]), cycle)
+    store.or_tid_bit(pfns, tid)
 
 
 def test_attach_detach_lifecycle():
@@ -31,10 +46,10 @@ def test_shadow_frame_can_be_reattached():
 
 
 def test_access_accounting():
-    p = PhysPage(pfn=1, tier_id=0)
+    p, store = store_page()
     p.attach(1, 1)
-    p.record_access(False, tid=0, cycle=5, count=3)
-    p.record_access(True, tid=1, cycle=9, count=1)
+    access(store, 1, reads=3, tid=0, cycle=5)
+    access(store, 1, writes=1, tid=1, cycle=9)
     assert p.reads == 3 and p.writes == 1
     assert p.total_accesses == 4
     assert p.write_fraction == pytest.approx(0.25)
@@ -43,19 +58,18 @@ def test_access_accounting():
 
 
 def test_epoch_counters_reset_independently():
-    p = PhysPage(pfn=1, tier_id=0)
-    p.record_access(False, tid=0, cycle=1, count=5)
+    p, store = store_page()
+    access(store, 1, reads=5, cycle=1)
     p.reset_epoch_counters()
     assert p.epoch_reads == 0
     assert p.reads == 5  # cumulative survives
 
 
 def test_write_during_migration_sets_dirty_flag():
-    p = PhysPage(pfn=1, tier_id=0)
-    p.state = PageState.MIGRATING
-    p.record_access(False, tid=0, cycle=1)
+    p, store = store_page(PageState.MIGRATING)
+    access(store, 1, reads=1, cycle=1)
     assert not p.dirty_since_copy
-    p.record_access(True, tid=0, cycle=2)
+    access(store, 1, writes=1, cycle=2)
     assert p.dirty_since_copy
 
 
@@ -64,9 +78,9 @@ def test_write_fraction_of_untouched_page():
 
 
 def test_detach_clears_stats():
-    p = PhysPage(pfn=1, tier_id=0)
+    p, store = store_page()
     p.attach(1, 1)
-    p.record_access(True, tid=2, cycle=1)
+    access(store, 1, writes=1, tid=2, cycle=1)
     p.heat = 9.0
     p.detach()
     assert p.writes == 0 and p.heat == 0.0 and p.accessing_tids == set()

@@ -60,7 +60,8 @@ def test_flag_set_clear():
 
 def test_accessed_flag():
     v = P.pte_make(pfn=1, tid=0, accessed=True)
-    assert P.pte_is_accessed(v)
+    assert P.pte_decode(v).accessed
+    assert not P.pte_decode(P.pte_make(pfn=1, tid=0)).accessed
 
 
 @given(

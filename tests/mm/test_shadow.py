@@ -43,8 +43,9 @@ def test_dirty_page_not_remap_demotable_and_drops_shadow():
     s = ShadowTracker()
     s.retain(1, 100)
     assert not s.can_remap_demote(1, dirty=True)
-    # The divergent shadow is now stale, awaiting reclaim.
-    assert s.drain_stale() == [100]
+    # The divergent shadow is dropped.
+    assert s.shadow_of(1) is None
+    assert s.stats.invalidated_by_write == 1
 
 
 def test_unshadowed_page_not_remap_demotable():
@@ -58,32 +59,12 @@ def test_disabled_tracker():
         s.retain(1, 100)
 
 
-def test_drain_stale_returns_once():
-    s = ShadowTracker()
-    s.retain(1, 100)
-    s.on_write(1)
-    assert s.drain_stale() == [100]
-    assert s.drain_stale() == []
-
-
-def test_reclaim_all():
-    s = ShadowTracker()
-    s.retain(1, 100)
-    s.retain(2, 200)
-    s.on_write(2)
-    freed = sorted(s.reclaim_all())
-    assert freed == [100, 200]
-    assert len(s) == 0
-
-
 def test_poison_pops_and_counts():
     s = ShadowTracker()
     s.retain(1, 100)
     assert s.poison(1) == 100
     assert s.stats.poisoned == 1
     assert s.shadow_of(1) is None
-    # Poisoned frames are handed back immediately, never parked stale.
-    assert s.drain_stale() == []
 
 
 def test_poison_of_unshadowed_page_is_none():

@@ -19,8 +19,7 @@ def test_register_covers_only_full_blocks():
     # Region [100, 100+1024): fully covers exactly one 512-block (512..1024).
     created = m.register_region(start_vpn=100, n_pages=1024)
     assert created == 1
-    assert m.is_huge(512) and m.is_huge(1023)
-    assert not m.is_huge(100)
+    assert list(m.regions) == [512]
 
 
 def test_register_aligned_region():
@@ -32,7 +31,7 @@ def test_register_aligned_region():
 def test_disabled_manager_registers_nothing():
     m = HugePageManager(enabled=False)
     assert m.register_region(0, 4 * HP) == 0
-    assert not m.is_huge(0)
+    assert not m.regions
 
 
 def test_record_accesses_builds_histogram():
@@ -78,7 +77,7 @@ def test_split_returns_hot_first():
     order = m.split(0)
     assert order[0] == 7 and order[1] == 9
     assert len(order) == HP
-    assert not m.is_huge(0)
+    assert 0 not in m.regions
     assert m.splits == 1
 
 

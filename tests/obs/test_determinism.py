@@ -56,15 +56,3 @@ def test_tracing_does_not_change_results():
         assert ts.promotions == other.promotions
         assert ts.demotions == other.demotions
     assert np.array_equal(plain.migration_cycles, traced.migration_cycles)
-
-
-def test_prep_phase_routed_through_charge():
-    """Satellite regression: prep cycles show in phase_cycles *and* in
-    total_cycles exactly once, via the PREP enum member."""
-    from repro.mm.migration import MigrationPhase, MigrationStats
-
-    stats = MigrationStats()
-    assert "prep" in stats.phase_cycles  # enum member seeds the dict
-    stats.charge(MigrationPhase.PREP, 123.0)
-    assert stats.phase_cycles["prep"] == 123.0
-    assert stats.total_cycles == 123.0

@@ -40,8 +40,8 @@ def test_same_labels_return_same_instrument():
 def test_gauge_and_histogram():
     reg = MetricsRegistry(enabled=True)
     g = reg.gauge("quota", workload="a")
-    g.set(128)
-    g.dec(28)
+    g.set(96)
+    g.inc(4)
     assert reg.series("quota") == {(("workload", "a"),): 100.0}
     h = reg.histogram("scope", bounds=(1, 2, 8))
     for v in (1, 1, 2, 5, 100):

@@ -66,7 +66,7 @@ class TestTpp:
 class TestMemtis:
     def test_reserve_keeps_headroom(self):
         res, exp = run("memtis", [hot(rss=400)])
-        used = exp.allocator.used_frames(0)
+        used = exp.allocator.tiers[0].used
         assert used <= exp.allocator.tiers[0].total  # trivially
         # Hot set far below capacity: no pointless fill beyond hot pages.
         assert sum(res.by_name("hot").promotions) >= 0

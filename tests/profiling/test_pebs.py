@@ -79,13 +79,6 @@ def test_pid_isolation_and_forget():
     assert set(prof.hotness(2)) == {2}
 
 
-def test_hottest_ordering():
-    prof = PebsProfiler(period=1)
-    prof.observe(batch([1] * 5 + [2] * 10 + [3]))
-    top = prof.hottest(1, 2)
-    assert [vpn for vpn, _ in top] == [2, 1]
-
-
 def test_empty_batch_noop():
     prof = PebsProfiler(period=4)
     prof.observe(batch([]))

@@ -17,10 +17,6 @@ def test_paper_defaults_match_section_5_1():
     assert cfg.slow.bandwidth_gbps == 25.0
 
 
-def test_with_cores():
-    assert paper_machine_config().with_cores(8).n_cores == 8
-
-
 def test_tier_latency_cycles():
     t = TierConfig(name="t", capacity_bytes=GiB, load_latency_ns=100.0, bandwidth_gbps=10.0)
     assert t.load_latency_cycles == 300

@@ -8,7 +8,7 @@ from repro.harness import ColocationExperiment
 from repro.mm import pte as pte_mod
 from repro.sim.config import MachineConfig, SimulationConfig, TierConfig
 from repro.workloads.base import WorkloadSpec
-from repro.workloads.ycsb import YcsbWorkload
+from repro.workloads.microbench import MicrobenchWorkload
 
 UNIT = 10**6
 
@@ -25,10 +25,15 @@ def sim():
     return SimulationConfig(page_unit_bytes=UNIT, epoch_seconds=0.5)
 
 
+#: read ratio of each key-value mix: "A" is half updates, "B" 5% updates
+KV_READ_RATIO = {"A": 0.5, "B": 0.95}
+
+
 def kv(name="kv", rss=200, mix="B", start=0, seed=0, threads=2):
+    """A key-value tenant: Zipfian keys over its whole RSS."""
     spec = WorkloadSpec(name=name, service=ServiceClass.LC, rss_pages=rss,
                         n_threads=threads, start_epoch=start, accesses_per_thread=2000)
-    return YcsbWorkload(spec, seed=seed, mix=mix)
+    return MicrobenchWorkload(spec, seed=seed, wss_pages=rss, read_ratio=KV_READ_RATIO[mix])
 
 
 @pytest.mark.parametrize("policy", ["none", "uniform", "tpp", "memtis", "nomad", "vulcan"])
@@ -99,8 +104,8 @@ def test_slow_tier_exhaustion_is_loud():
 
 
 def test_write_heavy_kv_exercises_sync_path_under_vulcan():
-    """YCSB-A (50% updates) must classify write-intensive and be migrated
-    synchronously per Table 1."""
+    """A 50%-update key-value mix must classify write-intensive and be
+    migrated synchronously per Table 1."""
     wl = kv("a", mix="A", rss=300)
     exp = ColocationExperiment(
         "vulcan", [wl], machine_config=machine(fast=64), sim=sim(),

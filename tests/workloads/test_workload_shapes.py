@@ -69,6 +69,35 @@ class TestBase:
         np.testing.assert_array_equal(wa, wb)
 
 
+class _Toy(Workload):
+    """Thread ``t`` emits ``n + extra[t]`` accesses to vpn ``start + t``."""
+
+    def __init__(self, extra: list[int]) -> None:
+        super().__init__(spec(name="toy", threads=len(extra), apt=10))
+        self.extra = extra
+
+    def _thread_access(self, tid, n, epoch):
+        m = n + self.extra[tid]
+        return np.full(m, self.vma.start_vpn + tid, dtype=np.int64), np.zeros(m, dtype=bool)
+
+
+class TestPlanBuffer:
+    def test_thread_over_its_budget_rejected(self):
+        wl = _Toy([0, 1, 0])
+        bind(wl)
+        with pytest.raises(ValueError, match="'toy' thread 1 emitted 11 accesses"):
+            wl.planned_epoch(0)
+
+    def test_short_thread_gets_correct_offsets(self):
+        wl = _Toy([-1, 0, -1])
+        vma = bind(wl)
+        _, plan = wl.planned_epoch(0)
+        assert plan.offsets.tolist() == [0, 9, 19, 28]
+        expected = np.repeat(vma.start_vpn + np.arange(3), [9, 10, 9])
+        np.testing.assert_array_equal(plan.vpns, expected)
+        assert [b.tid for b in plan.segments()] == [0, 1, 2]
+
+
 class TestMemcached:
     def test_get_set_ratio(self):
         wl = MemcachedWorkload(spec(apt=20_000), seed=0)
