@@ -182,14 +182,32 @@ class BiasedMigrationPolicy:
         else:
             shadowed = np.zeros(vpns.size, dtype=bool)
         key = h * np.where(shadowed, 0.5, 1.0)
-        order = np.lexsort((vpns, key))[:n_pages]  # coldest first, vpn tiebreak
+        order = _coldest_first(key, n_pages)
         return [
             PlannedMigration(
                 pid=pid,
-                vpn=int(vpns[i]),
+                vpn=vpn,
                 dest_tier=1,
                 sync=True,  # demotions are off the hot path; shadow remap is cheap anyway
-                heat=float(h[i]),
+                heat=heat,
             )
-            for i in order.tolist()
+            for vpn, heat in zip(vpns[order].tolist(), h[order].tolist())
         ]
+
+
+def _coldest_first(key: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the ``n`` smallest ``key`` rows, ascending by key and,
+    among equal keys, by row.
+
+    That is exactly ``np.lexsort((rows, key))[:n]``, which is the vpn
+    tiebreak when rows are in ascending-vpn order.  A partition finds
+    the n-th smallest key; only the rows strictly below it are sorted,
+    and the first rows equal to it fill the rest in row order.
+    """
+    if n >= key.size:
+        return np.argsort(key, kind="stable")
+    kth = np.partition(key, n - 1)[n - 1]
+    below = np.flatnonzero(key < kth)
+    below = below[np.argsort(key[below], kind="stable")]
+    ties = np.flatnonzero(key == kth)[: n - below.size]
+    return np.concatenate((below, ties))

@@ -59,7 +59,7 @@ def zipf_invert(cdf, lut, m, u):
 @njit(cache=True)
 def page_record_rows(
     reads, writes, epoch_reads, epoch_writes, last_access_cycle,
-    touched, state, dirty_since_copy, pfns, n_reads, n_writes, cycle,
+    touched, pfns, n_reads, n_writes, cycle,
 ):
     for i in range(pfns.size):
         p = pfns[i]
@@ -71,8 +71,6 @@ def page_record_rows(
         epoch_writes[p] += w
         last_access_cycle[p] = cycle
         touched[p] = True
-        if state[p] == _STATE_MIGRATING and w > 0:
-            dirty_since_copy[p] = True
 
 
 @njit(cache=True)
@@ -239,26 +237,23 @@ def write_fractions(h, w):
 
 
 @njit(cache=True)
-def plan_span_stats(off_all, is_write, pfn_all, fast_frames, offsets, span):
-    n = off_all.size
+def plan_span_stats(off_all, is_write, pfn_span, fast_frames, offsets, span):
     total_counts = np.zeros(span, dtype=np.int64)
     write_counts = np.zeros(span, dtype=np.int64)
-    pfn_span = np.zeros(span, dtype=np.int64)
-    for i in range(n):
+    for i in range(off_all.size):
         o = off_all[i]
         total_counts[o] += 1
         if is_write[i]:
             write_counts[o] += 1
-        pfn_span[o] = pfn_all[i]
     n_seg = offsets.size - 1
     fast_seg = np.zeros(n_seg, dtype=np.int64)
     for k in range(n_seg):
         c = 0
         for i in range(offsets[k], offsets[k + 1]):
-            if pfn_all[i] < fast_frames:
+            if pfn_span[off_all[i]] < fast_frames:
                 c += 1
         fast_seg[k] = c
-    return total_counts, write_counts, pfn_span, fast_seg
+    return total_counts, write_counts, fast_seg
 
 
 @njit(cache=True)
@@ -340,7 +335,7 @@ def warmup() -> None:
     zipf_invert(cdf, lut, 65536, u)
     page_record_rows(
         i64.copy(), i64.copy(), i64.copy(), i64.copy(), i64.copy(),
-        b.copy(), i8, b.copy(), np.array([0, 1], dtype=np.int64), i64, i64, 1,
+        b.copy(), np.array([0, 1], dtype=np.int64), i64, i64, 1,
     )
     page_reset_epoch(b.copy(), i8, i64.copy(), i64.copy())
     pid_fast_usage(i8, i64, 0, 1)

@@ -65,8 +65,6 @@ def page_record_rows(
     epoch_writes: np.ndarray,
     last_access_cycle: np.ndarray,
     touched: np.ndarray,
-    state: np.ndarray,
-    dirty_since_copy: np.ndarray,
     pfns: np.ndarray,
     n_reads: np.ndarray,
     n_writes: np.ndarray,
@@ -79,11 +77,6 @@ def page_record_rows(
     epoch_writes[pfns] += n_writes
     last_access_cycle[pfns] = cycle
     touched[pfns] = True
-    # Writes landing while a transactional copy is in flight dirty the
-    # source frame.
-    migrating = (state[pfns] == _STATE_MIGRATING) & (n_writes > 0)
-    if migrating.any():
-        dirty_since_copy[pfns[migrating]] = True
 
 
 def page_reset_epoch(
@@ -104,10 +97,14 @@ def page_reset_epoch(
 
 
 def pid_fast_usage(state: np.ndarray, pid_col: np.ndarray, pid: int, fast_frames: int) -> int:
-    """How many fast-tier frames ``pid`` maps (PTE-walk equivalent)."""
+    """How many fast-tier frames ``pid`` maps (PTE-walk equivalent).
+
+    A frame is fast exactly when its pfn, the row index, is below
+    ``fast_frames``, so only those rows are scanned.
+    """
+    state, pid_col = state[:fast_frames], pid_col[:fast_frames]
     live = (state == _STATE_MAPPED) | (state == _STATE_MIGRATING)
-    pfns = np.flatnonzero(live & (pid_col == pid))
-    return int((pfns < fast_frames).sum())
+    return int(np.count_nonzero(live & (pid_col == pid)))
 
 
 def pid_ground_truth(
@@ -217,27 +214,28 @@ def write_fractions(h: np.ndarray, w: np.ndarray) -> np.ndarray:
 def plan_span_stats(
     off_all: np.ndarray,
     is_write: np.ndarray,
-    pfn_all: np.ndarray,
+    pfn_span: np.ndarray,
     fast_frames: int,
     offsets: np.ndarray,
     span: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-span access/write counts, pfn scatter, per-segment fast counts.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-span access and write counts, per-segment fast-tier counts.
 
-    ``pfn_span`` is only defined at occupied offsets (the caller reads
-    it through ``occ``/unique-offset index sets).
+    ``pfn_span[o]`` is the frame at span offset ``o`` (-1 where
+    unmapped); only the entries at accessed offsets reach the result,
+    so the caller checks those for unmapped pages.  The write counts come from a weighted bincount, which is exact
+    (counts stay far below 2**53) and avoids compacting ``off_all``
+    through the write mask.
     """
     total_counts = np.bincount(off_all, minlength=span)
-    write_counts = np.bincount(off_all[is_write], minlength=span)
-    pfn_span = np.zeros(span, dtype=np.int64)
-    pfn_span[off_all] = pfn_all
+    write_counts = np.bincount(off_all, weights=is_write, minlength=span).astype(np.int64)
     # Per-segment fast/slow splits from per-access tier membership.
-    in_fast = pfn_all < fast_frames
+    in_fast = (pfn_span < fast_frames)[off_all]
     n_seg = offsets.size - 1
     fast_seg = np.empty(n_seg, dtype=np.int64)
     for k in range(n_seg):
         fast_seg[k] = np.count_nonzero(in_fast[offsets[k]:offsets[k + 1]])
-    return total_counts, write_counts, pfn_span, fast_seg
+    return total_counts, write_counts, fast_seg
 
 
 def plan_segment_unique(

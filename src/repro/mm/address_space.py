@@ -177,10 +177,12 @@ class AddressSpace:
 
         Pages must already be mapped (the harness populates VMAs up
         front, matching the paper's warmed-up workloads); an unmapped
-        vpn raises ``KeyError``.  One translation gather, one pair of
-        bincounts, and one frame-counter update cover the epoch; only
-        the order-sensitive parts (sharing transitions and tid-bit ORs,
-        both per-thread) walk the segments in order.  Returns
+        vpn raises ``KeyError``.  The page table is read over the plan's
+        vpn span as a view, so frames are gathered once per occupied
+        page instead of once per access; one pair of bincounts and one
+        frame-counter update cover the epoch; only the order-sensitive
+        parts (sharing transitions and tid-bit ORs, both per-thread)
+        walk the segments in order.  Returns
         per-segment ``(fast, slow)`` access-count arrays for FTHR
         sampling (per-access tier membership, counted per segment).
         """
@@ -199,17 +201,20 @@ class AddressSpace:
             oob = (idx_all < 0) | (idx_all >= flat.pfn.size)
             bad = int(vpns[oob].min())
             raise KeyError(f"vpn {bad} not mapped; populate() the VMA first")
-        pfn_all = flat.pfn[vpns - flat.base]
-        if pfn_all.min() < 0:
-            bad = int(vpns[pfn_all < 0].min())
-            raise KeyError(f"vpn {bad} not mapped; populate() the VMA first")
 
         span = hi - lo + 1
         off_all = vpns - lo
-        total_counts, write_counts, pfn_span, fast_seg = kernels.plan_span_stats(
-            off_all, plan.is_write, pfn_all, store.fast_frames, offsets, span
+        # A view: bulk_note_access below rewrites only owners and raw
+        # values, never ``flat.pfn`` itself.
+        pfn_span = flat.pfn[lo - flat.base:hi - flat.base + 1]
+        total_counts, write_counts, fast_seg = kernels.plan_span_stats(
+            off_all, plan.is_write, pfn_span, store.fast_frames, offsets, span
         )
         occ = np.flatnonzero(total_counts)
+        pfn_occ = pfn_span[occ]
+        if pfn_occ.min() < 0:
+            bad = int(occ[pfn_occ < 0][0]) + lo
+            raise KeyError(f"vpn {bad} not mapped; populate() the VMA first")
 
         # Sharing transitions + tid bitmasks must run per thread, in
         # segment order (a transition by tid 0 changes what tid 1 sees);
@@ -231,10 +236,8 @@ class AddressSpace:
             store.or_tid_bit(pfn_span[uoff], tid)
         self.minor_faults += minor
 
+        writes_occ = write_counts[occ]
         store.record_epoch_rows(
-            pfn_span[occ],
-            total_counts[occ] - write_counts[occ],
-            write_counts[occ],
-            cycle,
+            pfn_occ, total_counts[occ] - writes_occ, writes_occ, cycle
         )
         return fast_seg, total_seg - fast_seg

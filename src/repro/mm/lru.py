@@ -118,6 +118,8 @@ class LruSubsystem:
         ndarray directly (no boxed-int set is built for large
         teardowns).  Returns how many entries were removed.
         """
+        if not any(vec.pending for vec in self.pagevecs):
+            return 0
         sorted_pfns = np.unique(np.asarray(pfns, dtype=np.int64))
         if sorted_pfns.size == 0:
             return 0

@@ -443,7 +443,6 @@ class MigrationEngine:
             pt_val: list[int] = []; pt_own: list[int] = []; pt_dirty: list[bool] = []
             keep_src: list[int] = []  # sources retained as shadow rows
             det_src: list[int] = []   # sources fully detached (freed)
-            txn_src: list[int] = []   # transactional sources (dirty reset)
 
             outcomes: list[MigrationOutcome] = []
             append_out = outcomes.append
@@ -535,7 +534,6 @@ class MigrationEngine:
                     # Nomad-style transactional copy: the page stays mapped
                     # during the copy; a write inside the copy window
                     # (Poisson, rate λ) aborts and retries it.
-                    txn_src.append(src_pfn)
                     lam = req.access_rate_per_kcycle * req.write_fraction / 1_000.0
                     p_dirty = 1.0 - float(np.exp(-lam * c1)) if lam > 0.0 else 0.0
                     retries = 0
@@ -624,7 +622,6 @@ class MigrationEngine:
             store.epoch_reads[d] = 0
             store.epoch_writes[d] = 0
             store.shadow_pfn[d] = NONE_SENTINEL
-            store.dirty_since_copy[d] = False
             store.tids_lo[d] = 0
             store.tids_hi[d] = 0
             store.touched[d] = False
@@ -648,8 +645,6 @@ class MigrationEngine:
             store.tids_hi[fdst] = g_hi
             store.tier_id[fdst] = fdst >= fast_frames
             store.in_free_list[fdst] = False
-        if txn_src:
-            store.dirty_since_copy[np.array(txn_src, dtype=np.int64)] = False
         if keep_src:
             store.state[np.array(keep_src, dtype=np.int64)] = STATE_SHADOW
         if pt_vpn:

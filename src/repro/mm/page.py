@@ -2,8 +2,8 @@
 
 One :class:`PhysPage` exists per physical frame the simulator has handed
 out.  It carries the reverse mapping (which process/vpn maps it), access
-statistics the profilers summarize, and migration bookkeeping (shadow
-links, in-flight transactional copies).
+statistics the profilers summarize, and the shadow link migration
+keeps for a promoted frame.
 
 Since the struct-of-arrays refactor the *data* lives in
 :class:`repro.mm.page_store.PageStatsStore`; a PhysPage is a thin view
@@ -59,9 +59,10 @@ class PhysPage:
     shadow_pfn:
         If this is a promoted fast-tier frame, the retained slow-tier
         shadow copy (Nomad-style), else ``None``.
-    dirty_since_copy:
-        Set when a write lands while a transactional copy is in flight;
-        the async engine uses it to detect failed transactions.
+
+    No per-frame flag tracks writes during a transactional copy: the
+    migration engine draws whether a copy window was dirtied from its
+    Poisson write model instead.
     """
 
     __slots__ = ("_store", "_row", "pfn")
@@ -168,14 +169,6 @@ class PhysPage:
     @shadow_pfn.setter
     def shadow_pfn(self, value: int | None) -> None:
         self._store.shadow_pfn[self._row] = NONE_SENTINEL if value is None else value
-
-    @property
-    def dirty_since_copy(self) -> bool:
-        return bool(self._store.dirty_since_copy[self._row])
-
-    @dirty_since_copy.setter
-    def dirty_since_copy(self, value: bool) -> None:
-        self._store.dirty_since_copy[self._row] = value
 
     @property
     def epoch_reads(self) -> int:

@@ -87,7 +87,6 @@ class PageStatsStore:
         self.heat = np.empty(n, dtype=np.float64)
         self.last_access_cycle = np.empty(n, dtype=np.int64)
         self.shadow_pfn = np.empty(n, dtype=np.int64)
-        self.dirty_since_copy = np.empty(n, dtype=bool)
         # accessing-tid bitmask: word 0 covers tids 0..63, word 1 covers
         # 64..127 (PTE tid space is 7 bits).
         self.tids_lo = np.empty(n, dtype=np.uint64)
@@ -100,7 +99,7 @@ class PageStatsStore:
     _COLUMNS = (
         "tier_id", "state", "pid", "vpn", "reads", "writes",
         "epoch_reads", "epoch_writes", "heat", "last_access_cycle",
-        "shadow_pfn", "dirty_since_copy", "tids_lo", "tids_hi",
+        "shadow_pfn", "tids_lo", "tids_hi",
         "touched", "in_free_list",
     )
 
@@ -136,7 +135,6 @@ class PageStatsStore:
         self.heat[lo:] = 0.0
         self.last_access_cycle[lo:] = 0
         self.shadow_pfn[lo:] = NONE_SENTINEL
-        self.dirty_since_copy[lo:] = False
         self.tids_lo[lo:] = 0
         self.tids_hi[lo:] = 0
         self.touched[lo:] = False
@@ -164,14 +162,12 @@ class PageStatsStore:
         ``pfns`` are the epoch's unique frames (one row each) with
         counts already summed across threads; the per-thread tid-bit
         ORs happen separately (:meth:`or_tid_bit`).  Integer adds
-        commute, states are constant while traffic runs, and ``cycle``
-        is the same for every thread of an epoch, so one pass lands
-        exactly where per-thread updates would.
+        commute and ``cycle`` is the same for every thread of an epoch,
+        so one pass lands exactly where per-thread updates would.
         """
         kernels.page_record_rows(
             self.reads, self.writes, self.epoch_reads, self.epoch_writes,
-            self.last_access_cycle, self.touched, self.state,
-            self.dirty_since_copy, pfns, n_reads, n_writes, cycle,
+            self.last_access_cycle, self.touched, pfns, n_reads, n_writes, cycle,
         )
 
     def reset_epoch_counters(self) -> None:
@@ -236,7 +232,6 @@ class PageStatsStore:
         self.epoch_reads[pfn] = 0
         self.epoch_writes[pfn] = 0
         self.shadow_pfn[pfn] = NONE_SENTINEL
-        self.dirty_since_copy[pfn] = False
         self.tids_lo[pfn] = 0
         self.tids_hi[pfn] = 0
         self.touched[pfn] = False

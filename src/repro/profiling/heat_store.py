@@ -14,9 +14,12 @@ decisions and are preserved exactly:
   multiply per epoch), so heats are bit-identical.
 * **Iteration order** — promotion-queue heat averages and the
   tpp/nomad shuffle consume heats in dict *insertion* order, so each
-  pid keeps an ordered key set (`dict[int, None]`): new vpns append in
-  ascending order per batch (``np.unique`` sorts), dead vpns drop out
-  on decay, exactly as dict keys did.
+  pid keeps its live vpns in one append-only int64 array, in insertion
+  order: new vpns append in ascending order per batch (``np.unique``
+  sorts), and decay compaction filters dead vpns out into a new array,
+  exactly the order dict keys kept.  Appends write past the live count
+  and compaction never writes in place, so a view handed out by
+  :meth:`HeatStore.ordered_vpns` never changes under its holder.
 """
 
 from __future__ import annotations
@@ -32,16 +35,18 @@ _GROW_PAD = 4096
 
 
 class _PidHeat:
-    """One pid's dense heat array plus the insertion-ordered key set."""
+    """One pid's dense heat array plus its live vpns in insertion order."""
 
-    __slots__ = ("base", "heat", "live", "order", "_order_cache", "min_live")
+    __slots__ = ("base", "heat", "live", "order", "n_order", "min_live")
 
     def __init__(self) -> None:
         self.base = 0
         self.heat = np.empty(0, dtype=np.float64)
         self.live = np.zeros(0, dtype=bool)
-        self.order: dict[int, None] = {}
-        self._order_cache: np.ndarray | None = None
+        #: live vpns in insertion order are ``order[:n_order]``; the
+        #: tail is spare capacity for appends
+        self.order = np.empty(0, dtype=np.int64)
+        self.n_order = 0
         #: lower bound on the minimum live heat.  Decay multiplies it
         #: alongside the array; while it stays >= the compaction floor
         #: no live entry can have dropped below, so the per-epoch
@@ -80,18 +85,25 @@ class _PidHeat:
         self.base, self.heat, self.live = new_base, heat, live
 
     def ordered_vpns(self) -> np.ndarray:
-        if self._order_cache is None:
-            self._order_cache = np.fromiter(
-                self.order, dtype=np.int64, count=len(self.order)
-            )
-        return self._order_cache
+        return self.order[:self.n_order]
+
+    def append(self, vpns: np.ndarray) -> None:
+        """Append new live ``vpns`` to the order, growing by doubling."""
+        n, k = self.n_order, vpns.size
+        if n + k > self.order.size:
+            grown = np.empty(max(2 * self.order.size, n + k), dtype=np.int64)
+            grown[:n] = self.order[:n]
+            self.order = grown
+        self.order[n:n + k] = vpns
+        self.n_order = n + k
 
     def copy(self) -> "_PidHeat":
         dup = _PidHeat()
         dup.base = self.base
         dup.heat = self.heat.copy()
         dup.live = self.live.copy()
-        dup.order = dict(self.order)
+        dup.order = self.order.copy()
+        dup.n_order = self.n_order
         dup.min_live = self.min_live
         return dup
 
@@ -108,7 +120,7 @@ class HeatStore:
         """Add ``sums`` to ``vpns`` (unique, ascending) for ``pid``.
 
         Equivalent to ``heat[vpn] = heat.get(vpn, 0.0) + w`` per entry;
-        new keys enter the order set in ascending-vpn order, matching
+        new keys append to the order in ascending-vpn order, matching
         the dict path (``np.unique`` output is sorted).
         """
         if vpns.size == 0:
@@ -118,10 +130,7 @@ class HeatStore:
         idx = vpns - ph.base
         new, written_min = kernels.heat_accumulate(ph.heat, ph.live, idx, sums)
         if new.any():
-            order = ph.order
-            for vpn in vpns[new].tolist():
-                order[vpn] = None
-            ph._order_cache = None
+            ph.append(vpns[new])
         if written_min < ph.min_live:
             ph.min_live = written_min
 
@@ -139,10 +148,7 @@ class HeatStore:
         idx = vpns - ph.base
         new, written_min = kernels.heat_add_scaled(ph.heat, ph.live, idx, heats, scale)
         if new.any():
-            order = ph.order
-            for vpn in vpns[new].tolist():
-                order[vpn] = None
-            ph._order_cache = None
+            ph.append(vpns[new])
         if written_min < ph.min_live:
             ph.min_live = written_min
 
@@ -170,13 +176,12 @@ class HeatStore:
                 continue  # bound >= floor: scan provably drops nothing
             dead_idx = kernels.heat_compact(ph.heat, ph.live, floor)
             if dead_idx.size:
-                order = ph.order
-                for vpn in (dead_idx + ph.base).tolist():
-                    del order[vpn]
-                ph._order_cache = None
+                order = ph.ordered_vpns()
+                ph.order = order[ph.live[order - ph.base]]
+                ph.n_order = ph.order.size
             # the scan visited every live slot anyway: tighten the
             # bound to the exact survivor minimum
-            if ph.order:
+            if ph.n_order:
                 ph.min_live = float(kernels.heat_min_live(ph.heat, ph.live))
             else:
                 ph.min_live = np.inf
@@ -193,7 +198,8 @@ class HeatStore:
         return list(self._pids)
 
     def ordered_vpns(self, pid: int) -> np.ndarray:
-        """Live vpns in insertion order (the old dict iteration order)."""
+        """Live vpns in insertion order (the old dict iteration order),
+        as a view that later writes to the store never change."""
         ph = self._pids.get(pid)
         if ph is None:
             return np.empty(0, dtype=np.int64)
@@ -235,14 +241,14 @@ class HeatStore:
         """Raise ``RuntimeError`` if any pid's key set and arrays diverge.
 
         The dict-equivalence contract (module docstring) only holds if
-        the insertion-ordered key set and the dense ``live`` mask name
-        exactly the same vpns, the order cache (when built) mirrors the
-        key set, and every dead slot holds exactly 0.0 heat (decay
-        compaction zeroes what it drops).  Used by the fuzz oracle.
+        the insertion-order array and the dense ``live`` mask name
+        exactly the same vpns, each once, and every dead slot holds
+        exactly 0.0 heat (decay compaction zeroes what it drops).  Used
+        by the fuzz oracle.
         """
         for pid, ph in self._pids.items():
             live_vpns = np.flatnonzero(ph.live) + ph.base  # ascending
-            order_arr = np.fromiter(ph.order, dtype=np.int64, count=len(ph.order))
+            order_arr = ph.ordered_vpns()
             order_sorted = np.sort(order_arr)
             if not np.array_equal(live_vpns, order_sorted):
                 missing = np.setdiff1d(live_vpns, order_sorted)[:8].tolist()
@@ -251,9 +257,6 @@ class HeatStore:
                     f"pid {pid} heat key set desynced: {live_vpns.size} live vs "
                     f"{order_arr.size} ordered (live-only {missing}, order-only {extra})"
                 )
-            cache = ph._order_cache
-            if cache is not None and not np.array_equal(np.sort(cache), order_sorted):
-                raise RuntimeError(f"pid {pid} heat order cache stale")
             dead_heat = np.flatnonzero(~ph.live & (ph.heat != 0.0))
             if dead_heat.size:
                 vpn = int(dead_heat[0] + ph.base)

@@ -86,8 +86,14 @@ class HintFaultProfiler(Profiler):
         if hits.size == 0:
             return
         # Each poisoned page faults once, then is unpoisoned until the
-        # next rotation — so count unique pages, not raw hits.
-        uniq = np.unique(hits)
+        # next rotation — so count unique pages, not raw hits.  Sorting
+        # and keeping each first of a run is np.unique's result without
+        # its hash path (which imports numpy.ma on first use).
+        uniq = np.sort(hits)
+        first = np.empty(uniq.size, dtype=bool)
+        first[0] = True
+        np.not_equal(uniq[1:], uniq[:-1], out=first[1:])
+        uniq = uniq[first]
         mask[uniq - base] = False
         self.stats.samples_taken += int(uniq.size)
         self.stats.app_overhead_cycles += uniq.size * HINT_FAULT_COST_CYCLES

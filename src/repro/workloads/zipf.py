@@ -54,6 +54,9 @@ class ZipfSampler:
         weights = (np.arange(1, n + 1, dtype=np.float64)) ** (-s)
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
+        # x / x is exactly 1.0, and every u drawn is < 1, so the
+        # inversion never returns a rank above n - 1.
+        assert self._cdf[-1] == 1.0
         # lut[b] = searchsorted(cdf, b/M, 'right'), the count of ranks
         # with cdf[i] <= b/M, so bucket b brackets the answer for any u
         # in [b/M, (b+1)/M):  lut[b] <= searchsorted(cdf, u) <= lut[b+1].
@@ -95,7 +98,6 @@ class ZipfSampler:
             return np.empty(0, dtype=np.int64)
         u = rng.random(size)
         ranks = self._invert(u)
-        np.clip(ranks, 0, self.n - 1, out=ranks)
         if self._perm is not None:
             return self._perm[ranks]
         return ranks

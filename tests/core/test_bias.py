@@ -1,8 +1,9 @@
 """Biased migration policy: candidate selection and Table 1 dispatch."""
 
 import numpy as np
+import pytest
 
-from repro.core.bias import BiasedMigrationPolicy
+from repro.core.bias import BiasedMigrationPolicy, _coldest_first
 from repro.core.classify import PageClass
 from repro.mm.frame_alloc import FrameAllocator
 from repro.mm.shadow import ShadowTracker
@@ -95,6 +96,46 @@ def test_demotion_prefers_shadowed_clean_pages_at_similar_heat():
     shadow.retain(fast_pfn=pfn0, shadow_pfn=999)
     demos = policy.select_demotions(space.process.pid, 1, prof, space.process.repl, alloc, shadow=shadow)
     assert demos[0].vpn == vma.start_vpn + 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coldest_first_equals_full_lexsort_on_tied_keys(seed):
+    rng = np.random.default_rng(seed)
+    for size in (1, 2, 7, 60, 500):
+        # a few levels, halved where "shadowed": ties everywhere
+        key = rng.choice([0.0, 0.0, 1.0, 2.0, 4.0], size) * rng.choice([1.0, 0.5], size)
+        want = np.lexsort((np.arange(size), key))
+        for n in range(1, size + 3):  # up to and past n >= N
+            np.testing.assert_array_equal(_coldest_first(key, n), want[:n])
+
+
+def test_select_demotions_matches_full_lexsort():
+    """Tie-heavy heats, shadowed pages and an exclude set, for budgets
+    below, at and above the number of fast pages."""
+    alloc, space, prof, policy = setup(fast=40, slow=64, n_pages=60)
+    pid, repl, flat = space.process.pid, space.process.repl, space.process.repl.flat
+    vma = space.process.vmas[0]
+    rng = np.random.default_rng(5)
+    for i in range(60):
+        count = int(rng.choice([0, 0, 0, 2, 4]))  # most pages never heated
+        if count:
+            feed(prof, space, vma.start_vpn + i, count, tid=i % 2)
+    shadow = ShadowTracker()
+    for i in range(0, 40, 3):
+        shadow.retain(fast_pfn=space.translate(vma.start_vpn + i), shadow_pfn=1000 + i)
+    exclude = {vma.start_vpn + i for i in (1, 4, 9, 30, 45)}
+    for n in (1, 5, 17, 35, 36, 100):  # 36 fast pages are not excluded
+        got = policy.select_demotions(pid, n, prof, repl, alloc, shadow=shadow, exclude=exclude)
+        vpns = flat.present_vpns()
+        pfns = flat.pfn[vpns - flat.base]
+        keep = (pfns < alloc.store.fast_frames) & ~np.isin(vpns, sorted(exclude))
+        vpns, pfns = vpns[keep], pfns[keep]
+        h = prof.heat_of(pid, vpns)
+        shadowed = ~flat.dirty[vpns - flat.base] & shadow.shadowed_mask(pfns)
+        order = np.lexsort((vpns, h * np.where(shadowed, 0.5, 1.0)))[:n]
+        assert [(p.vpn, p.heat) for p in got] == list(
+            zip(vpns[order].tolist(), h[order].tolist())
+        )
 
 
 def test_budget_zero_returns_nothing():

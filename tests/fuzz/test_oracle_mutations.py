@@ -182,17 +182,30 @@ class TestHeatDesync:
     def test_dropped_order_key_is_reported(self, bed):
         store, pid = self._a_heat_book(bed)
         ph = store._pids[pid]
-        vpn = next(iter(ph.order))
-        del ph.order[vpn]  # key set loses a vpn the live mask still has
-        ph._order_cache = None
+        order, n = ph.order, ph.n_order
+        # the order loses its first vpn, which the live mask still has
+        ph.order, ph.n_order = order[1:n].copy(), n - 1
         try:
             with pytest.raises(InvariantViolation) as exc:
                 check_heat_consistency(bed.policy)
             assert exc.value.check == "heat_consistency"
             assert "desynced" in str(exc.value)
         finally:
-            ph.order[vpn] = None
-            ph._order_cache = None
+            ph.order, ph.n_order = order, n
+        check_heat_consistency(bed.policy)
+
+    def test_duplicated_order_key_is_reported(self, bed):
+        store, pid = self._a_heat_book(bed)
+        ph = store._pids[pid]
+        order, n = ph.order, ph.n_order
+        ph.order = np.append(order[:n], order[0])  # one live vpn twice
+        ph.n_order = n + 1
+        try:
+            with pytest.raises(InvariantViolation) as exc:
+                check_heat_consistency(bed.policy)
+            assert "desynced" in str(exc.value)
+        finally:
+            ph.order, ph.n_order = order, n
         check_heat_consistency(bed.policy)
 
     def test_nonzero_dead_slot_is_reported(self, bed):

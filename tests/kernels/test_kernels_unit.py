@@ -56,13 +56,11 @@ def test_page_record_rows_oracle(be):
     ew = np.zeros(n, dtype=np.int64)
     lac = np.zeros(n, dtype=np.int64)
     touched = np.zeros(n, dtype=bool)
-    state = rng.integers(0, 4, n).astype(np.int8)
-    dirty = np.zeros(n, dtype=bool)
     pfns = rng.permutation(n)[:20].astype(np.int64)
     nr = rng.integers(0, 9, 20).astype(np.int64)
     nw = rng.integers(0, 9, 20).astype(np.int64)
 
-    exp = [a.copy() for a in (reads, writes, er, ew, lac, touched, dirty)]
+    exp = [a.copy() for a in (reads, writes, er, ew, lac, touched)]
     for i, p in enumerate(pfns):
         exp[0][p] += nr[i]
         exp[1][p] += nw[i]
@@ -70,11 +68,9 @@ def test_page_record_rows_oracle(be):
         exp[3][p] += nw[i]
         exp[4][p] = 99
         exp[5][p] = True
-        if state[p] == 2 and nw[i] > 0:
-            exp[6][p] = True
 
-    be.page_record_rows(reads, writes, er, ew, lac, touched, state, dirty, pfns, nr, nw, 99)
-    for got, want in zip((reads, writes, er, ew, lac, touched, dirty), exp):
+    be.page_record_rows(reads, writes, er, ew, lac, touched, pfns, nr, nw, 99)
+    for got, want in zip((reads, writes, er, ew, lac, touched), exp):
         np.testing.assert_array_equal(got, want)
 
 
@@ -113,6 +109,21 @@ def test_pid_usage_and_ground_truth(be):
     assert tuple(int(x) for x in got) == (
         int(hot.sum()), want_hf, want_fast - want_hf, want_fast,
     )
+
+
+@pytest.mark.parametrize("fast_frames", [0, 1, 80, 199, 200, 260])
+def test_pid_fast_usage_matches_full_scan(be, fast_frames):
+    """The fast-rows-only scan against a scan of every row, also when
+    the materialized rows end at or before the fast tier does."""
+    rng = _rng()
+    n = 200
+    state = rng.integers(0, 4, n).astype(np.int8)
+    pid_col = rng.integers(100, 104, n).astype(np.int64)
+    for pid in range(100, 104):
+        live = (state == 1) | (state == 2)
+        mine = np.flatnonzero(live & (pid_col == pid))
+        want = int((mine < fast_frames).sum())
+        assert be.pid_fast_usage(state, pid_col, pid, fast_frames) == want
 
 
 # -- heat store ------------------------------------------------------------------
@@ -188,28 +199,36 @@ def _plan_fixture():
     offsets = np.array([0, 40, 40, 100], dtype=np.int64)
     off_all = rng.integers(0, 30, 100).astype(np.int64)
     is_write = rng.random(100) < 0.4
-    pfn_all = (off_all * 7 + 3).astype(np.int64)  # one pfn per offset
-    return off_all, is_write, pfn_all, offsets
+    return off_all, is_write, offsets
 
 
 def test_plan_span_stats_oracle(be):
-    off_all, is_write, pfn_all, offsets = _plan_fixture()
+    """Counts and the per-segment tier split against a per-access walk;
+    the span table holds -1 at the offsets no access names."""
+    off_all, is_write, offsets = _plan_fixture()
     span, fast_frames = 30, 100
-    total, wc, pfn_span, fast_seg = be.plan_span_stats(
-        off_all, is_write, pfn_all, fast_frames, offsets, span
+    pfn_span = np.arange(span, dtype=np.int64) * 7 + 3  # one pfn per offset
+    pfn_span[np.setdiff1d(np.arange(span), off_all)] = -1
+    total, wc, fast_seg = be.plan_span_stats(
+        off_all, is_write, pfn_span, fast_frames, offsets, span
     )
-    np.testing.assert_array_equal(total, np.bincount(off_all, minlength=span))
-    np.testing.assert_array_equal(wc, np.bincount(off_all[is_write], minlength=span))
-    np.testing.assert_array_equal(pfn_span[off_all], pfn_all)
+    want_total = np.zeros(span, dtype=np.int64)
+    want_writes = np.zeros(span, dtype=np.int64)
+    for o, w in zip(off_all.tolist(), is_write.tolist()):
+        want_total[o] += 1
+        want_writes[o] += w
+    assert total.dtype == wc.dtype == fast_seg.dtype == np.int64
+    np.testing.assert_array_equal(total, want_total)
+    np.testing.assert_array_equal(wc, want_writes)
     want_fast = [
-        int((pfn_all[s:e] < fast_frames).sum())
-        for s, e in zip(offsets[:-1], offsets[1:])
+        sum(int(pfn_span[o] < fast_frames) for o in off_all[s:e].tolist())
+        for s, e in zip(offsets[:-1].tolist(), offsets[1:].tolist())
     ]
     np.testing.assert_array_equal(fast_seg, want_fast)
 
 
 def test_plan_segment_unique_oracle(be):
-    off_all, _, _, offsets = _plan_fixture()
+    off_all, _, offsets = _plan_fixture()
     scratch = np.zeros(30, dtype=bool)
     ucat, bounds = be.plan_segment_unique(off_all, offsets, scratch)
     assert not scratch.any(), "scratch must be returned all-False"

@@ -65,14 +65,6 @@ def test_epoch_counters_reset_independently():
     assert p.reads == 5  # cumulative survives
 
 
-def test_write_during_migration_sets_dirty_flag():
-    p, store = store_page(PageState.MIGRATING)
-    access(store, 1, reads=1, cycle=1)
-    assert not p.dirty_since_copy
-    access(store, 1, writes=1, cycle=2)
-    assert p.dirty_since_copy
-
-
 def test_write_fraction_of_untouched_page():
     assert PhysPage(pfn=1, tier_id=0).write_fraction == 0.0
 

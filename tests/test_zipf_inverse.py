@@ -110,3 +110,27 @@ def test_sample_consumes_one_uniform_block_per_call() -> None:
     np.testing.assert_array_equal(out, np.clip(_reference(sampler, u), 0, sampler.n - 1))
     # both generators are now in the same state
     assert r1.random() == r2.random()
+
+
+class _TopDraws:
+    """A generator stand-in whose every uniform is the largest double below 1."""
+
+    U = 1.0 - 2.0**-53
+
+    def random(self, size: int) -> np.ndarray:
+        return np.full(size, self.U)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 65_537])
+@pytest.mark.parametrize("s", [0.0, 0.99, 6.0])
+def test_largest_draw_stays_in_range_without_a_clip(n: int, s: float) -> None:
+    # cdf[-1] is x / x == 1.0 exactly and every draw is below 1, so no
+    # inversion can return n; sample() relies on that instead of clipping
+    sampler = ZipfSampler(n, s)
+    assert sampler._cdf[-1] == 1.0
+    u = np.array([_TopDraws.U])
+    rank = int(sampler._invert(u.copy())[0])
+    assert rank == int(_reference(sampler, u)[0]) <= n - 1
+    if n == 1 or sampler._cdf[-2] < _TopDraws.U:
+        assert rank == n - 1  # the CDF's last step is the only one above u
+    assert sampler.sample(4, _TopDraws()).tolist() == [rank] * 4
