@@ -19,8 +19,9 @@ The package layers:
 * :mod:`repro.workloads` — Memcached/PageRank/Liblinear-shaped
   generators and the Nomad-style microbenchmark;
 * :mod:`repro.metrics` — Jain / CFI fairness, perf normalization;
-* :mod:`repro.obs` — structured tracing, metrics registry, and trace
-  exporters (cycle-clocked, deterministic, off by default);
+* :mod:`repro.obs` — structured tracing, the Chrome trace writer and
+  reader, and the trace summary (cycle-clocked, deterministic, off by
+  default);
 * :mod:`repro.harness` — the epoch-driven co-location simulator.
 
 Quickstart::

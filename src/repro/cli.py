@@ -63,6 +63,7 @@ machine-readable output instead of rendered tables.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -97,28 +98,40 @@ def _check_trace_path(path: str) -> None:
         raise SystemExit(f"--trace: directory {parent} does not exist")
 
 
-def _export_trace(res, path: str) -> None:
-    """Write the captured event stream as a Chrome trace_event file."""
+@contextlib.contextmanager
+def _tracing(path: str | None):
+    """Trace the body into ``path`` when one is given.
+
+    The path is checked before the body runs, tracing starts from a
+    fresh buffer and clock, and it is off again however the body ends.
+    Yields ``save(res=None)``, which writes the captured stream as a
+    Chrome trace_event file, naming each pid after its workload in
+    ``res``; without a path, ``save`` does nothing.
+    """
+    if not path:
+        yield lambda res=None: None
+        return
+    _check_trace_path(path)
     tracer = get_tracer()
-    names = {ts.pid: ts.name for ts in res.workloads.values()}
-    n = write_chrome_trace(tracer.events(), path, process_names=names)
-    dropped = tracer.buffer.dropped
-    note = f" ({dropped} oldest dropped by ring buffer)" if dropped else ""
-    print(f"wrote {n} trace events to {path}{note}", file=sys.stderr)
+
+    def save(res=None) -> None:
+        names = {ts.pid: ts.name for ts in res.workloads.values()} if res is not None else None
+        n = write_chrome_trace(tracer.events(), path, process_names=names)
+        dropped = tracer.buffer.dropped
+        note = f" ({dropped} oldest dropped by ring buffer)" if dropped else ""
+        print(f"wrote {n} trace events to {path}{note}", file=sys.stderr)
+
+    tracer.enable()
+    try:
+        yield save
+    finally:
+        tracer.disable()
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    tracer = get_tracer()
-    if args.trace:
-        _check_trace_path(args.trace)
-        tracer.enable()
-    try:
+    with _tracing(args.trace) as save_trace:
         res = standard_run(args.policy, args.mix, args.epochs, args.accesses, args.seed)
-        if args.trace:
-            _export_trace(res, args.trace)
-    finally:
-        if args.trace:
-            tracer.disable()
+        save_trace(res)
     if args.json:
         print(json.dumps(run_summary_json(res, mix=args.mix, seed=args.seed), indent=2))
         return 0
@@ -157,21 +170,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     fairness: dict[str, float] = {}
     names: list[str] = []
     results: dict[str, dict] = {}
-    tracer = get_tracer()
-    if args.trace:
-        _check_trace_path(args.trace)
     for policy in args.policies:
         if policy not in POLICY_REGISTRY:
             raise SystemExit(f"unknown policy {policy!r}; available: {sorted(POLICY_REGISTRY)}")
-        if args.trace:
-            tracer.enable()  # fresh buffer + clock per policy
-        try:
+        # One trace file, fresh buffer and clock per policy.
+        path = _compare_trace_path(args.trace, policy) if args.trace else None
+        with _tracing(path) as save_trace:
             res = standard_run(policy, args.mix, args.epochs, args.accesses, args.seed)
-            if args.trace:
-                _export_trace(res, _compare_trace_path(args.trace, policy))
-        finally:
-            if args.trace:
-                tracer.disable()
+            save_trace(res)
         names = [ts.name for ts in res.workloads.values()]
         for ts in res.workloads.values():
             perf.setdefault(ts.name, {})[policy] = float(np.mean(ts.ops[-WINDOW:]))
@@ -240,22 +246,13 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     }
     if overrides:
         spec = spec.with_overrides(**overrides)
-    tracer = get_tracer()
-    if args.trace:
-        _check_trace_path(args.trace)
-        tracer.enable()
-    try:
+    with _tracing(args.trace) as save_trace:
         try:
             res = run_fleet(spec, check=args.check)
         except InvariantViolation as exc:
             print(f"CHECK FAIL: {exc}", file=sys.stderr)
             return 1
-        if args.trace:
-            n = write_chrome_trace(tracer.events(), args.trace)
-            print(f"wrote {n} trace events to {args.trace}", file=sys.stderr)
-    finally:
-        if args.trace:
-            tracer.disable()
+        save_trace()
     if args.json:
         print(json.dumps(res.to_dict(), indent=2))
         if args.check:
@@ -388,22 +385,14 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     from repro.scenario import run_scenario
 
     spec = _load_scenario_spec(args)
-    tracer = get_tracer()
-    if args.trace:
-        _check_trace_path(args.trace)
-        tracer.enable()
-    try:
+    with _tracing(args.trace) as save_trace:
         # --check attaches the full per-epoch invariant battery; an
         # InvariantViolation propagates as a loud failure.
         oracle = InvariantOracle() if args.check else None
         sres = run_scenario(
             spec, seed=args.seed, policy=args.policy, epochs=args.epochs, oracle=oracle,
         )
-        if args.trace:
-            _export_trace(sres.result, args.trace)
-    finally:
-        if args.trace:
-            tracer.disable()
+        save_trace(sres.result)
     payload = scenario_summary_json(sres, window=args.window)
     fairness = payload["fairness_under_churn"]
     check_errors = _scenario_check(sres, spec) if args.check else []
@@ -555,7 +544,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         events = read_trace(args.path)
     except OSError as exc:
         raise SystemExit(f"cannot read trace file: {exc}")
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise SystemExit(f"{args.path} is not a trace written by --trace: {exc}")
     if not events:
         print(f"no trace events in {args.path}", file=sys.stderr)
@@ -773,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     costs.set_defaults(func=cmd_costs)
 
     trace = sub.add_parser("trace", help="summarize a captured trace file")
-    trace.add_argument("path", help="trace file written by --trace (Chrome JSON or JSONL)")
+    trace.add_argument("path", help="Chrome trace_event file written by --trace")
     trace.set_defaults(func=cmd_trace)
     return parser
 

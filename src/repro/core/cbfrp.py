@@ -182,7 +182,6 @@ def run_cbfrp(
                         "borrower_credits": ledger.get(b),
                     },
                 )
-                tracer.metrics.counter("cbfrp_units_granted", workload=d).inc(moved)
             if surplus[d] == 0:
                 donors.discard(d)
         elif b in lc_borrowers:
@@ -212,7 +211,6 @@ def run_cbfrp(
                         "borrower_credits": ledger.get(b),
                     },
                 )
-                tracer.metrics.counter("cbfrp_units_expropriated", workload=d).inc()
         else:
             break
         # Lines 16-17: drop satisfied borrowers.

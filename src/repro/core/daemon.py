@@ -184,8 +184,6 @@ class VulcanDaemon:
                         "fthr": report.fthr.get(pid, 0.0),
                     },
                 )
-                tracer.metrics.gauge("quota_pages", workload=pid).set(quotas.get(pid, 0))
-                tracer.metrics.gauge("cbfrp_credits", workload=pid).set(self.credits.get(pid))
 
         # 4./5. Per-workload promotion and demotion.
         if not migrate:
@@ -278,7 +276,6 @@ class VulcanDaemon:
                     pid=m.pid,
                     args={"vpn": m.vpn, "heat": m.heat},
                 )
-                tracer.metrics.counter("queue_demotions", workload=m.pid).inc()
             requests.append(
                 MigrationRequest(pid=m.pid, vpn=m.vpn, dest_tier=1, sync=True)
             )

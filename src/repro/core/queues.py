@@ -138,12 +138,11 @@ class PromotionQueues:
         tracer = get_tracer()
         if tracer.enabled and climbs:
             for i in np.flatnonzero(eff != base).tolist():
-                from_class = _BY_VALUE[int(base[i])].name
                 tracer.instant(
                     "queue_escalation", pid=self.pid, vpn=int(vpns[i]), heat=float(heats[i]),
-                    from_class=from_class, to_class=_BY_VALUE[int(eff[i])].name,
+                    from_class=_BY_VALUE[int(base[i])].name,
+                    to_class=_BY_VALUE[int(eff[i])].name,
                 )
-                tracer.metrics.counter("queue_escalations", page_class=from_class).inc()
 
         self._cls[at] = eff[found]
         self._heat[at] = heats[found]
@@ -190,9 +189,6 @@ class PromotionQueues:
                     pid=pid,
                     args={"vpn": vpn, "heat": heat, "page_class": cls.name},
                 )
-                tracer.metrics.counter(
-                    "queue_promotions", workload=pid, page_class=cls.name
-                ).inc()
         keep = np.ones(self._vpns.size, dtype=bool)
         keep[order] = False
         self._vpns = self._vpns[keep]

@@ -38,7 +38,6 @@ from repro.fleet.placer import make_placer
 from repro.fleet.spec import FleetSpec
 from repro.harness.parallel import derive_cell_seed
 from repro.obs.events import EventKind
-from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
 
@@ -172,7 +171,6 @@ class FleetExperiment:
     def _dispatch(self, round_index: int) -> list[tuple[str, str]]:
         """Apply this round's events; returns evacuated (key, src) pairs."""
         tracer = get_tracer()
-        registry = get_registry()
         evacuated: list[tuple[str, str]] = []
         due = [e for e in self.spec.events if e.round == round_index]
         for ev in sorted(due, key=lambda e: (e.action, e.node or "")):
@@ -186,12 +184,10 @@ class FleetExperiment:
                 tracer.emit(EventKind.FLEET_NODE_CHANGE, "node_drain",
                             args={"node": ev.node, "round": round_index,
                                   "evacuating": len(residents)})
-                registry.counter("fleet_node_changes", change="drain").inc()
             elif ev.action == "node_join":
                 self.active.add(ev.node)
                 tracer.emit(EventKind.FLEET_NODE_CHANGE, "node_join",
                             args={"node": ev.node, "round": round_index})
-                registry.counter("fleet_node_changes", change="join").inc()
             elif ev.action == "flash_crowd":
                 factor = float(ev.params["factor"])
                 rounds = int(ev.params.get("rounds", 1))
@@ -200,7 +196,6 @@ class FleetExperiment:
                 tracer.emit(EventKind.FLEET_NODE_CHANGE, "flash_crowd",
                             args={"node": ev.node, "round": round_index,
                                   "factor": factor, "rounds": rounds})
-                registry.counter("fleet_node_changes", change="flash_crowd").inc()
         return evacuated
 
     def _effective_demand(self, key: str) -> int:
@@ -214,7 +209,6 @@ class FleetExperiment:
     def _place(self, round_index: int, evacuated: list[tuple[str, str]]) -> dict:
         """Run the placer, record the moves, return the round record."""
         tracer = get_tracer()
-        registry = get_registry()
         demands = {k: self._effective_demand(k) for k in sorted(self.assignment)}
         capacities = {n: node_capacity_pages(self.fast_gb[n]) for n in sorted(self.active)}
         new = self.placer.assign(
@@ -240,13 +234,11 @@ class FleetExperiment:
             pages = demands[key]
             if src is None and key in evacuated_src:
                 reason, src = "evacuation", evacuated_src[key]
-                kind, counter = EventKind.FLEET_EVACUATION, "fleet_evacuations_total"
+                kind = EventKind.FLEET_EVACUATION
             elif src is None:
-                reason = "placement"
-                kind, counter = EventKind.FLEET_PLACEMENT, "fleet_placements_total"
+                reason, kind = "placement", EventKind.FLEET_PLACEMENT
             else:
-                reason = "rebalance"
-                kind, counter = EventKind.FLEET_MIGRATION, "fleet_migrations_total"
+                reason, kind = "rebalance", EventKind.FLEET_MIGRATION
             cycles = 0 if reason == "placement" else pages * CROSS_NODE_PAGE_CYCLES
             self.result.moves.append(MoveRecord(
                 round=round_index, key=key, src=src, dst=dst,
@@ -256,9 +248,6 @@ class FleetExperiment:
                 "key": key, "src": src, "dst": dst,
                 "pages": pages, "cycles": cycles, "round": round_index,
             })
-            registry.counter(counter).inc()
-            if reason != "placement":
-                registry.counter("fleet_cross_node_pages_total").inc(pages)
             self.assignment[key] = dst
 
         score = placement_score(new, demands, capacities)
@@ -321,7 +310,6 @@ class FleetExperiment:
 
     def run(self) -> FleetResult:
         tracer = get_tracer()
-        registry = get_registry()
         for round_index in range(self.spec.n_rounds):
             evacuated = self._dispatch(round_index)
             record = self._place(round_index, evacuated)
@@ -333,8 +321,6 @@ class FleetExperiment:
                     self.result.node_cfis[node].append(t.cfi)
                 for w in t.workloads:
                     self.result.weighted_alloc[w.key] += w.mean_fthr * w.fast_pages
-                registry.gauge("fleet_node_credit", node=node).set(t.credit_balance)
-                registry.gauge("fleet_node_free_pages", node=node).set(t.free_fast_pages)
             self.telemetry = telemetry
 
             record["nodes"] = [telemetry[n].to_dict() for n in sorted(telemetry)]
@@ -344,7 +330,6 @@ class FleetExperiment:
 
                 check_fleet_round(record, set(self.defs))
 
-            registry.counter("fleet_rounds_total").inc()
             tracer.emit(EventKind.FLEET_ROUND, "round", args={
                 "round": round_index,
                 "active": sorted(self.active),

@@ -167,10 +167,10 @@ def run_node_round(
 ) -> NodeTelemetry:
     """Advance one node one sync round; ``check`` arms the invariant oracle.
 
-    Node-internal tracing and metrics are off for the duration: each
-    round's fresh experiment restarts the shared cycle clock at epoch 0,
-    so node events would collide in the fleet's stream.  Fleet-level
-    events are the fleet loop's job.
+    Node-internal tracing is off for the duration: each round's fresh
+    experiment restarts the shared cycle clock at epoch 0, so node
+    events would collide in the fleet's stream.  Fleet-level events are
+    the fleet loop's job.
     """
     from repro.fuzz.oracle import InvariantOracle
     from repro.scenario.engine import ScenarioExperiment
@@ -188,9 +188,8 @@ def run_node_round(
     ).validate()
 
     tracer = get_tracer()
-    was_tracing, was_metrics = tracer.enabled, tracer.metrics.enabled
+    was_tracing = tracer.enabled
     tracer.enabled = False
-    tracer.metrics.enabled = False
     try:
         exp = ScenarioExperiment(
             spec,
@@ -200,7 +199,6 @@ def run_node_round(
         result = exp.run()
     finally:
         tracer.enabled = was_tracing
-        tracer.metrics.enabled = was_metrics
 
     window = min(epochs, STEADY_WINDOW)
     daemon = getattr(exp.policy, "daemon", None)

@@ -42,7 +42,6 @@ from repro.fuzz.promote import load_crasher, promote_crasher
 from repro.fuzz.shrink import shrink_case
 from repro.fuzz.strategies import FleetFuzzCase, FuzzCase, generate_case, generate_fleet_case
 from repro.harness.parallel import CellTask, execute_tasks
-from repro.obs.metrics import get_registry
 from repro.scenario.spec import ScenarioSpecError
 
 #: epoch-horizon default for generated timelines
@@ -72,7 +71,6 @@ class CaseKind:
     crasher_prefix: str
     #: raised when a crasher's spec no longer validates
     spec_error: type[Exception]
-    runs_counter: str
     #: the report's leading keys, from ``(seed, runs, max_epochs)``
     report_head: Callable[[int, int, int], dict]
 
@@ -115,7 +113,6 @@ SCENARIO = CaseKind(
     crasher_format="fuzz-crasher-v1",
     crasher_prefix="crasher_",
     spec_error=ScenarioSpecError,
-    runs_counter="fuzz_runs_total",
     report_head=lambda seed, runs, max_epochs: {"seed": seed, "runs": runs, "max_epochs": max_epochs},
 )
 
@@ -152,7 +149,6 @@ FLEET = CaseKind(
     crasher_format="fleet-crasher-v1",
     crasher_prefix="fleet_crasher_",
     spec_error=FleetSpecError,
-    runs_counter="fuzz_fleet_runs_total",
     report_head=lambda seed, runs, _max_epochs: {"mode": "fleet", "seed": seed, "runs": runs},
 )
 
@@ -271,17 +267,12 @@ def campaign(
     scenario cases only."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    registry = get_registry()
     say = log if log is not None else (lambda _msg: None)
 
     cases = [kind.generate(seed, i, max_epochs) for i in range(runs)]
 
     # -- execute ----------------------------------------------------------
     records = _run_all(kind, cases, seed, workers)
-    for rec in records:
-        registry.counter(kind.runs_counter, status=rec["status"]).inc()
-        if rec["finding"] is not None:
-            registry.counter("fuzz_violations_total", check=rec["finding"]["check"]).inc()
 
     # -- replay determinism ----------------------------------------------
     replay = {"checked": [], "mismatches": []}
@@ -290,7 +281,6 @@ def campaign(
         replay["checked"].append(i)
         if again != records[i]:
             replay["mismatches"].append({"index": i, "first": records[i], "replay": again})
-            registry.counter("fuzz_violations_total", check="determinism").inc()
     if replay["mismatches"]:
         say(f"replay determinism FAILED on {len(replay['mismatches'])} case(s)")
 
@@ -308,7 +298,6 @@ def campaign(
                 shrunk += 1
                 say(f"shrinking case {rec['index']} ({rec['finding']['check']}) ...")
                 res = shrink_case(case, rec["finding"]["check"], functools.partial(case_finding, kind))
-                registry.counter("fuzz_shrink_steps_total").inc(res.steps)
                 case = res.case
                 entry["shrink"] = {
                     "steps": res.steps,

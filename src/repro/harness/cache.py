@@ -31,8 +31,6 @@ import re
 from pathlib import Path
 from typing import Any
 
-from repro.obs.metrics import get_registry
-
 #: Bumped whenever the payload layout changes; part of every key.
 CACHE_FORMAT_VERSION = 1
 
@@ -50,8 +48,7 @@ def canonicalize(obj: Any) -> Any:
     and dict keys are stringified.  Anything else falls back to
     ``repr`` — but a repr that embeds a memory address is rejected
     outright, because hashing it would produce a different key in every
-    process and two clients submitting identical work would never
-    dedupe.
+    process, so a rerun of the same sweep would never hit its cache.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -145,25 +142,20 @@ class ResultCache:
     def get(self, key: str) -> dict | None:
         """The stored result payload, or None on miss/corruption."""
         path = self.path_for(key)
-        registry = get_registry()
         try:
             payload = json.loads(path.read_text())
             if payload.get("v") != CACHE_FORMAT_VERSION or "result" not in payload:
                 raise ValueError("unrecognized cache entry layout")
         except FileNotFoundError:
             self.misses += 1
-            registry.counter("sweep_cache_misses").inc()
             return None
         except (OSError, ValueError, AttributeError, json.JSONDecodeError):
             # Poisoned entry: recompute rather than crash; the rewrite
             # after recomputation heals the cache.
             self.corrupt += 1
             self.misses += 1
-            registry.counter("sweep_cache_corrupt").inc()
-            registry.counter("sweep_cache_misses").inc()
             return None
         self.hits += 1
-        registry.counter("sweep_cache_hits").inc()
         return payload["result"]
 
     def put(self, key: str, result: dict) -> None:

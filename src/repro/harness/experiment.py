@@ -322,7 +322,6 @@ class ColocationExperiment:
                 pid=pid,
                 args={"epoch": epoch, "reason": reason, "freed": counts},
             )
-        tracer.metrics.counter("workload_departures", workload=pid).inc()
         return counts
 
     # -- the loop ----------------------------------------------------------------

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.harness.experiment import ExperimentResult
-from repro.obs.metrics import get_registry
 
 #: Seconds between scheduler polls while workers are busy.
 _POLL_SECONDS = 0.02
@@ -185,7 +184,6 @@ def execute_tasks(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     ctx = _context()
-    registry = get_registry()
     outcomes: dict[int, CellOutcome] = {}
     pending = list(tasks)
     pending.reverse()  # pop() from the front of the original order
@@ -193,9 +191,6 @@ def execute_tasks(
 
     def finish(outcome: CellOutcome) -> None:
         outcomes[outcome.task.index] = outcome
-        status = "ok" if outcome.ok else outcome.failure.kind
-        registry.counter("sweep_cells_done", status=status).inc()
-        registry.gauge("sweep_cells_inflight").set(len(running))
         if on_done is not None:
             on_done(outcome)
 
@@ -207,7 +202,6 @@ def execute_tasks(
             proc.start()
             child_conn.close()
             running[task.index] = _Running(task, proc, parent_conn, time.monotonic())
-            registry.gauge("sweep_cells_inflight").set(len(running))
 
         conn_to_index = {r.conn: idx for idx, r in running.items()}
         ready = multiprocessing.connection.wait(list(conn_to_index), timeout=_POLL_SECONDS)
@@ -268,5 +262,4 @@ def execute_tasks(
                         message=f"cell exceeded {timeout:g}s timeout and was terminated",
                     ),
                 ))
-    registry.gauge("sweep_cells_inflight").set(0)
     return outcomes

@@ -45,7 +45,6 @@ from repro.harness.parallel import (
     execute_tasks,
 )
 from repro.metrics.stats import mean_ci95
-from repro.obs.metrics import get_registry
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,6 @@ class Sweep:
         names = sorted(grid)
         combos = list(itertools.product(*(grid[n] for n in names)))
         tasks = build_tasks(names, combos, seeds, derived_seeds=derived_seeds)
-        registry = get_registry()
-        registry.gauge("sweep_cells_total").set(len(tasks))
 
         cache = ResultCache(cache_dir) if cache_dir is not None else None
         outcomes: dict[int, CellOutcome] = {}
@@ -165,7 +162,6 @@ class Sweep:
                 self._progress(task, "run")
                 outcome = self._run_serial(factory, task)
                 outcomes[task.index] = outcome
-                registry.counter("sweep_cells_done", status="ok").inc()
                 self._store(cache, factory, task, outcome, cache_extra)
         else:
             def on_done(outcome: CellOutcome) -> None:

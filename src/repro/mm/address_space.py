@@ -197,9 +197,12 @@ class AddressSpace:
         lo = int(vpns.min())
         hi = int(vpns.max())
         if lo < flat.base or hi >= flat.base + flat.pfn.size:
+            # Name the smallest unmapped vpn, in the table or past it.
             idx_all = vpns - flat.base
-            oob = (idx_all < 0) | (idx_all >= flat.pfn.size)
-            bad = int(vpns[oob].min())
+            inside = (idx_all >= 0) & (idx_all < flat.pfn.size)
+            unmapped = ~inside
+            unmapped[inside] = flat.pfn[idx_all[inside]] < 0
+            bad = int(vpns[unmapped].min())
             raise KeyError(f"vpn {bad} not mapped; populate() the VMA first")
 
         span = hi - lo + 1

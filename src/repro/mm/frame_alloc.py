@@ -38,7 +38,7 @@ class FreeFrameList:
     Represents exactly the dense ``deque(range(base, base + total))``
     the allocator used to build: a *virgin* range of never-allocated
     frames ``[virgin_next, virgin_end)`` plus recycled frames in FIFO
-    order.  Because frames are only ever appended after the virgin
+    order.  Because frames are only ever added after the virgin
     range existed at construction, the dense deque would always hold
     ``[virgin..., recycled...]`` — so popping virgin-ascending first,
     then recycled FIFO, reproduces its pop order bit-for-bit while

@@ -162,10 +162,9 @@ _REMAP_KEY = MigrationPhase.REMAP.value
 
 
 def trace_shootdown(vpn: int, n_targets: int, process_wide: bool, ipi_cycles: int) -> None:
-    """Record one delivered shootdown as an event and in the metrics
-    (callers check ``tracer.enabled`` first)."""
-    tracer = get_tracer()
-    tracer.emit(
+    """Record one delivered shootdown as an event (callers check
+    ``tracer.enabled`` first)."""
+    get_tracer().emit(
         EventKind.TLB_SHOOTDOWN,
         "shootdown",
         args={
@@ -175,10 +174,6 @@ def trace_shootdown(vpn: int, n_targets: int, process_wide: bool, ipi_cycles: in
             "ipi_cycles": ipi_cycles,
         },
     )
-    tracer.metrics.histogram("shootdown_scope_cores").observe(n_targets)
-    tracer.metrics.counter(
-        "shootdowns", scope="process_wide" if process_wide else "scoped"
-    ).inc()
 
 
 class MigrationEngine:
@@ -262,7 +257,6 @@ class MigrationEngine:
             args={"phase": key, "cycles": cycles},
         )
         tracer.advance(cycles)
-        tracer.metrics.counter("migration_phase_cycles", workload=pid, phase=key).inc(cycles)
 
     def _prepare(self, n_pages: int) -> float:
         """Phase 0: LRU drain + isolation (the Fig. 2 'preparation')."""
@@ -346,8 +340,6 @@ class MigrationEngine:
         st = self.stats
         tracer = self._tracer
         trace = tracer.enabled
-        metrics = tracer.metrics
-        metered = metrics.enabled
         inj = self.fault_injector
         repl = self.space.process.repl
         flat = repl.flat
@@ -577,10 +569,6 @@ class MigrationEngine:
                     st.promotions += 1
                 else:
                     st.demotions += 1
-                if metered:
-                    metrics.counter(
-                        "pages_moved", workload=req.pid, tier="fast" if dest_tier == 0 else "slow"
-                    ).inc()
                 append_out(outcome)
 
             pc[_UNMAP_KEY] = unmap_acc
@@ -677,6 +665,4 @@ class MigrationEngine:
                 pid=req.pid,
                 args={"kind": kind.value, "vpn": req.vpn, "dest_tier": req.dest_tier},
             )
-        if tracer.metrics.enabled:
-            tracer.metrics.counter("faults_injected", workload=req.pid, kind=kind.value).inc()
         return True

@@ -3,7 +3,7 @@
 Events are stamped with the *simulation* cycle clock (see
 :class:`repro.obs.trace.Tracer`), never wall clock, so the stream from a
 seeded run is deterministic.  The buffer is bounded: when full, the
-oldest events are overwritten and counted in :attr:`RingBuffer.dropped`
+oldest events are pushed out and counted in :attr:`RingBuffer.dropped`
 — tracing a long run degrades to "most recent window" instead of
 unbounded memory growth.
 """
@@ -11,6 +11,7 @@ unbounded memory growth.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -81,45 +82,30 @@ class TraceEvent:
 
 
 class RingBuffer:
-    """Fixed-capacity append-only event store with drop-oldest overflow."""
+    """Fixed-capacity event store with drop-oldest overflow."""
 
     def __init__(self, capacity: int = 262_144) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._slots: list[TraceEvent | None] = [None] * capacity
-        self._head = 0  # next write index
-        self._count = 0  # live events (<= capacity)
-        self.appended = 0  # lifetime appends
-        self.dropped = 0  # events overwritten by overflow
+        self._events: deque[TraceEvent] = deque(maxlen=capacity)
+        self.dropped = 0  # events pushed out by overflow
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._events)
 
     def append(self, event: TraceEvent) -> None:
-        if self._count == self.capacity:
+        if len(self._events) == self._events.maxlen:
             self.dropped += 1
-        else:
-            self._count += 1
-        self._slots[self._head] = event
-        self._head = (self._head + 1) % self.capacity
-        self.appended += 1
+        self._events.append(event)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         """Oldest → newest."""
-        start = (self._head - self._count) % self.capacity
-        for i in range(self._count):
-            ev = self._slots[(start + i) % self.capacity]
-            assert ev is not None
-            yield ev
+        return iter(self._events)
 
     def snapshot(self) -> list[TraceEvent]:
         """The current contents as a list, oldest first."""
-        return list(self)
+        return list(self._events)
 
     def clear(self) -> None:
-        self._slots = [None] * self.capacity
-        self._head = 0
-        self._count = 0
-        self.appended = 0
+        self._events.clear()
         self.dropped = 0

@@ -1,18 +1,14 @@
-"""Trace exporters and the summary reader behind ``python -m repro trace``.
+"""The trace writer, its reader, and the summary behind ``python -m repro trace``.
 
-Three output shapes:
-
-* :func:`write_jsonl` — one event per line, the lossless archival form;
 * :func:`write_chrome_trace` — the Chrome ``trace_event`` JSON object
   format (loadable in chrome://tracing and Perfetto); spans become
   complete (``"X"``) events, everything else instants (``"i"``), with
   the event kind in ``cat`` and timestamps in simulated cycles;
+* :func:`read_trace` — loads such a file back into
+  :class:`~repro.obs.events.TraceEvent` streams;
 * :func:`summarize` — the human-readable digest (per-phase migration
   cycles, shootdown-scope histogram, CBFRP credit timeline, queue
   activity) printed by the ``trace`` CLI subcommand.
-
-:func:`read_trace` round-trips both file formats back into
-:class:`~repro.obs.events.TraceEvent` streams.
 """
 
 from __future__ import annotations
@@ -28,41 +24,6 @@ from repro.obs.events import EventKind, TraceEvent
 
 #: Workload pids start at 100 in the harness; 0 encodes "no pid".
 _NO_PID = 0
-
-
-def _event_dict(ev: TraceEvent) -> dict[str, Any]:
-    return {
-        "kind": ev.kind.value,
-        "name": ev.name,
-        "ts": ev.ts,
-        "dur": ev.dur,
-        "pid": ev.pid,
-        "args": ev.args,
-    }
-
-
-def _event_from_dict(d: dict[str, Any]) -> TraceEvent:
-    return TraceEvent(
-        kind=EventKind(d["kind"]),
-        name=d["name"],
-        ts=float(d["ts"]),
-        dur=float(d.get("dur", 0.0)),
-        pid=d.get("pid"),
-        args=dict(d.get("args", {})),
-    )
-
-
-# -- JSONL ---------------------------------------------------------------------
-
-
-def write_jsonl(events: Iterable[TraceEvent], path: str | Path) -> int:
-    """One JSON object per line; returns the number of events written."""
-    n = 0
-    with Path(path).open("w") as fh:
-        for ev in events:
-            fh.write(json.dumps(_event_dict(ev)) + "\n")
-            n += 1
-    return n
 
 
 # -- Chrome trace_event --------------------------------------------------------
@@ -135,36 +96,41 @@ def write_chrome_trace(
 
 
 def read_trace(path: str | Path) -> list[TraceEvent]:
-    """Load a trace written by either exporter back into events."""
+    """Load a trace written by :func:`write_chrome_trace` back into
+    events; an empty file holds none.
+
+    Raises :class:`ValueError` for anything that is not a Chrome
+    trace object.
+    """
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if not stripped:
+    if not text.strip():
         return []
-    if stripped.startswith("{") and '"traceEvents"' in stripped[:2000]:
-        doc = json.loads(text)
-        events: list[TraceEvent] = []
-        for rec in doc.get("traceEvents", []):
-            if rec.get("ph") == "M":
-                continue
-            pid = rec.get("pid", _NO_PID)
-            args = dict(rec.get("args", {}))
-            dur = float(rec.get("dur", args.pop("dur_cycles", 0.0)))
-            try:
-                kind = EventKind(rec.get("cat", ""))
-            except ValueError:
-                kind = EventKind.SPAN if rec.get("ph") == "X" else EventKind.INSTANT
-            events.append(
-                TraceEvent(
-                    kind=kind,
-                    name=rec.get("name", ""),
-                    ts=float(rec.get("ts", 0.0)),
-                    dur=dur,
-                    pid=None if pid == _NO_PID else int(pid),
-                    args=args,
-                )
+    doc = json.loads(text)
+    records = doc.get("traceEvents") if isinstance(doc, dict) else None
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ValueError("not a Chrome trace object")
+    events: list[TraceEvent] = []
+    for rec in records:
+        if rec.get("ph") == "M":
+            continue
+        pid = rec.get("pid", _NO_PID)
+        args = dict(rec.get("args", {}))
+        dur = float(rec.get("dur", args.pop("dur_cycles", 0.0)))
+        try:
+            kind = EventKind(rec.get("cat", ""))
+        except ValueError:
+            kind = EventKind.SPAN if rec.get("ph") == "X" else EventKind.INSTANT
+        events.append(
+            TraceEvent(
+                kind=kind,
+                name=rec.get("name", ""),
+                ts=float(rec.get("ts", 0.0)),
+                dur=dur,
+                pid=None if pid == _NO_PID else int(pid),
+                args=args,
             )
-        return events
-    return [_event_from_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
+        )
+    return events
 
 
 # -- human-readable summary ----------------------------------------------------

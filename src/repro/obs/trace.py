@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.obs.events import EventKind, RingBuffer, TraceEvent
-from repro.obs.metrics import MetricsRegistry, get_registry
 
 
 class _NullSpan:
@@ -75,12 +74,11 @@ class _Span:
 
 
 class Tracer:
-    """Cycle-clocked event recorder with a paired metrics registry."""
+    """Cycle-clocked event recorder."""
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+    def __init__(self) -> None:
         self.enabled = False
         self.buffer = RingBuffer()
-        self.metrics = registry if registry is not None else get_registry()
         self._now = 0.0
 
     # -- clock ---------------------------------------------------------------
@@ -102,26 +100,14 @@ class Tracer:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def enable(self, capacity: int | None = None) -> None:
-        """Turn tracing (and the metrics registry) on, starting fresh."""
-        if capacity is not None:
-            self.buffer = RingBuffer(capacity)
-        else:
-            self.buffer.clear()
+    def enable(self) -> None:
+        """Turn tracing on, starting fresh."""
+        self.buffer.clear()
         self._now = 0.0
         self.enabled = True
-        self.metrics.enabled = True
-        self.metrics.reset()
 
     def disable(self) -> None:
         self.enabled = False
-        self.metrics.enabled = False
-
-    def reset(self) -> None:
-        """Drop recorded events/metrics but keep the enabled state."""
-        self.buffer.clear()
-        self.metrics.reset()
-        self._now = 0.0
 
     def events(self) -> list[TraceEvent]:
         """Snapshot of the recorded stream, oldest first."""

@@ -253,9 +253,9 @@ class ScenarioSpec:
     def content_hash(self) -> str:
         """Stable digest of the full spec content.
 
-        Two specs hash equal iff their canonical JSON forms are equal,
-        which is what lets ``harness.cache`` (via ``cache_extra``) key
-        sweep cells on the scenario without serializing Python objects.
+        Two specs hash equal iff their canonical JSON forms are equal.
+        The scenario result and fuzz records carry it as ``spec_hash``,
+        and promoted crasher files are named after it.
         """
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()

@@ -128,7 +128,7 @@ class TestDrainEvacuation:
             }
         finally:
             tracer.disable()
-            tracer.reset()
+            tracer.buffer.clear()
         before = res.rounds[0]["assignment"].values()
         residents = {n: sum(node == n for node in before) for n in ("n0", "n1")}
         assert min(residents.values()) >= 1, residents
@@ -229,36 +229,47 @@ class TestOracleMemo:
         assert want == oracle_assignment(demands, caps, max_per_node=node_workload_slots())[0]
 
 
-class TestObsRegistry:
-    """Satellite 1: the fleet loop feeds the process-wide metrics
-    registry — counters for moves/rounds, gauges for node state."""
+class TestTracedRecord:
+    """A traced fleet's event stream is a complete record: every sync
+    round and every move the result holds, with the same pages and
+    cycles."""
 
-    @pytest.fixture
-    def registry(self):
-        from repro.obs.metrics import get_registry
-
-        reg = get_registry()
-        was_enabled = reg.enabled
-        reg.enabled = True
-        reg.reset()
-        yield reg
-        reg.enabled = was_enabled
-        reg.reset()
-
-    def test_fleet_run_bumps_counters_and_gauges(self, registry):
+    def test_events_match_rounds_and_moves(self):
         spec = _small_fleet(events=(
             FleetEvent(round=1, action="node_drain", node="n0"),
         ))
-        run_fleet(spec)
-        collected = registry.collect()
-        counter_names = {m["name"] for m in collected["counters"]}
-        assert "fleet_rounds_total" in counter_names
-        assert "fleet_placements_total" in counter_names
-        assert "fleet_evacuations_total" in counter_names
-        gauge_names = {m["name"] for m in collected["gauges"]}
-        assert "fleet_node_free_pages" in gauge_names
-        changes = [m for m in collected["counters"] if m["name"] == "fleet_node_changes"]
-        assert any(m["labels"].get("change") == "drain" for m in changes)
+        tracer = get_tracer()
+        tracer.enable()
+        try:
+            res = run_fleet(spec)
+            events = tracer.events()
+            dropped = tracer.buffer.dropped
+        finally:
+            tracer.disable()
+            tracer.buffer.clear()
+        assert dropped == 0
+        rounds = [e.args["round"] for e in events if e.kind is EventKind.FLEET_ROUND]
+        assert rounds == list(range(spec.n_rounds)) == [r["round"] for r in res.rounds]
+
+        reason_of = {
+            EventKind.FLEET_PLACEMENT: "placement",
+            EventKind.FLEET_MIGRATION: "rebalance",
+            EventKind.FLEET_EVACUATION: "evacuation",
+        }
+        moves = [e for e in events if e.kind in reason_of]
+        assert all(e.name == reason_of[e.kind] for e in moves)
+        traced = [
+            (e.args["round"], e.args["key"], e.name, e.args["src"], e.args["dst"],
+             e.args["pages"], e.args["cycles"])
+            for e in moves
+        ]
+        recorded = [
+            (m.round, m.key, m.reason, m.src, m.dst, m.pages, m.cycles) for m in res.moves
+        ]
+        assert traced == recorded
+        assert {"placement", "evacuation"} <= {m.reason for m in res.moves}
+        drains = [e for e in events if e.kind is EventKind.FLEET_NODE_CHANGE]
+        assert [(e.name, e.args["node"]) for e in drains] == [("node_drain", "n0")]
 
 
 class TestCannedScenarios:

@@ -9,7 +9,6 @@ import pytest
 from repro.cli import build_parser, main
 from repro.fuzz.runner import SCENARIO, campaign, run_case_record
 from repro.fuzz.strategies import generate_case
-from repro.obs.metrics import get_registry
 
 RUNS = 4
 
@@ -44,22 +43,6 @@ class TestCampaignDeterminism:
         blob = json.dumps(small_report)
         for needle in ("time", "elapsed", "duration", "wall"):
             assert needle not in blob.lower()
-
-
-class TestObsMetrics:
-    @pytest.fixture
-    def registry(self):
-        reg = get_registry()
-        was_enabled = reg.enabled
-        reg.enabled = True
-        reg.reset()
-        yield reg
-        reg.enabled = was_enabled
-        reg.reset()
-
-    def test_campaign_bumps_counters(self, registry):
-        campaign(seed=21, runs=2, workers=1)
-        assert registry.counter("fuzz_runs_total", status="ok").value == 2
 
 
 class TestCli:

@@ -9,9 +9,9 @@ shortest-round-trip float repr is exact), so any refactor of the
 frame/heat hot path can be checked against the pre-refactor behaviour.
 
 The ``trace_*.json`` snapshots pin what a *traced* run emits: the event
-count plus sha256 digests of the full ``tracer.events()`` stream and of
-the metrics registry, so a refactor that reorders, drops or re-times a
-single event (or changes one counter) is caught across commits.
+count plus the sha256 digest of the full ``tracer.events()`` stream, so
+a refactor that reorders, drops or re-times a single event is caught
+across commits.
 
 The ``fleet_*.json`` snapshots pin each canned fleet (and the drain
 fleet under the oracle placer): the spec hash plus the sha256 of
@@ -104,8 +104,7 @@ def _canonical(obj) -> bytes:
 
 
 def trace_digest(name: str) -> dict:
-    """Run one traced case; digest its event stream and metrics."""
-    from repro.obs.metrics import get_registry
+    """Run one traced case; digest its event stream."""
     from repro.obs.trace import get_tracer
 
     tracer = get_tracer()
@@ -113,15 +112,13 @@ def trace_digest(name: str) -> dict:
         tracer.enable()
         TRACE_CASES[name]()
         events = tracer.events()
-        metrics = get_registry().collect()
     finally:
         tracer.disable()
-        tracer.reset()
+        tracer.buffer.clear()
     stream = [[e.kind.value, e.name, e.ts, e.dur, e.pid, e.args] for e in events]
     return {
         "n_events": len(events),
         "events_sha256": hashlib.sha256(_canonical(stream)).hexdigest(),
-        "metrics_sha256": hashlib.sha256(_canonical(metrics)).hexdigest(),
     }
 
 

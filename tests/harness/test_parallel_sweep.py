@@ -3,9 +3,10 @@
 The headline guarantee under test: serial and parallel sweeps aggregate
 **bit-identical** metrics for the same grid and seeds, and a repeated
 sweep against a warm cache re-runs zero cells (asserted through the
-obs cache-hit counter).  Failure handling differs by mode on purpose:
-``workers=1`` raises a typed :class:`SweepCellError`; ``workers>1``
-records a structured :class:`CellFailure` and keeps sweeping.
+sweep's hit and miss counts and its progress lines).  Failure handling
+differs by mode on purpose: ``workers=1`` raises a typed
+:class:`SweepCellError`; ``workers>1`` records a structured
+:class:`CellFailure` and keeps sweeping.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.harness import (
     SweepCellError,
     derive_cell_seed,
 )
-from repro.obs.metrics import get_registry
 from repro.sim.config import MachineConfig, SimulationConfig, TierConfig
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.memcached import MemcachedWorkload
@@ -77,17 +77,6 @@ GRID = {"fast_pages": [24, 96]}
 SEEDS = [1, 2]
 
 
-@pytest.fixture
-def registry():
-    reg = get_registry()
-    was_enabled = reg.enabled
-    reg.enabled = True
-    reg.reset()
-    yield reg
-    reg.enabled = was_enabled
-    reg.reset()
-
-
 def run_sweep(workers: int, **kwargs):
     sweep = Sweep(metrics=dict(METRICS))
     cells = sweep.run(micro_factory, grid=GRID, seeds=SEEDS, workers=workers, **kwargs)
@@ -117,21 +106,22 @@ class TestDifferential:
 
 
 class TestCache:
-    def test_cold_then_warm(self, registry, tmp_path):
+    def test_cold_then_warm(self, tmp_path):
         n_tasks = len(GRID["fast_pages"]) * len(SEEDS)
-        sweep1, cells1 = run_sweep(workers=2, cache_dir=tmp_path)
+        cold_lines: list[str] = []
+        sweep1 = Sweep(metrics=dict(METRICS), progress=cold_lines.append)
+        cells1 = sweep1.run(micro_factory, grid=GRID, seeds=SEEDS, workers=2, cache_dir=tmp_path)
         assert sweep1.cache_hits == 0
         assert sweep1.cache_misses == n_tasks
-        hits = registry.aggregate("sweep_cache_hits")
-        assert hits.get((), 0.0) == 0.0
+        assert sorted(line.rsplit(" ", 1)[1] for line in cold_lines) == ["[ok]"] * n_tasks
 
         # Warm: zero cells re-run, every task restored from cache.
-        registry.reset()
-        sweep2, cells2 = run_sweep(workers=2, cache_dir=tmp_path)
+        warm_lines: list[str] = []
+        sweep2 = Sweep(metrics=dict(METRICS), progress=warm_lines.append)
+        cells2 = sweep2.run(micro_factory, grid=GRID, seeds=SEEDS, workers=2, cache_dir=tmp_path)
         assert sweep2.cache_hits == n_tasks
         assert sweep2.cache_misses == 0
-        assert registry.aggregate("sweep_cache_hits")[()] == n_tasks
-        assert registry.aggregate("sweep_cells_done", "status") == {}  # nothing executed
+        assert [line.rsplit(" ", 1)[1] for line in warm_lines] == ["[cached]"] * n_tasks
         assert cell_data(cells1) == cell_data(cells2)
 
     def test_warm_cache_identical_in_serial_mode_too(self, tmp_path):
@@ -153,16 +143,18 @@ class TestCache:
         assert sweep.cache_misses == 2
         assert cell_data(cold) == cell_data(resumed)
 
-    def test_poisoned_cache_recomputes(self, registry, tmp_path):
+    def test_poisoned_cache_recomputes(self, tmp_path):
         """Corrupt entries are misses, not crashes — and get rewritten."""
         _, cold = run_sweep(workers=2, cache_dir=tmp_path)
         entries = sorted(tmp_path.glob("*.json"))
         entries[0].write_text("{ this is not json")
         entries[1].write_text(json.dumps({"v": 999, "weird": True}))
+        probe = ResultCache(tmp_path)
+        assert [probe.get(e.stem) is None for e in entries] == [True, True, False, False]
+        assert (probe.corrupt, probe.misses, probe.hits) == (2, 2, 2)
         sweep, again = run_sweep(workers=2, cache_dir=tmp_path)
         assert cell_data(cold) == cell_data(again)
         assert sweep.cache_hits == 2 and sweep.cache_misses == 2
-        assert registry.aggregate("sweep_cache_corrupt")[()] == 2
         # The rewrite healed the cache.
         sweep3, _ = run_sweep(workers=2, cache_dir=tmp_path)
         assert sweep3.cache_hits == 4

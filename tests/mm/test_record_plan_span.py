@@ -154,6 +154,7 @@ def test_record_plan_matches_per_access_reference(case, seed):
         "gap_and_tail",  # two unmapped vpns, the smaller one is reported
         "below_table",  # outside the table's range
         "above_table",
+        "gap_and_above",  # one unmapped vpn inside the table, a larger one past it
     ],
 )
 def test_unmapped_vpn_raises_the_reference_error_before_any_write(unmapped):
@@ -165,6 +166,7 @@ def test_unmapped_vpn_raises_the_reference_error_before_any_write(unmapped):
         "gap_and_tail": [gap + 3, gap],
         "below_table": [flat.base - 1],
         "above_table": [flat.base + flat.pfn.size + 5],
+        "gap_and_above": [flat.base + flat.pfn.size + 5, gap],
     }[unmapped]
     plan = make_plan([
         (0, [vpns[0], vpns[5]], [False, True]),
@@ -177,4 +179,5 @@ def test_unmapped_vpn_raises_the_reference_error_before_any_write(unmapped):
     with pytest.raises(KeyError) as got:
         space.record_plan(plan, cycle=1)
     assert str(got.value) == str(want.value)
+    assert f"vpn {min(bad)} not mapped" in str(got.value)
     assert_same(snapshot(space), before)

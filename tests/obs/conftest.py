@@ -14,4 +14,4 @@ def tracer():
     t.enable()
     yield t
     t.disable()
-    t.reset()
+    t.buffer.clear()

@@ -34,7 +34,7 @@ def test_same_seed_traced_runs_emit_identical_streams():
         second = tracer.events()
     finally:
         tracer.disable()
-        tracer.reset()
+        tracer.buffer.clear()
     assert len(first) == len(second) > 0
     assert first == second  # TraceEvent is a frozen dataclass: deep equality
 
@@ -47,7 +47,7 @@ def test_tracing_does_not_change_results():
         traced = run_once()
     finally:
         tracer.disable()
-        tracer.reset()
+        tracer.buffer.clear()
     for pid, ts in plain.workloads.items():
         other = traced.workloads[pid]
         assert ts.ops == other.ops

@@ -16,7 +16,6 @@ def test_append_and_order():
     assert len(buf) == 5
     assert [e.name for e in buf] == ["e0", "e1", "e2", "e3", "e4"]
     assert buf.dropped == 0
-    assert buf.appended == 5
 
 
 def test_overflow_drops_oldest():
@@ -25,7 +24,6 @@ def test_overflow_drops_oldest():
         buf.append(ev(i))
     assert len(buf) == 4
     assert buf.dropped == 6
-    assert buf.appended == 10
     # Only the newest `capacity` events survive, oldest first.
     assert [e.name for e in buf] == ["e6", "e7", "e8", "e9"]
 
@@ -53,5 +51,6 @@ def test_clear_resets_everything():
 
 
 def test_invalid_capacity_rejected():
-    with pytest.raises(ValueError):
-        RingBuffer(capacity=0)
+    for capacity in (0, -1):
+        with pytest.raises(ValueError):
+            RingBuffer(capacity=capacity)

@@ -1,8 +1,10 @@
-"""Tracer API, Chrome/JSONL export round-trips, and the summary digest."""
+"""Tracer API, Chrome trace round-trips, and the summary digest."""
 
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro.harness import ColocationExperiment
 from repro.obs.events import EventKind, TraceEvent
@@ -11,7 +13,6 @@ from repro.obs.export import (
     summarize,
     to_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.sim.config import SimulationConfig
 from repro.workloads.mixes import dilemma_pair
@@ -101,13 +102,34 @@ def test_chrome_trace_reader_recovers_events(tracer, tmp_path):
     assert phase_totals(recovered) == phase_totals(original)
 
 
-def test_jsonl_round_trip(tracer, tmp_path):
-    traced_run(epochs=3)
-    original = tracer.events()
-    path = tmp_path / "t.jsonl"
-    assert write_jsonl(original, path) == len(original)
-    recovered = read_trace(path)
-    assert recovered == original
+#: files that are not a Chrome trace object: one event per line (the
+#: retired JSONL form), a single such line, garbage, and JSON of the
+#: wrong shape
+NOT_A_CHROME_TRACE = {
+    "jsonl": (
+        '{"kind": "epoch", "name": "epoch", "ts": 0.0, "dur": 0.0, "pid": null, "args": {}}\n'
+        '{"kind": "span", "name": "migrate_batch", "ts": 5.0, "dur": 2.0, "pid": 100, "args": {}}\n'
+    ),
+    "jsonl_one_line": '{"kind": "epoch", "name": "epoch", "ts": 0.0, "args": {}}\n',
+    "garbage": "not a trace at all\n",
+    "json_list": "[1, 2, 3]",
+    "events_not_a_list": '{"traceEvents": 7}',
+    "event_not_an_object": '{"traceEvents": [1]}',
+}
+
+
+@pytest.mark.parametrize("text", NOT_A_CHROME_TRACE.values(), ids=NOT_A_CHROME_TRACE.keys())
+def test_read_trace_rejects_anything_but_a_chrome_trace(tmp_path, text):
+    path = tmp_path / "bad.trace"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_trace(path)
+
+
+def test_read_trace_of_an_empty_file_has_no_events(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("\n")
+    assert read_trace(path) == []
 
 
 def test_instant_pid_none_round_trips_as_none(tmp_path):

@@ -106,6 +106,19 @@ def test_trace_command_rejects_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("")
     assert main(["trace", str(empty)]) == 1
+    assert "no trace events" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "epoch", "name": "epoch", "ts": 0.0, "dur": 0.0, "pid": null, "args": {}}\n'
+    '{"kind": "span", "name": "migrate_batch", "ts": 5.0, "dur": 2.0, "pid": 100, "args": {}}\n',
+    "not a trace at all\n",
+], ids=["jsonl", "garbage"])
+def test_trace_command_rejects_a_file_that_is_not_a_chrome_trace(tmp_path, text):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text)
+    with pytest.raises(SystemExit, match="is not a trace written by --trace"):
+        main(["trace", str(bad)])
 
 
 SWEEP_BASE = [

@@ -5,9 +5,8 @@ varies; this extends the guarantee to the experiment itself: two
 same-seed :class:`ColocationExperiment` runs — fresh machine, policy,
 workloads each time — must produce identical per-workload metrics
 (every recorded timeseries, exactly), identical experiment-level
-series, identical obs event streams, and identical metrics-registry
-contents.  This is the foundation the sweep cache and the serial ≡
-parallel differential guarantee stand on.
+series and identical obs event streams.  This is the foundation the
+sweep cache and the serial ≡ parallel differential guarantee stand on.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pathlib
 import pytest
 
 from repro.harness import ColocationExperiment
-from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.sim.config import SimulationConfig
 from repro.workloads.mixes import dilemma_pair, paper_colocation_mix
@@ -79,32 +77,22 @@ def test_different_seeds_actually_differ():
 
 
 def test_same_seed_runs_emit_identical_obs_state():
-    """Event streams *and* the metrics registry match event-for-event."""
+    """Event streams match event-for-event."""
     tracer = get_tracer()
-    registry = get_registry()
     try:
         tracer.enable()
-        registry.enabled = True
-        registry.reset()
         first = run_once("vulcan", "dilemma", seed=5)
         events_first = tracer.events()
-        metrics_first = registry.collect()
 
         tracer.enable()  # fresh buffer + clock
-        registry.reset()
         second = run_once("vulcan", "dilemma", seed=5)
         events_second = tracer.events()
-        metrics_second = registry.collect()
     finally:
         tracer.disable()
-        tracer.reset()
-        registry.enabled = False
-        registry.reset()
+        tracer.buffer.clear()
     assert_results_identical(first, second)
     assert len(events_first) == len(events_second) > 0
     assert events_first == events_second
-    assert metrics_first == metrics_second
-    assert metrics_first["counters"]  # the run actually exercised instruments
 
 
 # -- frozen goldens: cross-commit, not just cross-run ---------------------------
@@ -146,8 +134,7 @@ def test_golden_metrics_bit_identical(path):
 # -- frozen traced streams: cross-commit observability ------------------------
 #
 # The same-commit test above proves two traced runs agree; these pin the
-# traced event stream and metrics registry of a colocation run and of the
-# churn scenario (departures, restarts, injected faults) to digests
+# traced event stream of a colocation run and of the churn scenario (departures, restarts, injected faults) to digests
 # captured by tests/golden/capture.py, so a refactor of an instrumented
 # path cannot silently reorder, drop, or re-time an event.
 
@@ -164,7 +151,7 @@ def test_traced_stream_bit_identical(path):
 
     frozen = json.loads(path.read_text())
     assert trace_digest(frozen["case"]) == frozen["trace"], (
-        f"{path.name}: traced event stream or metrics diverged from the frozen run"
+        f"{path.name}: traced event stream diverged from the frozen run"
     )
 
 

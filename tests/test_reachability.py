@@ -35,7 +35,6 @@ ALLOWLIST: dict[str, str] = {
     "ReplicatedPageTables.sharing_tids": "page-table observer the mm tests assert through",
     "pte_decode": "page-table observer the mm tests assert through",
     "pte_is_shared": "page-table observer the mm tests assert through",
-    "write_jsonl": "the CLI writes only Chrome traces; next to delete",
 }
 
 
