@@ -22,7 +22,8 @@ Commands
 
 ``trace``
     Summarize a trace captured with ``--trace`` (per-phase migration
-    cycles, TLB shootdown-scope histogram, CBFRP credit timeline)::
+    cycles, TLB shootdown-scope histogram, CBFRP credit timeline, and a
+    scenario's departures, restarts, faults and capacity events)::
 
         python -m repro run --policy vulcan --epochs 20 --trace /tmp/t.json
         python -m repro trace /tmp/t.json

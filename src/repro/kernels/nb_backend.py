@@ -58,17 +58,12 @@ def zipf_invert(cdf, lut, m, u):
 
 @njit(cache=True)
 def page_record_rows(
-    reads, writes, epoch_reads, epoch_writes, last_access_cycle,
-    touched, pfns, n_reads, n_writes, cycle,
+    epoch_reads, epoch_writes, last_access_cycle, touched, pfns, n_reads, n_writes, cycle,
 ):
     for i in range(pfns.size):
         p = pfns[i]
-        r = n_reads[i]
-        w = n_writes[i]
-        reads[p] += r
-        writes[p] += w
-        epoch_reads[p] += r
-        epoch_writes[p] += w
+        epoch_reads[p] += n_reads[i]
+        epoch_writes[p] += n_writes[i]
         last_access_cycle[p] = cycle
         touched[p] = True
 
@@ -96,20 +91,26 @@ def pid_fast_usage(state, pid_col, pid, fast_frames):
 
 
 @njit(cache=True)
-def pid_ground_truth(state, pid_col, epoch_reads, epoch_writes, pid, fast_frames, cut):
-    hot = 0
+def pid_ground_truth(state, pid_col, epoch_reads, epoch_writes, touched, pid, fast_frames, cut):
+    n_fast = state.size if state.size < fast_frames else fast_frames
     hot_fast = 0
     fast = 0
-    for p in range(state.size):
+    for p in range(n_fast):
         s = state[p]
         if (s == _STATE_MAPPED or s == _STATE_MIGRATING) and pid_col[p] == pid:
-            in_fast = p < fast_frames
-            if in_fast:
-                fast += 1
+            fast += 1
             if epoch_reads[p] + epoch_writes[p] >= cut:
+                hot_fast += 1
+    hot = hot_fast
+    for p in range(n_fast, state.size):
+        if touched[p]:
+            s = state[p]
+            if (
+                (s == _STATE_MAPPED or s == _STATE_MIGRATING)
+                and pid_col[p] == pid
+                and epoch_reads[p] + epoch_writes[p] >= cut
+            ):
                 hot += 1
-                if in_fast:
-                    hot_fast += 1
     return (hot, hot_fast, fast - hot_fast, fast)
 
 
@@ -237,35 +238,31 @@ def write_fractions(h, w):
 
 
 @njit(cache=True)
-def plan_span_stats(off_all, is_write, pfn_span, fast_frames, offsets, span):
-    total_counts = np.zeros(span, dtype=np.int64)
-    write_counts = np.zeros(span, dtype=np.int64)
-    for i in range(off_all.size):
-        o = off_all[i]
-        total_counts[o] += 1
-        if is_write[i]:
-            write_counts[o] += 1
+def plan_span_stats(key, pfn_span, fast_frames, offsets, span):
+    counts = np.zeros(2 * span, dtype=np.int64)
+    for i in range(key.size):
+        counts[key[i]] += 1
     n_seg = offsets.size - 1
     fast_seg = np.zeros(n_seg, dtype=np.int64)
     for k in range(n_seg):
         c = 0
         for i in range(offsets[k], offsets[k + 1]):
-            if pfn_span[off_all[i]] < fast_frames:
+            if pfn_span[key[i] >> 1] < fast_frames:
                 c += 1
         fast_seg[k] = c
-    return total_counts, write_counts, fast_seg
+    return counts, fast_seg
 
 
 @njit(cache=True)
-def plan_segment_unique(off_all, offsets, scratch):
+def plan_segment_unique(key, offsets, scratch):
     n_seg = offsets.size - 1
-    out = np.empty(off_all.size, dtype=np.int64)
+    out = np.empty(key.size, dtype=np.int64)
     bounds = np.zeros(n_seg + 1, dtype=np.int64)
     pos = 0
     for k in range(n_seg):
         cnt = 0
         for i in range(offsets[k], offsets[k + 1]):
-            o = off_all[i]
+            o = key[i] >> 1
             if not scratch[o]:
                 scratch[o] = True
                 out[pos + cnt] = o
@@ -334,12 +331,12 @@ def warmup() -> None:
     lut = np.searchsorted(cdf, np.arange(65537) / 65536.0, side="right").astype(np.int64)
     zipf_invert(cdf, lut, 65536, u)
     page_record_rows(
-        i64.copy(), i64.copy(), i64.copy(), i64.copy(), i64.copy(),
-        b.copy(), np.array([0, 1], dtype=np.int64), i64, i64, 1,
+        i64.copy(), i64.copy(), i64.copy(), b.copy(), np.array([0, 1], dtype=np.int64),
+        i64, i64, 1,
     )
     page_reset_epoch(b.copy(), i8, i64.copy(), i64.copy())
     pid_fast_usage(i8, i64, 0, 1)
-    pid_ground_truth(i8, i64, i64, i64, 0, 1, 1)
+    pid_ground_truth(i8, i64, i64, i64, b, 0, 1, 1)
     heat_accumulate(f64.copy(), b.copy(), i64, f64)
     heat_add_scaled(f64.copy(), b.copy(), i64, f64, 0.5)
     heat_decay(f64.copy(), 0.5)
@@ -348,6 +345,6 @@ def warmup() -> None:
     heat_gather(f64, 0, i64)
     accumulate_unique(i64, f64, f64)
     write_fractions(f64, f64)
-    plan_span_stats(i64, b, i64, 1, np.array([0, 2], dtype=np.int64), 2)
+    plan_span_stats(i64, i64, 1, np.array([0, 2], dtype=np.int64), 1)
     plan_segment_unique(i64, np.array([0, 2], dtype=np.int64), np.zeros(2, dtype=np.bool_))
     hot_slow_candidates(i64, f64, 0.5, i64, i16, 0, 1, -1)

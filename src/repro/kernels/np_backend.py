@@ -3,10 +3,11 @@
 Every function here is the *specification* the numba mirrors in
 :mod:`repro.kernels.nb_backend` are differentially pinned against.
 Most bodies are the array programs the hot paths ran before the kernel
-tier existed, moved verbatim.  ``zipf_invert`` and ``plan_span_stats``
-are faster exact rewrites, pinned by the oracles in tests/kernels/ and
-tests/test_zipf_inverse.py.  Keep them boring — no behavioural
-cleverness belongs in this file, only the arithmetic the goldens froze.
+tier existed, moved verbatim.  ``zipf_invert``, ``pid_ground_truth``
+and ``plan_span_stats`` are faster exact rewrites, pinned by the
+oracles in tests/kernels/ and tests/test_zipf_inverse.py.  Keep them
+boring — no behavioural cleverness belongs in this file, only the
+arithmetic the goldens froze.
 
 Shared contract (both backends):
 
@@ -59,8 +60,6 @@ def zipf_invert(cdf: np.ndarray, lut: np.ndarray, m: int, u: np.ndarray) -> np.n
 
 
 def page_record_rows(
-    reads: np.ndarray,
-    writes: np.ndarray,
     epoch_reads: np.ndarray,
     epoch_writes: np.ndarray,
     last_access_cycle: np.ndarray,
@@ -71,8 +70,6 @@ def page_record_rows(
     cycle: int,
 ) -> None:
     """Account per-frame access counts for unique ``pfns`` rows."""
-    reads[pfns] += n_reads
-    writes[pfns] += n_writes
     epoch_reads[pfns] += n_reads
     epoch_writes[pfns] += n_writes
     last_access_cycle[pfns] = cycle
@@ -112,19 +109,37 @@ def pid_ground_truth(
     pid_col: np.ndarray,
     epoch_reads: np.ndarray,
     epoch_writes: np.ndarray,
+    touched: np.ndarray,
     pid: int,
     fast_frames: int,
     cut: int,
 ) -> tuple[int, int, int, int]:
-    """(hot, hot∧fast, cold∧fast, fast) page counts for ``pid``."""
-    live = (state == _STATE_MAPPED) | (state == _STATE_MIGRATING)
-    pfns = np.flatnonzero(live & (pid_col == pid))
-    in_fast = pfns < fast_frames
-    is_hot = (epoch_reads[pfns] + epoch_writes[pfns]) >= cut
-    fast = int(in_fast.sum())
-    hot = int(is_hot.sum())
-    hot_fast = int((is_hot & in_fast).sum())
-    return (hot, hot_fast, fast - hot_fast, fast)
+    """(hot, hot∧fast, cold∧fast, fast) page counts for ``pid``.
+
+    Every fast row ``[:fast_frames]`` counts toward ``fast``; above them
+    only hot frames count, and with ``cut >= 1`` a hot frame has nonzero
+    epoch counters, which the store keeps inside the touched set.  So
+    the slow rows are filtered by the touched bitmap before any lifecycle
+    or counter read (a contiguous mask: on a heap whose slow rows are
+    mostly touched, gathering by a touched index list costs more than
+    the full scan it replaces).
+    """
+    st = state[:fast_frames]
+    live = (st == _STATE_MAPPED) | (st == _STATE_MIGRATING)
+    fast_pfns = np.flatnonzero(live & (pid_col[:fast_frames] == pid))
+    hot_fast = int(np.count_nonzero(
+        (epoch_reads[fast_pfns] + epoch_writes[fast_pfns]) >= cut
+    ))
+    slow_pfns = np.flatnonzero(
+        touched[fast_frames:] & (pid_col[fast_frames:] == pid)
+    ) + fast_frames
+    st = state[slow_pfns]
+    hot_slow = int(np.count_nonzero(
+        ((st == _STATE_MAPPED) | (st == _STATE_MIGRATING))
+        & ((epoch_reads[slow_pfns] + epoch_writes[slow_pfns]) >= cut)
+    ))
+    fast = int(fast_pfns.size)
+    return (hot_fast + hot_slow, hot_fast, fast - hot_fast, fast)
 
 
 # -- HeatStore accumulate / decay / gather -------------------------------------
@@ -212,49 +227,49 @@ def write_fractions(h: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def plan_span_stats(
-    off_all: np.ndarray,
-    is_write: np.ndarray,
+    key: np.ndarray,
     pfn_span: np.ndarray,
     fast_frames: int,
     offsets: np.ndarray,
     span: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-span access and write counts, per-segment fast-tier counts.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-offset read and write counts, per-segment fast-tier counts.
 
-    ``pfn_span[o]`` is the frame at span offset ``o`` (-1 where
-    unmapped); only the entries at accessed offsets reach the result,
-    so the caller checks those for unmapped pages.  The write counts come from a weighted bincount, which is exact
-    (counts stay far below 2**53) and avoids compacting ``off_all``
-    through the write mask.
+    ``key`` holds one ``offset << 1 | is_write`` per access, so one
+    bincount over ``2 * span`` bins counts reads in the even bins and
+    writes in the odd bins.  ``pfn_span[o]`` is the frame at span
+    offset ``o`` (-1 where unmapped); only the entries at accessed
+    offsets reach the result, so the caller checks those for unmapped
+    pages.  Each segment's fast-tier count gathers its keys from the
+    fast-tier table doubled to the key's bins.
     """
-    total_counts = np.bincount(off_all, minlength=span)
-    write_counts = np.bincount(off_all, weights=is_write, minlength=span).astype(np.int64)
-    # Per-segment fast/slow splits from per-access tier membership.
-    in_fast = (pfn_span < fast_frames)[off_all]
+    counts = np.bincount(key, minlength=2 * span)
+    fast2 = np.repeat(pfn_span < fast_frames, 2)
     n_seg = offsets.size - 1
     fast_seg = np.empty(n_seg, dtype=np.int64)
     for k in range(n_seg):
-        fast_seg[k] = np.count_nonzero(in_fast[offsets[k]:offsets[k + 1]])
-    return total_counts, write_counts, fast_seg
+        fast_seg[k] = np.count_nonzero(fast2[key[offsets[k]:offsets[k + 1]]])
+    return counts, fast_seg
 
 
 def plan_segment_unique(
-    off_all: np.ndarray, offsets: np.ndarray, scratch: np.ndarray
+    key: np.ndarray, offsets: np.ndarray, scratch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted unique offsets of each segment, concatenated.
 
-    Returns ``(ucat, bounds)``: segment ``k``'s unique offsets (ascending)
-    are ``ucat[bounds[k]:bounds[k+1]]``.  ``scratch`` is a caller-owned
+    ``key`` holds ``offset << 1 | is_write`` per access.  Returns
+    ``(ucat, bounds)``: segment ``k``'s unique offsets (ascending) are
+    ``ucat[bounds[k]:bounds[k+1]]``.  ``scratch`` is a caller-owned
     all-False bool array over the span; it is returned all-False.
     """
     n_seg = offsets.size - 1
-    out = np.empty(off_all.size, dtype=np.int64)
+    out = np.empty(key.size, dtype=np.int64)
     bounds = np.zeros(n_seg + 1, dtype=np.int64)
     pos = 0
     for k in range(n_seg):
         s, e = int(offsets[k]), int(offsets[k + 1])
         if s < e:
-            scratch[off_all[s:e]] = True
+            scratch[key[s:e] >> 1] = True
             uoff = np.flatnonzero(scratch)
             scratch[uoff] = False
             out[pos:pos + uoff.size] = uoff

@@ -177,14 +177,16 @@ class AddressSpace:
 
         Pages must already be mapped (the harness populates VMAs up
         front, matching the paper's warmed-up workloads); an unmapped
-        vpn raises ``KeyError``.  The page table is read over the plan's
-        vpn span as a view, so frames are gathered once per occupied
-        page instead of once per access; one pair of bincounts and one
-        frame-counter update cover the epoch; only the order-sensitive
-        parts (sharing transitions and tid-bit ORs, both per-thread)
-        walk the segments in order.  Returns
-        per-segment ``(fast, slow)`` access-count arrays for FTHR
-        sampling (per-access tier membership, counted per segment).
+        vpn raises ``KeyError``.  Each access becomes one int64 key,
+        ``(vpn - lo) << 1 | is_write`` over the plan's vpn span
+        ``[lo, hi]``, and everything is derived from it: one bincount
+        gives per-page reads (even bins) and writes (odd bins), the
+        page table is read over the span as a view, so frames are
+        gathered once per occupied page instead of once per access, and
+        one frame-counter update covers the epoch.  Only the sharing
+        transitions, which are per-thread, walk the segments in order.
+        Returns per-segment ``(fast, slow)`` access-count arrays for
+        FTHR sampling (per-access tier membership, counted per segment).
         """
         offsets = plan.offsets
         total_seg = np.diff(offsets)
@@ -206,41 +208,37 @@ class AddressSpace:
             raise KeyError(f"vpn {bad} not mapped; populate() the VMA first")
 
         span = hi - lo + 1
-        off_all = vpns - lo
+        key = vpns - lo
+        key <<= 1
+        key |= plan.is_write
         # A view: bulk_note_access below rewrites only owners and raw
         # values, never ``flat.pfn`` itself.
         pfn_span = flat.pfn[lo - flat.base:hi - flat.base + 1]
-        total_counts, write_counts, fast_seg = kernels.plan_span_stats(
-            off_all, plan.is_write, pfn_span, store.fast_frames, offsets, span
+        counts, fast_seg = kernels.plan_span_stats(
+            key, pfn_span, store.fast_frames, offsets, span
         )
-        occ = np.flatnonzero(total_counts)
+        n_reads, n_writes = counts[0::2], counts[1::2]
+        occ = np.flatnonzero(n_reads + n_writes)
         pfn_occ = pfn_span[occ]
         if pfn_occ.min() < 0:
             bad = int(occ[pfn_occ < 0][0]) + lo
             raise KeyError(f"vpn {bad} not mapped; populate() the VMA first")
 
-        # Sharing transitions + tid bitmasks must run per thread, in
-        # segment order (a transition by tid 0 changes what tid 1 sees);
-        # the per-segment sorted-unique offsets are precomputed in one
-        # kernel pass over the reusable span scratch.
+        # Sharing transitions must run per thread, in segment order (a
+        # transition by tid 0 changes what tid 1 sees); the per-segment
+        # sorted-unique offsets are precomputed in one kernel pass over
+        # the reusable span scratch.
         if self._span_scratch.size < span:
             self._span_scratch = np.zeros(span, dtype=bool)
         ucat, bounds = kernels.plan_segment_unique(
-            off_all, offsets, self._span_scratch[:span]
+            key, offsets, self._span_scratch[:span]
         )
         minor = 0
         for k in range(total_seg.size):
             s, e = int(bounds[k]), int(bounds[k + 1])
-            if s == e:
-                continue
-            uoff = ucat[s:e]
-            tid = int(plan.tids[k])
-            minor += repl.bulk_note_access(uoff + lo, tid)
-            store.or_tid_bit(pfn_span[uoff], tid)
+            if s < e:
+                minor += repl.bulk_note_access(ucat[s:e] + lo, int(plan.tids[k]))
         self.minor_faults += minor
 
-        writes_occ = write_counts[occ]
-        store.record_epoch_rows(
-            pfn_occ, total_counts[occ] - writes_occ, writes_occ, cycle
-        )
+        store.record_epoch_rows(pfn_occ, n_reads[occ], n_writes[occ], cycle)
         return fast_seg, total_seg - fast_seg

@@ -409,15 +409,17 @@ class FrameAllocator:
                     raise RuntimeError(f"tier {tier.tier_id} free list holds out-of-tier pfns")
                 if int(recycled.max()) >= cap:
                     raise RuntimeError(f"tier {tier.tier_id} recycled an unmaterialized pfn")
-                uniq = np.unique(recycled)
-                if uniq.size != recycled.size:
+                # Sort and compare neighbours: np.unique's hash path
+                # would import numpy.ma on first use.
+                srt = np.sort(recycled)
+                if bool((srt[1:] == srt[:-1]).any()):
                     raise RuntimeError(f"tier {tier.tier_id} free list has duplicates")
-                if ((uniq >= v_lo) & (uniq < v_hi)).any():
+                if ((srt >= v_lo) & (srt < v_hi)).any():
                     raise RuntimeError(
                         f"tier {tier.tier_id} free list has duplicates "
                         "(virgin pfn also recycled)"
                     )
-                if not bool(st.in_free_list[uniq].all()):
+                if not bool(st.in_free_list[srt].all()):
                     raise RuntimeError(
                         f"tier {tier.tier_id} free list and bitmap disagree: "
                         "recycled frame without its bit"

@@ -429,8 +429,7 @@ class MigrationEngine:
             # Deferred scatter groups.
             fin_vpn: list[int] = []; fin_pid: list[int] = []
             fin_src: list[int] = []; fin_dest: list[int] = []
-            sh_vpn: list[int] = []; sh_pid: list[int] = []
-            sh_src: list[int] = []; sh_dst: list[int] = []
+            sh_vpn: list[int] = []; sh_pid: list[int] = []; sh_dst: list[int] = []
             pt_vpn: list[int] = []; pt_pfn: list[int] = []
             pt_val: list[int] = []; pt_own: list[int] = []; pt_dirty: list[bool] = []
             keep_src: list[int] = []  # sources retained as shadow rows
@@ -474,8 +473,7 @@ class MigrationEngine:
                         nv = pte_clear_flag(pte_with_pfn(value, shadow_pfn), PTE_SHADOW)
                         pt_vpn.append(vpn); pt_pfn.append(shadow_pfn)
                         pt_val.append(nv); pt_own.append(pte_tid(nv)); pt_dirty.append(pte_is_dirty(nv))
-                        sh_vpn.append(vpn); sh_pid.append(req.pid)
-                        sh_src.append(src_pfn); sh_dst.append(shadow_pfn)
+                        sh_vpn.append(vpn); sh_pid.append(req.pid); sh_dst.append(shadow_pfn)
                         shadow.consume(src_pfn)
                         tiers[src_tier].free_list.append(src_pfn)
                         det_src.append(src_pfn)
@@ -582,55 +580,37 @@ class MigrationEngine:
         # -- apply deferred writes ---------------------------------------
         # All source rows are pristine pre-batch rows (a frame freed
         # in-batch can only be re-allocated as a destination, never read
-        # as a source), so gather every src-carried column first, apply
-        # the detach scatter, then rebuild destination rows — which
+        # as a source), so gather the src-carried epoch counters first,
+        # apply the detach scatter, then rebuild destination rows — which
         # resolves freed-then-reallocated frames to their final (bound)
-        # row, as freeing then binding one frame at a time would.
-        if sh_dst:
-            sdst = np.array(sh_dst, dtype=np.int64)
-            sh_heat = store.heat[np.array(sh_src, dtype=np.int64)]
+        # row, as freeing then binding one frame at a time would.  A
+        # remap-demotion's twin keeps its own counters.
         if fin_dest:
             fsrc = np.array(fin_src, dtype=np.int64)
             fdst = np.array(fin_dest, dtype=np.int64)
-            g_heat = store.heat[fsrc]
-            g_reads = store.reads[fsrc]
-            g_writes = store.writes[fsrc]
             g_er = store.epoch_reads[fsrc]
             g_ew = store.epoch_writes[fsrc]
-            g_lo = store.tids_lo[fsrc]
-            g_hi = store.tids_hi[fsrc]
         if det_src:
             d = np.array(det_src, dtype=np.int64)
             store.pid[d] = NONE_SENTINEL
             store.vpn[d] = NONE_SENTINEL
             store.state[d] = STATE_FREE
-            store.reads[d] = 0
-            store.writes[d] = 0
-            store.heat[d] = 0.0
             store.epoch_reads[d] = 0
             store.epoch_writes[d] = 0
-            store.shadow_pfn[d] = NONE_SENTINEL
-            store.tids_lo[d] = 0
-            store.tids_hi[d] = 0
             store.touched[d] = False
             store.in_free_list[d] = True
         if sh_dst:
+            sdst = np.array(sh_dst, dtype=np.int64)
             store.pid[sdst] = sh_pid
             store.vpn[sdst] = sh_vpn
             store.state[sdst] = STATE_MAPPED
-            store.heat[sdst] = sh_heat
         if fin_dest:
             store.pid[fdst] = fin_pid
             store.vpn[fdst] = fin_vpn
             store.state[fdst] = STATE_MAPPED
-            store.heat[fdst] = g_heat
-            store.reads[fdst] = g_reads
-            store.writes[fdst] = g_writes
             store.epoch_reads[fdst] = g_er
             store.epoch_writes[fdst] = g_ew
             store.touched[fdst] = (g_er != 0) | (g_ew != 0)
-            store.tids_lo[fdst] = g_lo
-            store.tids_hi[fdst] = g_hi
             store.tier_id[fdst] = fdst >= fast_frames
             store.in_free_list[fdst] = False
         if keep_src:

@@ -1,9 +1,8 @@
 """Physical frame metadata.
 
 One :class:`PhysPage` exists per physical frame the simulator has handed
-out.  It carries the reverse mapping (which process/vpn maps it), access
-statistics the profilers summarize, and the shadow link migration
-keeps for a promoted frame.
+out.  It carries the reverse mapping (which process/vpn maps it) and the
+frame's access counts for the current epoch.
 
 Since the struct-of-arrays refactor the *data* lives in
 :class:`repro.mm.page_store.PageStatsStore`; a PhysPage is a thin view
@@ -50,19 +49,22 @@ class PhysPage:
         workloads), so one frame has at most one (pid, vpn) mapping;
         *thread-level* sharing within the process is tracked in the PTE
         ownership bits, not here.
-    reads / writes:
-        Cumulative access counts since last profiler epoch reset.
-    heat:
-        Exponentially-decayed hotness maintained by the profiling layer.
+    epoch_reads / epoch_writes:
+        Access counts since the last epoch reset (ground-truth hotness).
+        Setting either nonzero marks the frame touched, so the reset
+        visits it.
     last_access_cycle:
-        For recency-based policies and idle-time estimation.
-    shadow_pfn:
-        If this is a promoted fast-tier frame, the retained slow-tier
-        shadow copy (Nomad-style), else ``None``.
+        Cycle of the last epoch that accessed the frame (TPP's
+        recency-ordered reclaim).
 
-    No per-frame flag tracks writes during a transactional copy: the
-    migration engine draws whether a copy window was dirtied from its
-    Poisson write model instead.
+    Page heat is not frame state: the profilers keep it per pid and
+    vpn (:mod:`repro.profiling.heat_store`).  Nor are the threads that
+    touched a page, which live in the PTE ownership bits
+    (:mod:`repro.mm.replication`), or a promoted page's retained
+    slow-tier twin, which :class:`repro.mm.shadow.ShadowTracker`
+    records.  No per-frame flag tracks writes during a transactional
+    copy: the migration engine draws whether a copy window was dirtied
+    from its Poisson write model instead.
     """
 
     __slots__ = ("_store", "_row", "pfn")
@@ -130,45 +132,12 @@ class PhysPage:
         self._store.vpn[self._row] = NONE_SENTINEL if value is None else value
 
     @property
-    def reads(self) -> int:
-        return int(self._store.reads[self._row])
-
-    @reads.setter
-    def reads(self, value: int) -> None:
-        self._store.reads[self._row] = value
-
-    @property
-    def writes(self) -> int:
-        return int(self._store.writes[self._row])
-
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self._store.writes[self._row] = value
-
-    @property
-    def heat(self) -> float:
-        return float(self._store.heat[self._row])
-
-    @heat.setter
-    def heat(self, value: float) -> None:
-        self._store.heat[self._row] = value
-
-    @property
     def last_access_cycle(self) -> int:
         return int(self._store.last_access_cycle[self._row])
 
     @last_access_cycle.setter
     def last_access_cycle(self, value: int) -> None:
         self._store.last_access_cycle[self._row] = value
-
-    @property
-    def shadow_pfn(self) -> int | None:
-        v = int(self._store.shadow_pfn[self._row])
-        return None if v == NONE_SENTINEL else v
-
-    @shadow_pfn.setter
-    def shadow_pfn(self, value: int | None) -> None:
-        self._store.shadow_pfn[self._row] = NONE_SENTINEL if value is None else value
 
     @property
     def epoch_reads(self) -> int:
@@ -189,45 +158,6 @@ class PhysPage:
         self._store.epoch_writes[self._row] = value
         if value:
             self._store.touched[self._row] = True
-
-    @property
-    def accessing_tids(self) -> set[int]:
-        """Threads that touched this frame (reconstructed from bitmask)."""
-        tids: set[int] = set()
-        lo = int(self._store.tids_lo[self._row])
-        hi = int(self._store.tids_hi[self._row])
-        while lo:
-            bit = lo & -lo
-            tids.add(bit.bit_length() - 1)
-            lo ^= bit
-        while hi:
-            bit = hi & -hi
-            tids.add(64 + bit.bit_length() - 1)
-            hi ^= bit
-        return tids
-
-    @accessing_tids.setter
-    def accessing_tids(self, tids: set[int]) -> None:
-        lo = hi = 0
-        for tid in tids:
-            if tid < 64:
-                lo |= 1 << tid
-            else:
-                hi |= 1 << (tid - 64)
-        self._store.tids_lo[self._row] = lo
-        self._store.tids_hi[self._row] = hi
-
-    # -- derived ---------------------------------------------------------
-
-    @property
-    def total_accesses(self) -> int:
-        return self.reads + self.writes
-
-    @property
-    def write_fraction(self) -> float:
-        """Fraction of accesses that were writes (0 when untouched)."""
-        total = self.total_accesses
-        return self.writes / total if total else 0.0
 
     # -- mutations -------------------------------------------------------
 
@@ -271,6 +201,7 @@ class PhysPage:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PhysPage(pfn={self.pfn}, tier={self.tier_id}, state={self.state.value}, "
-            f"pid={self.pid}, vpn={self.vpn}, reads={self.reads}, writes={self.writes})"
+            f"pid={self.pid}, vpn={self.vpn}, epoch_reads={self.epoch_reads}, "
+            f"epoch_writes={self.epoch_writes})"
         )
 

@@ -1,9 +1,10 @@
 """Struct-of-arrays store for per-frame state (DESIGN.md §3).
 
-All per-page truth — tier, lifecycle state, reverse map, access
-counters, migration bookkeeping — lives here as parallel numpy arrays
-indexed by PFN.  :class:`~repro.mm.page.PhysPage` objects are thin
-*views* over one row; the arrays are authoritative.  That inversion is
+All per-frame truth — tier, lifecycle state, reverse map, per-epoch
+access counters, free-list membership — lives here as parallel numpy
+arrays indexed by PFN: nine columns, 44 bytes per materialized frame.
+:class:`~repro.mm.page.PhysPage` objects are thin *views* over one row;
+the arrays are authoritative.  That inversion is
 what lets the hot path (per-epoch counter updates, ground-truth hot/cold
 accounting, candidate gathering) run as vectorized reductions instead of
 object-at-a-time Python loops.
@@ -80,26 +81,17 @@ class PageStatsStore:
         self.state = np.empty(n, dtype=np.int8)
         self.pid = np.empty(n, dtype=np.int64)
         self.vpn = np.empty(n, dtype=np.int64)
-        self.reads = np.empty(n, dtype=np.int64)
-        self.writes = np.empty(n, dtype=np.int64)
         self.epoch_reads = np.empty(n, dtype=np.int64)
         self.epoch_writes = np.empty(n, dtype=np.int64)
-        self.heat = np.empty(n, dtype=np.float64)
         self.last_access_cycle = np.empty(n, dtype=np.int64)
-        self.shadow_pfn = np.empty(n, dtype=np.int64)
-        # accessing-tid bitmask: word 0 covers tids 0..63, word 1 covers
-        # 64..127 (PTE tid space is 7 bits).
-        self.tids_lo = np.empty(n, dtype=np.uint64)
-        self.tids_hi = np.empty(n, dtype=np.uint64)
         #: frames whose epoch counters may be nonzero (touched-set reset)
         self.touched = np.empty(n, dtype=bool)
         #: O(1) double-free detection (replaces deque membership scans)
         self.in_free_list = np.empty(n, dtype=bool)
 
     _COLUMNS = (
-        "tier_id", "state", "pid", "vpn", "reads", "writes",
-        "epoch_reads", "epoch_writes", "heat", "last_access_cycle",
-        "shadow_pfn", "tids_lo", "tids_hi",
+        "tier_id", "state", "pid", "vpn",
+        "epoch_reads", "epoch_writes", "last_access_cycle",
         "touched", "in_free_list",
     )
 
@@ -128,27 +120,14 @@ class PageStatsStore:
         self.state[lo:] = STATE_FREE
         self.pid[lo:] = NONE_SENTINEL
         self.vpn[lo:] = NONE_SENTINEL
-        self.reads[lo:] = 0
-        self.writes[lo:] = 0
         self.epoch_reads[lo:] = 0
         self.epoch_writes[lo:] = 0
-        self.heat[lo:] = 0.0
         self.last_access_cycle[lo:] = 0
-        self.shadow_pfn[lo:] = NONE_SENTINEL
-        self.tids_lo[lo:] = 0
-        self.tids_hi[lo:] = 0
         self.touched[lo:] = False
         self.in_free_list[lo:] = self.free_fill
         self.capacity = new_cap
 
     # -- vectorized hot-path updates -------------------------------------
-
-    def or_tid_bit(self, pfns: np.ndarray, tid: int) -> None:
-        """OR one thread's bit into the accessing-tid masks of ``pfns``."""
-        if tid < 64:
-            self.tids_lo[pfns] |= np.uint64(1 << tid)
-        else:
-            self.tids_hi[pfns] |= np.uint64(1 << (tid - 64))
 
     def record_epoch_rows(
         self,
@@ -160,14 +139,13 @@ class PageStatsStore:
         """Account one epoch's per-frame access counts.
 
         ``pfns`` are the epoch's unique frames (one row each) with
-        counts already summed across threads; the per-thread tid-bit
-        ORs happen separately (:meth:`or_tid_bit`).  Integer adds
-        commute and ``cycle`` is the same for every thread of an epoch,
-        so one pass lands exactly where per-thread updates would.
+        counts already summed across threads.  Integer adds commute and
+        ``cycle`` is the same for every thread of an epoch, so one pass
+        lands exactly where per-thread updates would.
         """
         kernels.page_record_rows(
-            self.reads, self.writes, self.epoch_reads, self.epoch_writes,
-            self.last_access_cycle, self.touched, pfns, n_reads, n_writes, cycle,
+            self.epoch_reads, self.epoch_writes, self.last_access_cycle,
+            self.touched, pfns, n_reads, n_writes, cycle,
         )
 
     def reset_epoch_counters(self) -> None:
@@ -212,10 +190,20 @@ class PageStatsStore:
         return int(kernels.pid_fast_usage(self.state, self.pid, pid, self.fast_frames))
 
     def ground_truth_hotness(self, pid: int, cut: int) -> tuple[int, int, int, int]:
-        """(hot, hot∧fast, cold∧fast, fast) page counts for ``pid``."""
+        """(hot, hot∧fast, cold∧fast, fast) page counts for ``pid``.
+
+        A hot frame has at least ``cut`` epoch accesses, so nonzero
+        epoch counters, so it is in the touched set
+        (:meth:`check_row_invariants`).  The scan therefore covers the
+        fast rows ``[:fast_frames]`` and the touched rows above them,
+        not every materialized row; ``cut`` must be at least 1 for that
+        to be exact.
+        """
+        if cut < 1:
+            raise ValueError(f"hot cut must be at least 1 access, got {cut}")
         hot, hot_fast, cold_fast, fast = kernels.pid_ground_truth(
             self.state, self.pid, self.epoch_reads, self.epoch_writes,
-            pid, self.fast_frames, cut,
+            self.touched, pid, self.fast_frames, cut,
         )
         return (int(hot), int(hot_fast), int(cold_fast), int(fast))
 
@@ -226,14 +214,8 @@ class PageStatsStore:
         self.pid[pfn] = NONE_SENTINEL
         self.vpn[pfn] = NONE_SENTINEL
         self.state[pfn] = STATE_FREE
-        self.reads[pfn] = 0
-        self.writes[pfn] = 0
-        self.heat[pfn] = 0.0
         self.epoch_reads[pfn] = 0
         self.epoch_writes[pfn] = 0
-        self.shadow_pfn[pfn] = NONE_SENTINEL
-        self.tids_lo[pfn] = 0
-        self.tids_hi[pfn] = 0
         self.touched[pfn] = False
 
     # -- consistency checks (exercised by the property tests) ------------
@@ -243,9 +225,6 @@ class PageStatsStore:
         free = self.state == STATE_FREE
         assert (self.pid[free] == NONE_SENTINEL).all(), "free frame with pid"
         assert (self.vpn[free] == NONE_SENTINEL).all(), "free frame with vpn"
-        assert (self.reads[free] == 0).all(), "free frame with read count"
-        assert (self.writes[free] == 0).all(), "free frame with write count"
-        assert (self.heat[free] == 0.0).all(), "free frame with heat"
         mapped = (self.state == STATE_MAPPED) | (self.state == STATE_MIGRATING)
         assert (self.pid[mapped] != NONE_SENTINEL).all(), "mapped frame without pid"
         assert (self.vpn[mapped] != NONE_SENTINEL).all(), "mapped frame without vpn"

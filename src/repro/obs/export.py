@@ -8,7 +8,8 @@
   :class:`~repro.obs.events.TraceEvent` streams;
 * :func:`summarize` — the human-readable digest (per-phase migration
   cycles, shootdown-scope histogram, CBFRP credit timeline, queue
-  activity) printed by the ``trace`` CLI subcommand.
+  activity, scenario events, fleet activity) printed by the ``trace``
+  CLI subcommand.
 """
 
 from __future__ import annotations
@@ -136,10 +137,35 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
 # -- human-readable summary ----------------------------------------------------
 
 
-def _workload_label(pid: int | None, names: dict[int, str]) -> str:
+#: what a scenario changes mid-run; a FAULT_INJECTED event is one when
+#: it toggles injection (no ``vpn``), not when it faulted a migration
+_SCENARIO_KINDS = frozenset({
+    EventKind.WORKLOAD_DEPART,
+    EventKind.WORKLOAD_RESTART,
+    EventKind.QOS_CHANGE,
+    EventKind.CAPACITY_CHANGE,
+    EventKind.PHASE_SHIFT,
+    EventKind.FAULT_INJECTED,
+})
+
+
+def _workload_label(pid: int | None, names: dict[int, str], name: str | None = None) -> str:
+    """``name (pid N)``, so a restarted workload's fresh pid reads apart
+    from its first one; ``name`` stands in when no epoch named the pid."""
     if pid is None:
         return "-"
-    return names.get(pid, str(pid))
+    name = names.get(pid, name)
+    return f"pid {pid}" if name is None else f"{name} (pid {pid})"
+
+
+def _scenario_detail(args: dict[str, Any]) -> str:
+    """An event's arguments but its epoch, one ``key=value`` each."""
+    def fmt(v: Any) -> str:
+        if isinstance(v, dict):
+            return ",".join(f"{k}:{fmt(x)}" for k, x in v.items())
+        return f"{v:g}" if isinstance(v, float) else str(v)
+
+    return " ".join(f"{k}={fmt(v)}" for k, v in args.items() if k != "epoch")
 
 
 def _sparkline(values: list[float], width: int = 12) -> str:
@@ -174,6 +200,8 @@ def summarize(events: list[TraceEvent]) -> str:
     fleet_move_pages: dict[str, int] = defaultdict(int)
     fleet_move_cycles: dict[str, float] = defaultdict(float)
     fleet_node_changes: list[TraceEvent] = []
+    scenario_events: list[TraceEvent] = []
+    migration_faults: TallyCounter = TallyCounter()
 
     for ev in events:
         if ev.kind is EventKind.EPOCH:
@@ -215,6 +243,10 @@ def summarize(events: list[TraceEvent]) -> str:
             fleet_move_cycles[reason] += float(ev.args.get("cycles", 0.0))
         elif ev.kind is EventKind.FLEET_NODE_CHANGE:
             fleet_node_changes.append(ev)
+        elif ev.kind is EventKind.FAULT_INJECTED and "vpn" in ev.args:
+            migration_faults[str(ev.args.get("kind", ev.name))] += 1
+        elif ev.kind in _SCENARIO_KINDS:
+            scenario_events.append(ev)
 
     sections: list[str] = []
     n_epochs = len(epochs)
@@ -290,6 +322,25 @@ def summarize(events: list[TraceEvent]) -> str:
             sections.append(render_table(
                 ["page class", "promotions"], rows, title="promotions by Table-1 class",
             ))
+
+    if scenario_events or migration_faults:
+        rows = []
+        for ev in scenario_events:
+            if ev.kind in (EventKind.CAPACITY_CHANGE, EventKind.FAULT_INJECTED):
+                what, label = ev.name, "-"
+            else:
+                what = ev.kind.value.removeprefix("workload_")
+                label = _workload_label(ev.pid, names, ev.name)
+            rows.append([ev.args.get("epoch", "-"), what, label, _scenario_detail(ev.args)])
+        n_faults = sum(migration_faults.values())
+        faults = ", ".join(f"{kind} {n}" for kind, n in sorted(migration_faults.items()))
+        sections.append(render_table(
+            ["epoch", "event", "workload", "detail"], rows,
+            title=(
+                f"scenario events ({n_faults} migration faults"
+                + (f": {faults})" if faults else ")")
+            ),
+        ))
 
     if fleet_rounds or fleet_moves or fleet_node_changes:
         rows = [

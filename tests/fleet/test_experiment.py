@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.fleet import (
@@ -281,3 +287,29 @@ class TestCannedScenarios:
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
             get_fleet_scenario("bogus")
+
+
+def test_node_round_leaves_numpy_ma_unimported():
+    """One node round, in a fresh process, must not import ``numpy.ma``:
+    every round's frame-conservation check runs inside the fleet's setup
+    window, and ``np.unique``'s hash path imports it on first use."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    code = textwrap.dedent("""
+        import sys
+        from repro.fleet.node import run_node_round
+        from repro.scenario.spec import WorkloadDef
+        wls = [
+            WorkloadDef(key=k, kind="microbench", service=s, rss_pages=r,
+                        n_threads=1, accesses_per_thread=400)
+            for k, s, r in (("a", "LC", 200), ("b", "BE", 150))
+        ]
+        run_node_round(node_id="n0", round_index=0, fast_gb=4.0, epochs=2,
+                       policy="vulcan", workloads=wls, seed=11)
+        print("numpy.ma" in sys.modules)
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -50,27 +50,23 @@ def test_zipf_invert_matches_searchsorted(be):
 def test_page_record_rows_oracle(be):
     rng = _rng()
     n = 64
-    reads = rng.integers(0, 50, n).astype(np.int64)
-    writes = rng.integers(0, 50, n).astype(np.int64)
-    er = np.zeros(n, dtype=np.int64)
-    ew = np.zeros(n, dtype=np.int64)
+    er = rng.integers(0, 50, n).astype(np.int64)
+    ew = rng.integers(0, 50, n).astype(np.int64)
     lac = np.zeros(n, dtype=np.int64)
     touched = np.zeros(n, dtype=bool)
     pfns = rng.permutation(n)[:20].astype(np.int64)
     nr = rng.integers(0, 9, 20).astype(np.int64)
     nw = rng.integers(0, 9, 20).astype(np.int64)
 
-    exp = [a.copy() for a in (reads, writes, er, ew, lac, touched)]
+    exp = [a.copy() for a in (er, ew, lac, touched)]
     for i, p in enumerate(pfns):
         exp[0][p] += nr[i]
         exp[1][p] += nw[i]
-        exp[2][p] += nr[i]
-        exp[3][p] += nw[i]
-        exp[4][p] = 99
-        exp[5][p] = True
+        exp[2][p] = 99
+        exp[3][p] = True
 
-    be.page_record_rows(reads, writes, er, ew, lac, touched, pfns, nr, nw, 99)
-    for got, want in zip((reads, writes, er, ew, lac, touched), exp):
+    be.page_record_rows(er, ew, lac, touched, pfns, nr, nw, 99)
+    for got, want in zip((er, ew, lac, touched), exp):
         np.testing.assert_array_equal(got, want)
 
 
@@ -91,24 +87,66 @@ def test_page_reset_epoch_only_clears_touched_live_rows(be):
     np.testing.assert_array_equal(state, s0)
 
 
+def _full_scan_ground_truth(state, pid_col, er, ew, pid, fast_frames, cut):
+    """Every row, touched or not: the scan the kernel must equal."""
+    live = (state == 1) | (state == 2)
+    mine = np.flatnonzero(live & (pid_col == pid))
+    hot = (er[mine] + ew[mine]) >= cut
+    fast = int((mine < fast_frames).sum())
+    hot_fast = int((hot & (mine < fast_frames)).sum())
+    return (int(hot.sum()), hot_fast, fast - hot_fast, fast)
+
+
+def _store_rows(rng, n):
+    """Random rows that keep the store's invariant: nonzero epoch
+    counters imply touched (and touched rows may have zero counters)."""
+    state = rng.integers(0, 4, n).astype(np.int8)
+    pid_col = rng.integers(100, 104, n).astype(np.int64)
+    er = rng.integers(0, 6, n).astype(np.int64) * (rng.random(n) < 0.6)
+    ew = rng.integers(0, 6, n).astype(np.int64) * (rng.random(n) < 0.6)
+    touched = (er > 0) | (ew > 0) | (rng.random(n) < 0.1)
+    return state, pid_col, er, ew, touched
+
+
 def test_pid_usage_and_ground_truth(be):
     rng = _rng()
     n = 200
-    state = rng.integers(0, 4, n).astype(np.int8)
-    pid_col = rng.integers(100, 104, n).astype(np.int64)
-    er = rng.integers(0, 6, n).astype(np.int64)
-    ew = rng.integers(0, 6, n).astype(np.int64)
+    state, pid_col, er, ew, touched = _store_rows(rng, n)
     fast_frames, pid, cut = 80, 101, 4
     live = (state == 1) | (state == 2)
     mine = np.flatnonzero(live & (pid_col == pid))
     want_fast = int((mine < fast_frames).sum())
     assert be.pid_fast_usage(state, pid_col, pid, fast_frames) == want_fast
     hot = (er[mine] + ew[mine]) >= cut
-    got = be.pid_ground_truth(state, pid_col, er, ew, pid, fast_frames, cut)
+    got = be.pid_ground_truth(state, pid_col, er, ew, touched, pid, fast_frames, cut)
     want_hf = int((hot & (mine < fast_frames)).sum())
     assert tuple(int(x) for x in got) == (
         int(hot.sum()), want_hf, want_fast - want_hf, want_fast,
     )
+
+
+@pytest.mark.parametrize("fast_frames", [0, 1, 80, 199, 200, 260])
+@pytest.mark.parametrize("cut", [1, 4, 8])
+def test_pid_ground_truth_matches_full_scan(be, fast_frames, cut):
+    """The fast-rows-plus-touched scan against a scan of every row.
+    SHADOW rows keep their counters and their touched bit, one pid has
+    no touched row, and ``fast_frames`` may lie past the rows."""
+    rng = np.random.default_rng(fast_frames * 10 + cut)
+    n = 200
+    state, pid_col, er, ew, touched = _store_rows(rng, n)
+    shadows = rng.permutation(n)[:30]
+    state[shadows] = 3
+    er[shadows] += cut
+    touched[shadows] = True
+    # pid 104 maps rows on both sides of the fast boundary, all untouched
+    quiet = np.flatnonzero(~touched)[::4]
+    pid_col[quiet] = 104
+    state[quiet] = 1
+    assert quiet.size and not touched[pid_col == 104].any()
+    for pid in range(100, 106):
+        want = _full_scan_ground_truth(state, pid_col, er, ew, pid, fast_frames, cut)
+        got = be.pid_ground_truth(state, pid_col, er, ew, touched, pid, fast_frames, cut)
+        assert tuple(int(x) for x in got) == want, pid
 
 
 @pytest.mark.parametrize("fast_frames", [0, 1, 80, 199, 200, 260])
@@ -194,48 +232,54 @@ def test_write_fractions(be):
 # -- plan execution --------------------------------------------------------------
 
 
-def _plan_fixture():
+def _plan_fixture(write_p=0.4, span=30):
     rng = _rng()
     offsets = np.array([0, 40, 40, 100], dtype=np.int64)
-    off_all = rng.integers(0, 30, 100).astype(np.int64)
-    is_write = rng.random(100) < 0.4
-    return off_all, is_write, offsets
+    off_all = rng.integers(0, span, 100).astype(np.int64)
+    is_write = rng.random(100) < write_p
+    key = off_all << 1 | is_write
+    return off_all, is_write, key, offsets
+
+
+#: (write probability, span): mixed, all-write, no-write, and one offset
+_PLAN_CASES = ((0.4, 30), (1.0, 30), (0.0, 30), (0.5, 1))
 
 
 def test_plan_span_stats_oracle(be):
-    """Counts and the per-segment tier split against a per-access walk;
-    the span table holds -1 at the offsets no access names."""
-    off_all, is_write, offsets = _plan_fixture()
-    span, fast_frames = 30, 100
-    pfn_span = np.arange(span, dtype=np.int64) * 7 + 3  # one pfn per offset
-    pfn_span[np.setdiff1d(np.arange(span), off_all)] = -1
-    total, wc, fast_seg = be.plan_span_stats(
-        off_all, is_write, pfn_span, fast_frames, offsets, span
-    )
-    want_total = np.zeros(span, dtype=np.int64)
-    want_writes = np.zeros(span, dtype=np.int64)
-    for o, w in zip(off_all.tolist(), is_write.tolist()):
-        want_total[o] += 1
-        want_writes[o] += w
-    assert total.dtype == wc.dtype == fast_seg.dtype == np.int64
-    np.testing.assert_array_equal(total, want_total)
-    np.testing.assert_array_equal(wc, want_writes)
-    want_fast = [
-        sum(int(pfn_span[o] < fast_frames) for o in off_all[s:e].tolist())
-        for s, e in zip(offsets[:-1].tolist(), offsets[1:].tolist())
-    ]
-    np.testing.assert_array_equal(fast_seg, want_fast)
+    """Read and write counts and the per-segment tier split against a
+    per-access walk; the span table holds -1 at the offsets no access
+    names."""
+    for write_p, span in _PLAN_CASES:
+        off_all, is_write, key, offsets = _plan_fixture(write_p, span)
+        fast_frames = 100 if span > 1 else 4
+        pfn_span = np.arange(span, dtype=np.int64) * 7 + 3  # one pfn per offset
+        pfn_span[np.setdiff1d(np.arange(span), off_all)] = -1
+        counts, fast_seg = be.plan_span_stats(key, pfn_span, fast_frames, offsets, span)
+        want_reads = np.zeros(span, dtype=np.int64)
+        want_writes = np.zeros(span, dtype=np.int64)
+        for o, w in zip(off_all.tolist(), is_write.tolist()):
+            (want_writes if w else want_reads)[o] += 1
+        assert counts.dtype == fast_seg.dtype == np.int64
+        assert counts.size == 2 * span
+        np.testing.assert_array_equal(counts[0::2], want_reads)
+        np.testing.assert_array_equal(counts[1::2], want_writes)
+        want_fast = [
+            sum(int(pfn_span[o] < fast_frames) for o in off_all[s:e].tolist())
+            for s, e in zip(offsets[:-1].tolist(), offsets[1:].tolist())
+        ]
+        np.testing.assert_array_equal(fast_seg, want_fast)
 
 
 def test_plan_segment_unique_oracle(be):
-    off_all, _, offsets = _plan_fixture()
-    scratch = np.zeros(30, dtype=bool)
-    ucat, bounds = be.plan_segment_unique(off_all, offsets, scratch)
-    assert not scratch.any(), "scratch must be returned all-False"
-    assert bounds[0] == 0 and bounds.size == offsets.size
-    for k in range(offsets.size - 1):
-        seg = off_all[offsets[k] : offsets[k + 1]]
-        np.testing.assert_array_equal(ucat[bounds[k] : bounds[k + 1]], np.unique(seg))
+    for write_p, span in _PLAN_CASES:
+        off_all, _, key, offsets = _plan_fixture(write_p, span)
+        scratch = np.zeros(span, dtype=bool)
+        ucat, bounds = be.plan_segment_unique(key, offsets, scratch)
+        assert not scratch.any(), "scratch must be returned all-False"
+        assert bounds[0] == 0 and bounds.size == offsets.size
+        for k in range(offsets.size - 1):
+            seg = off_all[offsets[k] : offsets[k + 1]]
+            np.testing.assert_array_equal(ucat[bounds[k] : bounds[k + 1]], np.unique(seg))
 
 
 # -- candidate gathering ---------------------------------------------------------

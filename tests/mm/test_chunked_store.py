@@ -62,8 +62,9 @@ class TestChunkedGrowth:
         assert (store.state[span] == STATE_FREE).all()
         assert (store.pid[span] == NONE_SENTINEL).all()
         assert (store.vpn[span] == NONE_SENTINEL).all()
-        assert (store.heat[span] == 0.0).all()
-        assert (store.reads[span] == 0).all() and (store.writes[span] == 0).all()
+        assert (store.epoch_reads[span] == 0).all() and (store.epoch_writes[span] == 0).all()
+        assert (store.last_access_cycle[span] == 0).all()
+        assert not store.touched[span].any()
         assert store.in_free_list[span].all()  # free_fill respected
         # tier partition holds across the growth boundary
         pfns = np.arange(lo, store.capacity)
@@ -74,10 +75,11 @@ class TestChunkedGrowth:
         store.pid[3] = 42
         store.vpn[3] = 99
         store.state[3] = STATE_MAPPED
-        store.heat[5] = 1.5
+        store.epoch_writes[5] = 6
+        store.touched[5] = True
         store.ensure(2 * CHUNK + 1)
         assert int(store.pid[3]) == 42 and int(store.vpn[3]) == 99
-        assert float(store.heat[5]) == 1.5
+        assert int(store.epoch_writes[5]) == 6 and store.touched[5]
 
 
 class TestAllocatorAcrossChunks:

@@ -168,6 +168,17 @@ def test_free_pid_detects_tampered_double_free():
         a.free_pid(1)
 
 
+def test_check_consistency_reports_a_recycled_frame_listed_twice():
+    a = make_alloc(fast=8, slow=16)
+    pages = _alloc_for_pid(a, pid=1, fast=3)
+    a.free(pages[1].pfn)
+    a.free(pages[0].pfn)
+    a.check_consistency()
+    a.tiers[0].free_list.append(pages[1].pfn)  # listed twice, one bit
+    with pytest.raises(RuntimeError, match="free list has duplicates$"):
+        a.check_consistency()
+
+
 # -- capacity events (offline/online) --------------------------------------------
 
 def test_offline_frames_come_from_free_list_tail():

@@ -51,12 +51,18 @@ class TestBasicMoves:
         vma = fault_pages(space, 1, tier=1)
         vpn = vma.start_vpn
         old_pfn = space.translate(vpn)
-        alloc.page(old_pfn).heat = 5.0
+        alloc.page(old_pfn).epoch_reads = 5
+        alloc.page(old_pfn).epoch_writes = 2
         out = engine.migrate(MigrationRequest(pid=1, vpn=vpn, dest_tier=0))
         assert out is MigrationOutcome.SUCCESS
         new_pfn = space.translate(vpn)
         assert alloc.tier_of_pfn(new_pfn) == 0
-        assert alloc.page(new_pfn).heat == 5.0
+        new = alloc.page(new_pfn)
+        assert (new.epoch_reads, new.epoch_writes) == (5, 2)
+        assert alloc.store.touched[new_pfn]
+        old = alloc.page(old_pfn)
+        assert (old.epoch_reads, old.epoch_writes) == (0, 0)
+        assert not alloc.store.touched[old_pfn]
         assert engine.stats.promotions == 1
         assert engine.stats.pages_moved == 1
         # Source frame freed (no shadowing configured).
@@ -329,7 +335,7 @@ class TestFaultInjection:
         hot = fault_pages(space, 2, tier=0)  # fast tier now full
         cold = fault_pages(space, 1, tier=1)
         demoted_src = space.translate(hot.start_vpn)
-        alloc.page(demoted_src).heat = 5.0
+        alloc.page(demoted_src).epoch_writes = 5
         engine.fault_injector = self._injector({"aborted_sync": 1.0})
         outs = engine.migrate_batch([
             # transactional: only lost_async is rolled, and it is unarmed
@@ -339,7 +345,10 @@ class TestFaultInjection:
         ])
         assert outs == [MigrationOutcome.SUCCESS, MigrationOutcome.FAILED]
         assert engine.stats.faults_injected == {"aborted_sync": 1}
-        assert alloc.page(space.translate(hot.start_vpn)).heat == 5.0
+        carried = space.translate(hot.start_vpn)
+        assert alloc.page(carried).epoch_writes == 5 and alloc.store.touched[carried]
+        assert alloc.page(demoted_src).epoch_writes == 0
+        assert not alloc.store.touched[demoted_src]
         assert alloc.tier_of_pfn(space.translate(cold.start_vpn)) == 1
         assert list(alloc.tiers[0].free_list) == [demoted_src]
         assert alloc.page(demoted_src).state is PageState.FREE
@@ -354,13 +363,13 @@ class TestFaultInjection:
         vpn = vma.start_vpn
         twin = space.translate(vpn)
         engine.migrate(MigrationRequest(pid=1, vpn=vpn, dest_tier=0))
-        alloc.page(space.translate(vpn)).heat = 3.0
+        alloc.page(space.translate(vpn)).epoch_reads = 3
         engine.fault_injector = self._injector({"poisoned_shadow": 1.0})
         assert engine.migrate_batch([MigrationRequest(pid=1, vpn=vpn, dest_tier=1)]) == [
             MigrationOutcome.SUCCESS
         ]
         assert space.translate(vpn) == twin
-        assert alloc.page(twin).heat == 3.0
+        assert alloc.page(twin).epoch_reads == 3 and alloc.store.touched[twin]
         assert engine.stats.shadow_remaps == 0
         alloc.check_consistency()
         alloc.store.check_row_invariants()

@@ -13,11 +13,9 @@ def store_page(state: PageState = PageState.FREE) -> tuple[PhysPage, PageStatsSt
     return PhysPage(pfn=1, tier_id=0, state=state, store=store), store
 
 
-def access(store: PageStatsStore, pfn: int, *, reads=0, writes=0, tid=0, cycle=0) -> None:
+def access(store: PageStatsStore, pfn: int, *, reads=0, writes=0, cycle=0) -> None:
     """Account accesses to one frame the way an epoch does."""
-    pfns = np.array([pfn])
-    store.record_epoch_rows(pfns, np.array([reads]), np.array([writes]), cycle)
-    store.or_tid_bit(pfns, tid)
+    store.record_epoch_rows(np.array([pfn]), np.array([reads]), np.array([writes]), cycle)
 
 
 def test_attach_detach_lifecycle():
@@ -48,31 +46,25 @@ def test_shadow_frame_can_be_reattached():
 def test_access_accounting():
     p, store = store_page()
     p.attach(1, 1)
-    access(store, 1, reads=3, tid=0, cycle=5)
-    access(store, 1, writes=1, tid=1, cycle=9)
-    assert p.reads == 3 and p.writes == 1
-    assert p.total_accesses == 4
-    assert p.write_fraction == pytest.approx(0.25)
+    access(store, 1, reads=3, cycle=5)
+    access(store, 1, writes=1, cycle=9)
+    assert p.epoch_reads == 3 and p.epoch_writes == 1
     assert p.last_access_cycle == 9
-    assert p.accessing_tids == {0, 1}
+    assert store.touched[1]
 
 
 def test_epoch_counters_reset_independently():
     p, store = store_page()
     access(store, 1, reads=5, cycle=1)
     p.reset_epoch_counters()
-    assert p.epoch_reads == 0
-    assert p.reads == 5  # cumulative survives
-
-
-def test_write_fraction_of_untouched_page():
-    assert PhysPage(pfn=1, tier_id=0).write_fraction == 0.0
+    assert p.epoch_reads == 0 and not store.touched[1]
+    assert p.last_access_cycle == 1  # the recency stamp survives
 
 
 def test_detach_clears_stats():
     p, store = store_page()
     p.attach(1, 1)
-    access(store, 1, writes=1, tid=2, cycle=1)
-    p.heat = 9.0
+    access(store, 1, reads=2, writes=1, cycle=1)
     p.detach()
-    assert p.writes == 0 and p.heat == 0.0 and p.accessing_tids == set()
+    assert p.epoch_reads == 0 and p.epoch_writes == 0
+    assert not store.touched[1]

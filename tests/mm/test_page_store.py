@@ -20,6 +20,7 @@ from repro.mm.frame_alloc import FrameAllocator
 from repro.mm.page import PageState, PhysPage
 from repro.mm.page_store import (
     NONE_SENTINEL,
+    STATE_FREE,
     STATE_MAPPED,
     STATE_SHADOW,
     PageStatsStore,
@@ -40,6 +41,17 @@ def test_fresh_store_passes_invariants():
     assert (store.tier_id[16:] == 1).all()
 
 
+def test_store_keeps_nine_columns_in_44_bytes_per_frame():
+    """Every array the store holds is a listed column (growth copies only
+    those), and a frame costs 44 bytes; a column nothing reads should
+    not come back."""
+    store = make_store()
+    arrays = {k for k, v in vars(store).items() if isinstance(v, np.ndarray)}
+    assert arrays == set(PageStatsStore._COLUMNS)
+    assert len(PageStatsStore._COLUMNS) == 9
+    assert sum(getattr(store, c).itemsize for c in PageStatsStore._COLUMNS) == 44
+
+
 def test_record_batch_matches_scalar_model():
     """Vectorized accounting == the old one-page-at-a-time loop."""
     rng = np.random.default_rng(7)
@@ -51,23 +63,23 @@ def test_record_batch_matches_scalar_model():
 
     reads = np.zeros(store.n_frames, dtype=np.int64)
     writes = np.zeros(store.n_frames, dtype=np.int64)
+    last = np.zeros(store.n_frames, dtype=np.int64)
+    recorded = np.zeros(store.n_frames, dtype=bool)
     for cycle in range(1, 20):
         pfns = np.unique(rng.integers(0, store.n_frames, size=10))
         n_r = rng.integers(0, 5, size=pfns.size)
         n_w = rng.integers(0, 5, size=pfns.size)
         store.record_epoch_rows(pfns, n_r, n_w, cycle)
-        store.or_tid_bit(pfns, 3)
         reads[pfns] += n_r
         writes[pfns] += n_w
+        last[pfns] = cycle
+        recorded[pfns] = True
         store.check_row_invariants()
-    assert (store.reads == reads).all()
-    assert (store.writes == writes).all()
     assert (store.epoch_reads == reads).all()
     assert (store.epoch_writes == writes).all()
-    touched = (reads > 0) | (writes > 0)
+    assert (store.last_access_cycle == last).all()
     # record_epoch_rows marks every recorded pfn touched, even zero-count rows.
-    assert store.touched[touched].all()
-    assert (store.tids_lo[touched] == np.uint64(1 << 3)).all()
+    assert (store.touched == recorded).all()
 
 
 def test_reset_epoch_counters_clears_only_live_touched_rows():
@@ -111,20 +123,26 @@ def test_frames_of_pid_and_usage_queries():
     store.check_row_invariants()
 
 
+@pytest.mark.parametrize("cut", [0, -1])
+def test_ground_truth_rejects_a_cut_below_one(cut):
+    """Below one access an untouched frame could count as hot, and the
+    scan sees only the touched rows above the fast tier."""
+    store = make_store()
+    with pytest.raises(ValueError, match="at least 1"):
+        store.ground_truth_hotness(1, cut=cut)
+
+
 def test_detach_row_resets_everything():
     store = make_store()
     store.state[7] = STATE_MAPPED
     store.pid[7] = 2
     store.vpn[7] = 42
     store.record_epoch_rows(np.array([7]), np.array([3]), np.array([1]), cycle=9)
-    store.or_tid_bit(np.array([7]), 70)
-    store.heat[7] = 1.5
     store.detach_row(7)
     assert store.pid[7] == NONE_SENTINEL
     assert store.vpn[7] == NONE_SENTINEL
-    assert store.reads[7] == 0 and store.writes[7] == 0
-    assert store.heat[7] == 0.0
-    assert store.tids_hi[7] == 0
+    assert store.state[7] == STATE_FREE
+    assert store.epoch_reads[7] == 0 and store.epoch_writes[7] == 0
     assert not store.touched[7]
     store.check_row_invariants()
 
@@ -139,16 +157,13 @@ def test_physpage_view_reads_and_writes_the_arrays():
     assert store.state[5] == STATE_MAPPED
     assert store.pid[5] == 9 and store.vpn[5] == 123
     # Array write shows through the object...
-    store.heat[5] = 2.25
-    assert page.heat == 2.25
+    store.epoch_reads[5] = 4
+    assert page.epoch_reads == 4
     # ...and object writes land in the arrays.
-    page.writes = 1
+    page.epoch_writes = 1
     page.last_access_cycle = 77
-    page.accessing_tids = {65}
-    assert store.writes[5] == 1
+    assert store.epoch_writes[5] == 1 and store.touched[5]
     assert store.last_access_cycle[5] == 77
-    assert page.accessing_tids == {65}
-    assert store.tids_hi[5] == np.uint64(1 << 1)
     page.detach()
     assert page.state is PageState.FREE
     store.check_row_invariants()
@@ -158,8 +173,8 @@ def test_standalone_physpage_has_private_store():
     """Constructing without store= (unit-test idiom) still works."""
     page = PhysPage(pfn=3, tier_id=1)
     page.attach(pid=1, vpn=7)
-    page.reads += 1
-    assert page.reads == 1
+    page.epoch_reads += 1
+    assert page.epoch_reads == 1
     assert page.tier_id == 1
 
 

@@ -15,14 +15,13 @@ import pytest
 
 from repro.mm.address_space import AddressSpace
 from repro.mm.frame_alloc import FrameAllocator
+from repro.mm.page_store import PageStatsStore
 from repro.profiling.base import EpochPlan
 from tests.conftest import make_process
 
 N_THREADS = 3
-_STORE_COLUMNS = (
-    "reads", "writes", "epoch_reads", "epoch_writes", "last_access_cycle",
-    "touched", "tids_lo", "tids_hi", "state", "pid", "vpn",
-)
+#: every store column, so a write the reference does not make shows
+_STORE_COLUMNS = PageStatsStore._COLUMNS
 
 
 def make_twin() -> tuple[AddressSpace, list[int]]:
@@ -58,14 +57,11 @@ def reference_record(space: AddressSpace, plan: EpochPlan, cycle: int):
         for vpn, write in zip(seg.vpns.tolist(), seg.is_write.tolist()):
             p = pfn_of(vpn)
             n_fast += p < store.fast_frames
-            for col in ((store.writes, store.epoch_writes) if write
-                        else (store.reads, store.epoch_reads)):
-                col[p] += 1
+            (store.epoch_writes if write else store.epoch_reads)[p] += 1
             store.last_access_cycle[p] = cycle
             store.touched[p] = True
         for vpn in sorted(set(seg.vpns.tolist())):
             space.minor_faults += repl.note_access(vpn, seg.tid)
-            store.or_tid_bit(np.array([pfn_of(vpn)], dtype=np.int64), seg.tid)
         fast.append(n_fast)
     fast = np.array(fast, dtype=np.int64)
     return fast, np.diff(plan.offsets) - fast
@@ -126,6 +122,9 @@ CASES = {
     "all_write": dict(sizes=(30, 30, 30), write_p=1.0, pages=21),
     "no_write": dict(sizes=(30, 30, 30), write_p=0.0, pages=21),
     "one_access": dict(sizes=(1,), write_p=0.5, pages=21),
+    # every access on one page: a one-offset span, two key bins
+    "single_offset": dict(sizes=(25, 0, 40), write_p=0.5, pages=1),
+    "single_offset_all_write": dict(sizes=(10, 15), write_p=1.0, pages=1),
 }
 
 

@@ -184,6 +184,63 @@ def test_summary_fleet_activity_section(tracer):
     assert "evacuation" in text
 
 
+def _ev(event_kind: EventKind, name: str, pid: int | None = None, **args) -> TraceEvent:
+    return TraceEvent(kind=event_kind, name=name, ts=0.0, pid=pid, args=args)
+
+
+def test_summary_lists_every_scenario_event_kind():
+    """Each scenario event is a row in stream order; a fault toggle (no
+    ``vpn``) is a row, a faulted migration only counts toward its kind."""
+    K = EventKind
+    events = [
+        _ev(K.EPOCH, "epoch", epoch=0, workloads={"100": "mc"}),
+        _ev(K.FAULT_INJECTED, "faults_set", epoch=1, probs={"lost_async": 0.5}),
+        _ev(K.FAULT_INJECTED, "lost_async", 100, kind="lost_async", vpn=7, dest_tier=0),
+        _ev(K.FAULT_INJECTED, "lost_async", 100, kind="lost_async", vpn=8, dest_tier=0),
+        _ev(K.FAULT_INJECTED, "aborted_sync", 100, kind="aborted_sync", vpn=9, dest_tier=1),
+        _ev(K.PHASE_SHIFT, "mc", 100, epoch=2, reseed=5),
+        _ev(K.QOS_CHANGE, "mc", 100, epoch=3, **{"from": "LC", "to": "BE"}),
+        _ev(K.CAPACITY_CHANGE, "tier_offline", epoch=4, fast_online=10, offlined=5),
+        _ev(K.WORKLOAD_DEPART, "mc", 100, epoch=5, reason="depart", freed={"fast": 3}),
+        _ev(K.WORKLOAD_RESTART, "mc", 104, epoch=6, generation=1),
+        _ev(K.FAULT_INJECTED, "faults_clear", epoch=7),
+    ]
+    section = summarize(events).split("\n\n")[-1]
+    title, _, _, *rows = section.splitlines()
+    assert title == "scenario events (3 migration faults: aborted_sync 1, lost_async 2)"
+    assert [r.split()[:2] for r in rows] == [
+        ["1", "faults_set"], ["2", "phase_shift"], ["3", "qos_change"],
+        ["4", "tier_offline"], ["5", "depart"], ["6", "restart"], ["7", "faults_clear"],
+    ]
+    assert "mc (pid 100)" in rows[4] and "freed=fast:3" in rows[4]
+    # the restarted pid was never named by an epoch: the event names it
+    assert "mc (pid 104)" in rows[5]
+    assert "probs=lost_async:0.5" in rows[0]
+
+
+def test_summary_of_a_traced_churn_scenario(tracer):
+    """Churn's departures, restart and fault toggles reach the summary,
+    and the restarted workload's rows read apart from its first life's."""
+    from repro.scenario.engine import ScenarioExperiment
+    from repro.scenario.library import get_scenario
+
+    ScenarioExperiment(get_scenario("churn")).run()
+    events = tracer.events()
+    text = summarize(events)
+    faults = sum(1 for e in events if e.kind is EventKind.FAULT_INJECTED and "vpn" in e.args)
+    assert faults and f"scenario events ({faults} migration faults: " in text
+    for e in events:
+        if e.kind in (EventKind.WORKLOAD_DEPART, EventKind.WORKLOAD_RESTART):
+            assert f"{e.name} (pid {e.pid})" in text
+    restarted = [e for e in events if e.kind is EventKind.WORKLOAD_RESTART]
+    assert restarted
+    credit = text[text.index("CBFRP credit timeline"):text.index("queue activity")]
+    for e in restarted:
+        first = next(d for d in events if d.kind is EventKind.WORKLOAD_DEPART and d.name == e.name)
+        assert f"{e.name} (pid {first.pid})" in credit and f"{e.name} (pid {e.pid})" in credit
+    assert "faults_set" in text and "faults_clear" in text
+
+
 def test_summary_without_fleet_events_has_no_fleet_section(tracer):
     traced_run(epochs=2)
     assert "fleet activity" not in summarize(tracer.events())
