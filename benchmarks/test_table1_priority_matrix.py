@@ -66,18 +66,26 @@ def test_table1_benchmark(benchmark):
     benchmark.pedantic(_run_table1, rounds=1, iterations=1)
 
 
+def served(picks):
+    """(vpn, served class, sync) of each pick, in serve order."""
+    return [
+        (vpn, PageClass(c), sync)
+        for vpn, c, sync in zip(picks.vpns.tolist(), picks.classes.tolist(), picks.sync.tolist())
+    ]
+
+
 def test_table1_rendering(table1):
     picks, classes = table1
     rows = []
-    for order, m in enumerate(picks):
-        shared, write = classes[m.vpn]
+    for order, (vpn, page_class, sync) in enumerate(served(picks)):
+        shared, write = classes[vpn]
         rows.append([
             order,
             "shared" if shared else "private",
             "write-intensive" if write else "read-intensive",
-            m.page_class.name,
-            "★" * int(m.page_class),
-            "sync" if m.sync else "async",
+            page_class.name,
+            "★" * int(page_class),
+            "sync" if sync else "async",
         ])
     save_figure(
         "table1",
@@ -92,22 +100,22 @@ def test_table1_rendering(table1):
 def test_table1_classification_correct(table1):
     picks, classes = table1
     assert len(picks) == 16
-    for m in picks:
-        shared, write = classes[m.vpn]
-        assert m.page_class.is_private == (not shared)
-        assert m.page_class.is_write_intensive == write
+    for vpn, page_class, _ in served(picks):
+        shared, write = classes[vpn]
+        assert page_class.is_private == (not shared)
+        assert page_class.is_write_intensive == write
 
 
 def test_table1_strategy_column(table1):
     picks, _ = table1
-    for m in picks:
-        assert m.sync == (not m.page_class.use_async_copy)
+    for _, page_class, sync in served(picks):
+        assert sync == (not page_class.use_async_copy)
 
 
 def test_table1_service_order(table1):
     """At equal heat, service order is exactly the star order."""
     picks, _ = table1
-    served_classes = [m.page_class for m in picks]
+    served_classes = [page_class for _, page_class, _ in served(picks)]
     expected = (
         [PageClass.PRIVATE_READ] * 4
         + [PageClass.SHARED_READ] * 4
@@ -130,5 +138,5 @@ def test_table1_mlfq_rescues_scalding_low_class_page():
     prof.observe(batch)
     policy.refresh_candidates(space.process.pid, prof, space.process.repl, alloc)
     picks = policy.select_promotions(space.process.pid, 16, prof)
-    position = [m.vpn for m in picks].index(hot_vpn)
+    position = picks.vpns.tolist().index(hot_vpn)
     assert position < 12, "MLFQ must lift the scalding page above its base class"

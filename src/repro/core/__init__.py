@@ -9,7 +9,7 @@
 * :mod:`repro.core.daemon` — the per-workload migration manager (§3.2)
 """
 
-from repro.core.bias import BiasedMigrationPolicy, MigrationPlan, PlannedMigration
+from repro.core.bias import BiasedMigrationPolicy, MigrationPlan, Selection
 from repro.core.cbfrp import CbfrpState, CreditLedger, run_cbfrp
 from repro.core.classify import PageClass, ServiceClass, classify_page
 from repro.core.colloid import LatencyBalancer
@@ -20,7 +20,7 @@ from repro.core.qos import QosTracker, WorkloadQos, demand_pages, gpt_for
 __all__ = [
     "BiasedMigrationPolicy",
     "MigrationPlan",
-    "PlannedMigration",
+    "Selection",
     "CbfrpState",
     "CreditLedger",
     "run_cbfrp",

@@ -12,12 +12,15 @@ preference for pages whose slow-tier shadow is still valid (remap-only
 demotion, near-free) — "reduces demotion costs by remapping non-dirty
 pages, which are often the read-intensive ... pages we previously
 prioritized for promotion".
+
+Both selections come back as one :class:`Selection`: the chosen pages
+as parallel arrays in selection order, which the daemon concatenates
+into one :class:`~repro.mm.migration.MigrationBatch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,25 +36,68 @@ from repro.profiling.base import Profiler
 #: profiled write fraction at or above which a page is write-intensive
 WRITE_INTENSIVE_THRESHOLD = 0.25
 
+#: Table 1 strategy column by class value: write-intensive classes copy
+#: blocking (index 0, no class, is unused)
+_SYNC_BY_CLASS = np.array(
+    [True] + [not PageClass(v).use_async_copy for v in range(1, max(PageClass) + 1)]
+)
 
-class PlannedMigration(NamedTuple):
-    """One selected page move."""
 
-    pid: int
-    vpn: int
-    dest_tier: int  # 0 = promote, 1 = demote
-    sync: bool
-    heat: float
-    page_class: PageClass | None = None
-    write_fraction: float = 0.0
+class Selection:
+    """Pages chosen to move, as parallel arrays in selection order.
+
+    ``vpns`` (int64), ``heats`` (float64), ``sync`` (bool: copy
+    blocking), ``write_fractions`` (float64) and ``classes`` (int8: the
+    Table 1 class value after MLFQ escalation; 0 for a demotion, which
+    has none).  ``len()`` is the number of pages.
+    """
+
+    __slots__ = ("vpns", "heats", "sync", "write_fractions", "classes")
+
+    def __init__(
+        self,
+        vpns: np.ndarray,
+        heats: np.ndarray,
+        sync: np.ndarray,
+        write_fractions: np.ndarray,
+        classes: np.ndarray,
+    ) -> None:
+        self.vpns = vpns
+        self.heats = heats
+        self.sync = sync
+        self.write_fractions = write_fractions
+        self.classes = classes
+
+    def __len__(self) -> int:
+        return int(self.vpns.size)
+
+    @classmethod
+    def empty(cls) -> Selection:
+        return cls(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), np.empty(0, dtype=bool),
+            np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int8),
+        )
+
+    def take(self, rows: np.ndarray) -> Selection:
+        """The selection of ``rows``, in that order."""
+        return Selection(
+            self.vpns[rows], self.heats[rows], self.sync[rows],
+            self.write_fractions[rows], self.classes[rows],
+        )
+
+    def __add__(self, other: Selection) -> Selection:
+        """This selection followed by ``other``."""
+        return Selection(*(
+            np.concatenate((getattr(self, name), getattr(other, name))) for name in self.__slots__
+        ))
 
 
 @dataclass
 class MigrationPlan:
     """One epoch's selections for one workload."""
 
-    promotions: list[PlannedMigration] = field(default_factory=list)
-    demotions: list[PlannedMigration] = field(default_factory=list)
+    promotions: Selection = field(default_factory=Selection.empty)
+    demotions: Selection = field(default_factory=Selection.empty)
 
 
 class BiasedMigrationPolicy:
@@ -117,31 +163,17 @@ class BiasedMigrationPolicy:
         queues.enqueue_many(cand_vpns, cand_heats, classes)
         return int(cand_vpns.size)
 
-    def select_promotions(self, pid: int, budget: int, profiler: Profiler) -> list[PlannedMigration]:
+    def select_promotions(self, pid: int, budget: int, profiler: Profiler) -> Selection:
         """Serve up to ``budget`` promotions from the priority queues."""
         if budget <= 0:
-            return []
-        queues = self.queues_for(pid)
-        served = queues.pop(budget)
-        if not served:
-            return []
-        # One gather for all write fractions; write_fraction_many is
-        # elementwise-identical to the scalar write_fraction.
-        wfs = profiler.write_fraction_many(
-            pid, np.fromiter((qp.vpn for qp in served), dtype=np.int64, count=len(served))
-        ).tolist()
-        return [
-            PlannedMigration(
-                pid=pid,
-                vpn=qp.vpn,
-                dest_tier=0,
-                sync=not qp.effective_class.use_async_copy,
-                heat=qp.heat,
-                page_class=qp.effective_class,
-                write_fraction=wf,
-            )
-            for qp, wf in zip(served, wfs)
-        ]
+            return Selection.empty()
+        vpns, heats, classes = self.queues_for(pid).pop(budget)
+        if not vpns.size:
+            return Selection.empty()
+        # write_fraction_many is elementwise-identical to the scalar
+        # write_fraction.
+        wfs = profiler.write_fraction_many(pid, vpns)
+        return Selection(vpns, heats, _SYNC_BY_CLASS[classes], wfs, classes)
 
     # -- demotion ------------------------------------------------------------
 
@@ -153,29 +185,31 @@ class BiasedMigrationPolicy:
         repl: ReplicatedPageTables,
         allocator: FrameAllocator,
         shadow: ShadowTracker | None = None,
-        exclude: set[int] | None = None,
-    ) -> list[PlannedMigration]:
-        """Pick ``n_pages`` fast-tier victims, coldest first.
+        exclude: np.ndarray | None = None,
+    ) -> Selection:
+        """Pick ``n_pages`` fast-tier victims, coldest first, none of
+        them in ``exclude``.
 
         Shadowed clean pages are preferred at equal coldness (they demote
         by remap); the sort key reflects that with a small bias rather
         than an absolute preference, so a hot shadowed page is still kept
-        over a cold unshadowed one.
+        over a cold unshadowed one.  Demotions copy blocking (they are
+        off the hot path; a shadow remap is cheap anyway).
         """
         if n_pages <= 0:
-            return []
+            return Selection.empty()
         flat = repl.flat
         vpns = flat.present_vpns()  # ascending — same order as the PTE walk
         if vpns.size == 0:
-            return []
+            return Selection.empty()
         idx = flat.indices(vpns)
         pfns = flat.pfn[idx]
         keep = pfns < allocator.store.fast_frames  # fast-tier pages only
-        if exclude:
-            keep &= ~np.isin(vpns, np.fromiter(exclude, dtype=np.int64, count=len(exclude)))
+        if exclude is not None and exclude.size:
+            keep &= ~np.isin(vpns, exclude)
         vpns, pfns, idx = vpns[keep], pfns[keep], idx[keep]
         if vpns.size == 0:
-            return []
+            return Selection.empty()
         h = profiler.heat_of(pid, vpns)
         if shadow is not None:
             shadowed = ~flat.dirty[idx] & shadow.shadowed_mask(pfns)
@@ -183,16 +217,10 @@ class BiasedMigrationPolicy:
             shadowed = np.zeros(vpns.size, dtype=bool)
         key = h * np.where(shadowed, 0.5, 1.0)
         order = _coldest_first(key, n_pages)
-        return [
-            PlannedMigration(
-                pid=pid,
-                vpn=vpn,
-                dest_tier=1,
-                sync=True,  # demotions are off the hot path; shadow remap is cheap anyway
-                heat=heat,
-            )
-            for vpn, heat in zip(vpns[order].tolist(), h[order].tolist())
-        ]
+        return Selection(
+            vpns[order], h[order], np.ones(order.size, dtype=bool),
+            np.zeros(order.size, dtype=np.float64), np.zeros(order.size, dtype=np.int8),
+        )
 
 
 def _coldest_first(key: np.ndarray, n: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from repro.core.partition import PartitionLedger
 from repro.core.qos import QosTracker
 from repro.mm.address_space import AddressSpace
 from repro.mm.frame_alloc import FrameAllocator
-from repro.mm.migration import MigrationEngine, MigrationRequest
+from repro.mm.migration import MigrationBatch, MigrationEngine
 from repro.mm.shadow import ShadowTracker
 from repro.obs.events import EventKind
 from repro.obs.trace import get_tracer
@@ -247,52 +247,56 @@ class VulcanDaemon:
 
         # Within-quota exchange: a full quota must not freeze a stale
         # resident set.  Hotter queued candidates displace the coldest
-        # resident pages, with 1.2× hysteresis against thrashing.
+        # resident pages, with 1.2× hysteresis against thrashing: the
+        # hottest candidate against the coldest victim, and so on down
+        # (both orders stable, as list.sort is).
         exchange_budget = self.promotion_budget - len(plan.promotions)
         if exchange_budget > 0 and headroom <= len(plan.promotions):
             extra = self.policy.select_promotions(pid, exchange_budget, handle.profiler)
-            if extra:
-                already = {m.vpn for m in plan.demotions}
+            if len(extra):
                 victims = self.policy.select_demotions(
                     pid, len(extra), handle.profiler, repl, self.allocator,
-                    shadow=handle.shadow, exclude=already,
+                    shadow=handle.shadow, exclude=plan.demotions.vpns,
                 )
-                extra.sort(key=lambda m: -m.heat)
-                victims.sort(key=lambda m: m.heat)
-                for cand, victim in zip(extra, victims):
-                    if cand.heat > 1.2 * victim.heat:
-                        plan.promotions.append(cand)
-                        plan.demotions.append(victim)
+                cands = np.argsort(-extra.heats, kind="stable")
+                colds = np.argsort(victims.heats, kind="stable")
+                k = min(cands.size, colds.size)
+                cands, colds = cands[:k], colds[:k]
+                wins = extra.heats[cands] > 1.2 * victims.heats[colds]
+                plan.promotions = plan.promotions + extra.take(cands[wins])
+                plan.demotions = plan.demotions + victims.take(colds[wins])
         return plan
 
     def _execute(self, handle: WorkloadHandle, plan: MigrationPlan) -> None:
+        """Move one workload's plan in one batch: demotions first, so
+        they free fast frames the promotions can take."""
+        demotions, promotions = plan.demotions, plan.promotions
+        n_demote, n_promote = len(demotions), len(promotions)
+        if not n_demote + n_promote:
+            return
         tracer = get_tracer()
-        requests: list[MigrationRequest] = []
-        for m in plan.demotions:
-            if tracer.enabled:
+        if tracer.enabled:
+            for vpn, heat in zip(demotions.vpns.tolist(), demotions.heats.tolist()):
                 tracer.emit(
                     EventKind.QUEUE_DEMOTION,
                     "queue_demotion",
-                    pid=m.pid,
-                    args={"vpn": m.vpn, "heat": m.heat},
+                    pid=handle.pid,
+                    args={"vpn": vpn, "heat": heat},
                 )
-            requests.append(
-                MigrationRequest(pid=m.pid, vpn=m.vpn, dest_tier=1, sync=True)
-            )
-        for m in plan.promotions:
-            requests.append(
-                MigrationRequest(
-                    pid=m.pid,
-                    vpn=m.vpn,
-                    dest_tier=0,
-                    sync=m.sync,
-                    write_fraction=m.write_fraction,
-                    access_rate_per_kcycle=handle.access_rate_per_kcycle,
-                )
-            )
-        if requests:
-            handle.engine.migrate_batch(requests)
-            self._post_move_accounting(handle, plan)
+        batch = MigrationBatch(
+            pids=np.full(n_demote + n_promote, handle.pid, dtype=np.int64),
+            vpns=np.concatenate((demotions.vpns, promotions.vpns)),
+            dest_tiers=np.concatenate(
+                (np.ones(n_demote, dtype=np.int64), np.zeros(n_promote, dtype=np.int64))
+            ),
+            sync=np.concatenate((demotions.sync, promotions.sync)),
+            write_fractions=np.concatenate((demotions.write_fractions, promotions.write_fractions)),
+            access_rates=np.concatenate(
+                (np.zeros(n_demote), np.full(n_promote, handle.access_rate_per_kcycle))
+            ),
+        )
+        handle.engine.migrate_batch(batch)
+        self._post_move_accounting(handle, plan)
 
     def _post_move_accounting(self, handle: WorkloadHandle, plan: MigrationPlan) -> None:
         """Refresh partition usage after the engine moved pages."""

@@ -18,33 +18,23 @@ reads the class means the earlier candidates left), then writes
 refreshed rows back with one scatter and adds new ones with one sorted
 insert.  :meth:`PromotionQueues.pop` serves with one ``lexsort`` —
 class descending, heat descending, vpn ascending — over the classes the
-budget reaches, and compacts the served rows away.
+budget reaches, compacts the served rows away, and returns the served
+pages as three arrays (vpns, heats, effective classes) in serve order.
 
 The class sums are floats, so their order of updates is part of the
 result: every candidate subtracts its old heat from its old class sum,
 then adds its new heat to its new class sum, in candidate order; ``pop``
-subtracts in serve order.
+subtracts in serve order, one ``np.subtract.accumulate`` per class
+(serving is class-descending, so each class is one run of the order).
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.classify import PageClass
 from repro.obs.events import EventKind
 from repro.obs.trace import get_tracer
-
-
-class QueuedPage(NamedTuple):
-    """A served promotion candidate."""
-
-    vpn: int
-    heat: float
-    #: class after MLFQ escalation (>= the class it was enqueued at)
-    effective_class: PageClass
-
 
 #: the highest class; MLFQ climbs one class value at a time up to it
 _TOP = int(max(PageClass))
@@ -155,13 +145,18 @@ class PromotionQueues:
             self._heat = np.insert(self._heat, ins, heats[new][order])
         return eff
 
-    def pop(self, budget: int) -> list[QueuedPage]:
+    def pop(self, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Serve up to ``budget`` pages, highest class first, hottest
-        within class, lowest vpn among equals."""
+        within class, lowest vpn among equals.
+
+        Returns the served vpns (int64), heats (float64) and effective
+        classes (int8 class values, after MLFQ escalation), in serve
+        order.
+        """
         if budget < 0:
             raise ValueError("budget must be non-negative")
         if budget == 0 or not self._vpns.size:
-            return []
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int8)
         sums = self._heat_sum
         counts = self._heat_count
         # Only the classes the budget reaches can be served.
@@ -172,29 +167,32 @@ class PromotionQueues:
             reach += counts[low]
         rows = np.flatnonzero(self._cls >= low)
         order = rows[np.lexsort((self._vpns[rows], -self._heat[rows], -self._cls[rows]))[:budget]]
+        vpns = self._vpns[order]
+        heats = self._heat[order]
+        classes = self._cls[order]
+        starts = [0, *(np.flatnonzero(classes[1:] != classes[:-1]) + 1).tolist()]
+        for lo, hi in zip(starts, starts[1:] + [classes.size]):
+            c = int(classes[lo])
+            run = np.empty(hi - lo + 1, dtype=np.float64)
+            run[0] = sums[c]
+            run[1:] = heats[lo:hi]
+            sums[c] = float(np.subtract.accumulate(run)[-1])
+            counts[c] -= hi - lo
         tracer = get_tracer()
-        pid = self.pid
-        out: list[QueuedPage] = []
-        for vpn, heat, c in zip(
-            self._vpns[order].tolist(), self._heat[order].tolist(), self._cls[order].tolist()
-        ):
-            sums[c] -= heat
-            counts[c] -= 1
-            cls = _BY_VALUE[c]
-            out.append(QueuedPage(vpn=vpn, heat=heat, effective_class=cls))
-            if tracer.enabled:
+        if tracer.enabled:
+            for vpn, heat, c in zip(vpns.tolist(), heats.tolist(), classes.tolist()):
                 tracer.emit(
                     EventKind.QUEUE_PROMOTION,
                     "queue_promotion",
-                    pid=pid,
-                    args={"vpn": vpn, "heat": heat, "page_class": cls.name},
+                    pid=self.pid,
+                    args={"vpn": vpn, "heat": heat, "page_class": _BY_VALUE[c].name},
                 )
         keep = np.ones(self._vpns.size, dtype=bool)
         keep[order] = False
         self._vpns = self._vpns[keep]
         self._cls = self._cls[keep]
         self._heat = self._heat[keep]
-        return out
+        return vpns, heats, classes
 
     def depth(self, cls: PageClass) -> int:
         """Live candidates currently queued at ``cls``."""

@@ -202,12 +202,13 @@ def heat_gather(heat, base, vpns):
 def accumulate_unique(vpns, weights, write_weights):
     n = vpns.size
     sv = np.sort(vpns)
-    m = 1
-    for i in range(1, n):
-        if sv[i] != sv[i - 1]:
+    m = 0
+    for i in range(n):
+        if i == 0 or sv[i] != sv[i - 1]:
             m += 1
     uniq = np.empty(m, dtype=np.int64)
-    uniq[0] = sv[0]
+    if n:
+        uniq[0] = sv[0]
     j = 0
     for i in range(1, n):
         if sv[i] != sv[i - 1]:

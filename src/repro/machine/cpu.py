@@ -5,12 +5,15 @@ measured behaviour that a shootdown's initiator waits for every
 targeted core to acknowledge, so cost grows with the number of targets
 and a slow (busy/deep-sleep) responder stretches the whole operation.
 Which cores a shootdown targets is resolved by the migration engine
-from the replicated page tables and its thread→core pinning.
+from the replicated page tables and its thread→core pinning; the
+complex prices and counts rounds by their target counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.sim.units import ns_to_cycles
 
@@ -34,21 +37,28 @@ class CpuComplex:
         self.ipi_deliver_cycles = ns_to_cycles(ipi_deliver_ns)
         self.ipi_stats = IpiStats()
 
-    def deliver_ipis(self, target_core_ids: list[int]) -> int:
-        """Deliver a synchronous IPI round to ``target_core_ids``.
+    def ipi_round_cycles(self, n_targets: np.ndarray) -> np.ndarray:
+        """Cycle cost to the initiator of one synchronous IPI round per
+        element of ``n_targets`` (its target count; 0 costs nothing).
 
-        Returns the cycle cost charged to the initiating core.  Cost =
-        a fixed send plus per-target acknowledgement latency; targets are
-        interrupted in parallel but the initiator spin-waits for the last
-        ack, which in practice grows roughly linearly with target count
-        on the x2APIC unicast path Linux uses for small masks.
+        Cost = a fixed send plus per-target acknowledgement latency;
+        targets are interrupted in parallel but the initiator spin-waits
+        for the last ack, which in practice grows roughly linearly with
+        target count on the x2APIC unicast path Linux uses for small
+        masks.
         """
-        n = len(target_core_ids)
-        if n == 0:
-            return 0
-        self.ipi_stats.broadcasts += 1
-        self.ipi_stats.unicast_targets += n
-        # Fixed initiation + per-target ack accumulation.
-        cost = self.ipi_deliver_cycles + (n - 1) * (self.ipi_deliver_cycles // 4)
-        self.ipi_stats.cycles_spent += cost
-        return cost
+        d = self.ipi_deliver_cycles
+        n = np.asarray(n_targets, dtype=np.int64)
+        return np.where(n > 0, d + (n - 1) * (d // 4), 0)
+
+    def deliver_ipi_rounds(self, n_targets: np.ndarray) -> None:
+        """Deliver one IPI round per element of ``n_targets`` and count
+        them: the stats take the integer sums of the rounds' targets
+        and :meth:`ipi_round_cycles` costs."""
+        sent = n_targets[n_targets > 0]
+        rounds, targets = int(sent.size), int(sent.sum())
+        d = self.ipi_deliver_cycles
+        st = self.ipi_stats
+        st.broadcasts += rounds
+        st.unicast_targets += targets
+        st.cycles_spent += rounds * d + (targets - rounds) * (d // 4)

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.mm.page import PhysPage
 from repro.mm.page_store import (
+    NONE_SENTINEL,
     STATE_FREE,
     STATE_MAPPED,
     STATE_MIGRATING,
@@ -108,6 +109,10 @@ class FreeFrameList:
 
     def append(self, pfn: int) -> None:
         self._recycled.append(pfn)
+
+    def extend(self, pfns: np.ndarray) -> None:
+        """:meth:`append` each of ``pfns``, in order."""
+        self._recycled.extend(pfns.tolist())
 
     @property
     def virgin_range(self) -> tuple[int, int]:
@@ -244,7 +249,6 @@ class FrameAllocator:
         if pfn >= store.capacity:
             store.ensure(pfn + 1)
         store.in_free_list[pfn] = False
-        store.tier_id[pfn] = tier.tier_id
         store.state[pfn] = STATE_FREE  # caller attaches
         return pfn
 
@@ -287,7 +291,6 @@ class FrameAllocator:
             store.ensure(int(pfns[int(np.argmax(beyond))]) + 1)
             beyond = pfns >= store.capacity
         store.in_free_list[pfns] = False
-        store.tier_id[pfns] = np.where(pfns < self._fast_frames, 0, 1)
         store.state[pfns] = STATE_FREE  # caller attaches
         return pfns
 
@@ -308,26 +311,55 @@ class FrameAllocator:
         Covers MAPPED and MIGRATING frames (the page-table walk) *and*
         SHADOW frames — retained slow-tier twins, including stale ones
         whose fast copy diverged — so a departed workload leaves zero
-        frames behind.  Frames are freed in ascending PFN order, keeping
-        free-list contents deterministic.
+        frames behind.  The result is that of one :meth:`free` per frame
+        in ascending PFN order, so free-list contents stay deterministic,
+        made in array passes: every frame is validated before any is
+        freed, the rows detach in one scatter, and each tier's free list
+        takes its frames in ascending order.
 
-        Returns per-state/per-tier release counts and raises if the scan
-        finds a frame already on a free list (double free) or leaves any
-        frame still bound to ``pid`` (leak).
+        Returns per-state/per-tier release counts.  Raises, before
+        freeing anything, if a frame is already on a free list (double
+        free) or was never handed out (virgin or offline), naming the
+        lowest such frame; and raises if any frame stays bound to
+        ``pid`` (leak).
         """
         st = self.store
         owned = st.owned_frames(pid)
+        state = st.state[owned]
+        fast = owned < self._fast_frames
+        n_fast = int(np.count_nonzero(fast))
         counts = {
-            "mapped": int((st.state[owned] == STATE_MAPPED).sum()),
-            "migrating": int((st.state[owned] == STATE_MIGRATING).sum()),
-            "shadow": int((st.state[owned] == STATE_SHADOW).sum()),
-            "fast": int((owned < self._fast_frames).sum()),
-            "slow": int((owned >= self._fast_frames).sum()),
+            "mapped": int(np.count_nonzero(state == STATE_MAPPED)),
+            "migrating": int(np.count_nonzero(state == STATE_MIGRATING)),
+            "shadow": int(np.count_nonzero(state == STATE_SHADOW)),
+            "fast": n_fast,
+            "slow": int(owned.size) - n_fast,
         }
-        for pfn in owned.tolist():
-            if st.in_free_list[pfn]:
+        listed = st.in_free_list[owned]
+        never = np.zeros(owned.size, dtype=bool)
+        for tier in self.tiers:
+            v_lo, v_hi = tier.free_list.virgin_range
+            never |= (owned >= v_lo) & (owned < v_hi)
+        if self._offline:
+            offline = np.array(sorted(self._offline), dtype=np.int64)
+            at = np.minimum(np.searchsorted(offline, owned), offline.size - 1)
+            never |= offline[at] == owned
+        bad = listed | never
+        if bad.any():
+            first = int(np.argmax(bad))
+            pfn = int(owned[first])
+            if listed[first]:
                 raise RuntimeError(f"teardown double free: pfn {pfn} of pid {pid}")
-            self.free(pfn)
+            raise ValueError(f"pfn {pfn} was never allocated")
+        st.pid[owned] = NONE_SENTINEL
+        st.vpn[owned] = NONE_SENTINEL
+        st.state[owned] = STATE_FREE
+        st.epoch_reads[owned] = 0
+        st.epoch_writes[owned] = 0
+        st.touched[owned] = False
+        self.tiers[0].free_list.extend(owned[fast])
+        self.tiers[1].free_list.extend(owned[~fast])
+        st.in_free_list[owned] = True
         leaked = st.owned_frames(pid)
         if leaked.size:
             raise RuntimeError(

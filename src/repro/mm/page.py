@@ -42,7 +42,8 @@ class PhysPage:
     pfn:
         Global physical frame number (tier encoded by the allocator).
     tier_id:
-        0 = fast, 1 = slow.
+        0 = fast, 1 = slow, read off the row: the store's rows below
+        its ``fast_frames`` are the fast tier.
     pid / vpn:
         Reverse map: the single process mapping this frame.  The
         simulator models private anonymous memory (the paper's
@@ -81,17 +82,16 @@ class PhysPage:
         if store is None:
             # Standalone page (unit tests, ad-hoc construction): a
             # private single-row store keeps the view semantics intact.
-            store = PageStatsStore(n_frames=1, fast_frames=1)
+            # Its one row is fast exactly when the page is.
+            store = PageStatsStore(n_frames=1, fast_frames=1 - (tier_id or 0))
             row = 0
-            if tier_id is not None:
-                store.tier_id[0] = tier_id
         elif row is None:
             row = pfn
         self._store = store
         self._row = row
         self.pfn = pfn
-        if tier_id is not None:
-            store.tier_id[row] = tier_id
+        if tier_id is not None and tier_id != self.tier_id:
+            raise ValueError(f"frame {pfn} is in tier {self.tier_id}, not {tier_id}")
         if state is not PageState.FREE:
             store.state[row] = _CODE_BY_STATE[state]
 
@@ -99,11 +99,7 @@ class PhysPage:
 
     @property
     def tier_id(self) -> int:
-        return int(self._store.tier_id[self._row])
-
-    @tier_id.setter
-    def tier_id(self, value: int) -> None:
-        self._store.tier_id[self._row] = value
+        return 0 if self._row < self._store.fast_frames else 1
 
     @property
     def state(self) -> PageState:

@@ -1,8 +1,9 @@
 """Struct-of-arrays store for per-frame state (DESIGN.md §3).
 
-All per-frame truth — tier, lifecycle state, reverse map, per-epoch
-access counters, free-list membership — lives here as parallel numpy
-arrays indexed by PFN: nine columns, 44 bytes per materialized frame.
+All per-frame truth — lifecycle state, reverse map, per-epoch access
+counters, free-list membership — lives here as parallel numpy arrays
+indexed by PFN: eight columns, 43 bytes per materialized frame.  A
+frame's tier is its PFN's side of ``fast_frames``, so no column holds it.
 :class:`~repro.mm.page.PhysPage` objects are thin *views* over one row;
 the arrays are authoritative.  That inversion is
 what lets the hot path (per-epoch counter updates, ground-truth hot/cold
@@ -77,7 +78,6 @@ class PageStatsStore:
         self.ensure(min(n_frames, chunk_frames))
 
     def _alloc_columns(self, n: int) -> None:
-        self.tier_id = np.empty(n, dtype=np.int8)
         self.state = np.empty(n, dtype=np.int8)
         self.pid = np.empty(n, dtype=np.int64)
         self.vpn = np.empty(n, dtype=np.int64)
@@ -90,7 +90,7 @@ class PageStatsStore:
         self.in_free_list = np.empty(n, dtype=bool)
 
     _COLUMNS = (
-        "tier_id", "state", "pid", "vpn",
+        "state", "pid", "vpn",
         "epoch_reads", "epoch_writes", "last_access_cycle",
         "touched", "in_free_list",
     )
@@ -114,9 +114,6 @@ class PageStatsStore:
         self._alloc_columns(new_cap)
         for name, arr in old.items():
             getattr(self, name)[:lo] = arr
-        self.tier_id[lo:] = np.where(
-            np.arange(lo, new_cap, dtype=np.int64) < self.fast_frames, 0, 1
-        ).astype(np.int8)
         self.state[lo:] = STATE_FREE
         self.pid[lo:] = NONE_SENTINEL
         self.vpn[lo:] = NONE_SENTINEL

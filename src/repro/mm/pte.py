@@ -21,7 +21,8 @@ Bit layout::
 Everything here is pure integer arithmetic on Python ints so PTEs can be
 stored compactly and compared for exact equality across replicated
 tables.  For bulk paths, :func:`pte_make_many` builds an int64 array of
-entries, and :func:`pte_with_tid` also takes one.
+entries, and :func:`pte_with_pfn` and :func:`pte_with_tid` also take
+them.
 """
 
 from __future__ import annotations
@@ -147,8 +148,14 @@ def pte_tid(value: int) -> int:
 
 
 def pte_with_pfn(value: int, pfn: int) -> int:
-    """Return ``value`` re-pointed at ``pfn`` (remap step of migration)."""
-    if not 0 <= pfn < (1 << _PFN_BITS):
+    """Return ``value`` re-pointed at ``pfn`` (remap step of migration).
+
+    Also elementwise over int64 arrays of entries and frames.
+    """
+    if isinstance(pfn, np.ndarray):
+        if pfn.size and not (0 <= int(pfn.min()) and int(pfn.max()) < 1 << _PFN_BITS):
+            raise ValueError(f"pfns out of range for {_PFN_BITS}-bit field")
+    elif not 0 <= pfn < (1 << _PFN_BITS):
         raise ValueError(f"pfn {pfn} out of range")
     return (value & ~_PFN_MASK) | (pfn << _PFN_SHIFT)
 

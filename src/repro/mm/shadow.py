@@ -12,6 +12,16 @@ bit.  So no write ever invalidates a shadow.  A retained shadow is
 consumed by a remap-demotion, discarded by an injected poison fault, or
 freed with its owner at teardown; nothing reclaims shadow frames when
 the slow tier runs short.
+
+Layout: one int64 table indexed by fast pfn, holding the retained slow
+pfn or -1.  The migration executor works on it in array passes: it
+reads a batch's twins at the batch's sources with one gather
+(:meth:`ShadowTracker.twins`), and after the batch it forgets every
+twin a demotion consumed, found diverged or found poisoned
+(:meth:`ShadowTracker.drop`), then records the twins its promotions
+kept (:meth:`ShadowTracker.retain`).  A promotion can land on a fast
+frame an earlier demotion of the same batch freed, so the drop comes
+first.  The executor counts the drops in :class:`ShadowStats`.
 """
 
 from __future__ import annotations
@@ -34,69 +44,48 @@ class ShadowTracker:
     """Tracks fast-tier pages that still have a clean slow-tier twin."""
 
     enabled: bool = True
-    #: fast pfn -> retained slow pfn
-    _shadows: dict[int, int] = field(default_factory=dict)
     stats: ShadowStats = field(default_factory=ShadowStats)
+    #: fast pfn -> retained slow pfn, -1 for none; grows on demand
+    _twin: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64), repr=False)
+    _live: int = field(default=0, repr=False)
 
     def __len__(self) -> int:
-        return len(self._shadows)
+        return self._live
 
-    def retain(self, fast_pfn: int, shadow_pfn: int) -> None:
-        """Record that ``fast_pfn``'s old slow-tier frame lives on."""
-        if not self.enabled:
-            raise RuntimeError("shadowing disabled")
-        if fast_pfn in self._shadows:
-            raise ValueError(f"fast pfn {fast_pfn} already shadowed")
-        self._shadows[fast_pfn] = shadow_pfn
-        self.stats.retained += 1
-
-    def shadow_of(self, fast_pfn: int) -> int | None:
-        return self._shadows.get(fast_pfn)
+    def twins(self, fast_pfns: np.ndarray) -> np.ndarray:
+        """Each fast frame's retained slow pfn, -1 for none."""
+        table = self._twin
+        if fast_pfns.size == 0 or int(fast_pfns.max()) < table.size:
+            return table[fast_pfns]
+        out = np.full(fast_pfns.size, -1, dtype=np.int64)
+        inside = fast_pfns < table.size
+        out[inside] = table[fast_pfns[inside]]
+        return out
 
     def shadowed_mask(self, fast_pfns: np.ndarray) -> np.ndarray:
-        """Vectorized ``shadow_of(pfn) is not None`` over an array."""
-        if not self._shadows:
-            return np.zeros(fast_pfns.size, dtype=bool)
-        keys = np.fromiter(self._shadows, dtype=np.int64, count=len(self._shadows))
-        return np.isin(fast_pfns, keys)
+        """Which of ``fast_pfns`` have a retained twin."""
+        return self.twins(fast_pfns) >= 0
 
-    def on_write(self, fast_pfn: int) -> int | None:
-        """A write diverged the copies; drop the shadow.
-
-        Returns the dropped slow pfn, or None.  Its frame stays bound to
-        the owner until teardown frees it.
-        """
-        shadow_pfn = self._shadows.pop(fast_pfn, None)
-        if shadow_pfn is not None:
-            self.stats.invalidated_by_write += 1
-        return shadow_pfn
-
-    def can_remap_demote(self, fast_pfn: int, *, dirty: bool) -> bool:
-        """True when demotion can skip the copy: shadow exists and the
-        fast copy is clean."""
+    def retain(self, fast_pfns: np.ndarray, shadow_pfns: np.ndarray) -> None:
+        """Record that each ``fast_pfns[i]``'s old slow-tier frame
+        ``shadow_pfns[i]`` lives on; none may already have a twin."""
         if not self.enabled:
-            return False
-        if dirty:
-            # A dirty PTE means the shadow silently diverged; invalidate.
-            self.on_write(fast_pfn)
-            return False
-        return fast_pfn in self._shadows
+            raise RuntimeError("shadowing disabled")
+        if not fast_pfns.size:
+            return
+        top = int(fast_pfns.max())
+        if top >= self._twin.size:
+            grown = np.full(max(2 * self._twin.size, top + 1), -1, dtype=np.int64)
+            grown[: self._twin.size] = self._twin
+            self._twin = grown
+        held = self._twin[fast_pfns] >= 0
+        if held.any():
+            raise ValueError(f"fast pfn {int(fast_pfns[held][0])} already shadowed")
+        self._twin[fast_pfns] = shadow_pfns
+        self._live += int(fast_pfns.size)
+        self.stats.retained += int(fast_pfns.size)
 
-    def consume(self, fast_pfn: int) -> int:
-        """Use the shadow as the demotion destination (remap-demote)."""
-        shadow_pfn = self._shadows.pop(fast_pfn)
-        self.stats.remap_demotions += 1
-        return shadow_pfn
-
-    def poison(self, fast_pfn: int) -> int | None:
-        """Fault injection: the retained slow-tier copy is corrupt.
-
-        The caller frees the returned frame at once — a poisoned copy
-        must be discarded immediately, and the demotion that wanted it
-        falls back to a full copy.  Returns the poisoned slow pfn or
-        ``None``.
-        """
-        shadow_pfn = self._shadows.pop(fast_pfn, None)
-        if shadow_pfn is not None:
-            self.stats.poisoned += 1
-        return shadow_pfn
+    def drop(self, fast_pfns: np.ndarray) -> None:
+        """Forget the twins of ``fast_pfns``, each of which has one."""
+        self._twin[fast_pfns] = -1
+        self._live -= int(fast_pfns.size)

@@ -44,8 +44,8 @@ def test_only_hot_slow_pages_become_candidates():
     n = policy.refresh_candidates(space.process.pid, prof, space.process.repl, alloc)
     assert n == 1
     picks = policy.select_promotions(space.process.pid, 10, prof)
-    assert [p.vpn for p in picks] == [slow_vpn]
-    assert picks[0].dest_tier == 0
+    assert picks.vpns.tolist() == [slow_vpn]
+    assert picks.classes.tolist() == [PageClass.PRIVATE_READ]
 
 
 def test_read_intensive_goes_async_write_intensive_sync():
@@ -55,11 +55,13 @@ def test_read_intensive_goes_async_write_intensive_sync():
     feed(prof, space, rd, 20, write=False, tid=0)
     feed(prof, space, wr, 20, write=True, tid=1)
     policy.refresh_candidates(space.process.pid, prof, space.process.repl, alloc)
-    picks = {p.vpn: p for p in policy.select_promotions(space.process.pid, 10, prof)}
-    assert picks[rd].sync is False
-    assert picks[rd].page_class is PageClass.PRIVATE_READ
-    assert picks[wr].sync is True
-    assert picks[wr].page_class is PageClass.PRIVATE_WRITE
+    picks = policy.select_promotions(space.process.pid, 10, prof)
+    by_vpn = dict(zip(picks.vpns.tolist(), zip(picks.sync.tolist(), picks.classes.tolist())))
+    assert by_vpn[rd] == (False, PageClass.PRIVATE_READ)
+    assert by_vpn[wr] == (True, PageClass.PRIVATE_WRITE)
+    assert picks.write_fractions.tolist() == [
+        prof.write_fraction(space.process.pid, v) for v in picks.vpns.tolist()
+    ]
 
 
 def test_private_read_served_before_shared_write():
@@ -71,7 +73,7 @@ def test_private_read_served_before_shared_write():
     feed(prof, space, sw, 10, write=True, tid=1)  # second thread → shared
     policy.refresh_candidates(space.process.pid, prof, space.process.repl, alloc)
     picks = policy.select_promotions(space.process.pid, 1, prof)
-    assert picks[0].vpn == pr
+    assert picks.vpns.tolist() == [pr]
 
 
 def test_demotion_selects_coldest_fast_pages():
@@ -81,8 +83,8 @@ def test_demotion_selects_coldest_fast_pages():
     for i, count in enumerate([50, 2, 40, 1]):
         feed(prof, space, vma.start_vpn + i, count, tid=i % 2)
     demos = policy.select_demotions(space.process.pid, 2, prof, space.process.repl, alloc)
-    assert sorted(p.vpn for p in demos) == [vma.start_vpn + 1, vma.start_vpn + 3]
-    assert all(p.dest_tier == 1 for p in demos)
+    assert demos.vpns.tolist() == [vma.start_vpn + 3, vma.start_vpn + 1]
+    assert demos.sync.all() and not demos.write_fractions.any() and not demos.classes.any()
 
 
 def test_demotion_prefers_shadowed_clean_pages_at_similar_heat():
@@ -93,9 +95,9 @@ def test_demotion_prefers_shadowed_clean_pages_at_similar_heat():
     for i in range(4):
         feed(prof, space, vma.start_vpn + i, 10, tid=i % 2)
     pfn0 = space.translate(vma.start_vpn + 0)
-    shadow.retain(fast_pfn=pfn0, shadow_pfn=999)
+    shadow.retain(np.array([pfn0]), np.array([999]))
     demos = policy.select_demotions(space.process.pid, 1, prof, space.process.repl, alloc, shadow=shadow)
-    assert demos[0].vpn == vma.start_vpn + 0
+    assert demos.vpns.tolist() == [vma.start_vpn + 0]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -121,27 +123,29 @@ def test_select_demotions_matches_full_lexsort():
         if count:
             feed(prof, space, vma.start_vpn + i, count, tid=i % 2)
     shadow = ShadowTracker()
-    for i in range(0, 40, 3):
-        shadow.retain(fast_pfn=space.translate(vma.start_vpn + i), shadow_pfn=1000 + i)
-    exclude = {vma.start_vpn + i for i in (1, 4, 9, 30, 45)}
+    shadowed = range(0, 40, 3)
+    shadow.retain(
+        np.array([space.translate(vma.start_vpn + i) for i in shadowed]),
+        np.array([1000 + i for i in shadowed]),
+    )
+    exclude = np.array([vma.start_vpn + i for i in (1, 4, 9, 30, 45)])
     for n in (1, 5, 17, 35, 36, 100):  # 36 fast pages are not excluded
         got = policy.select_demotions(pid, n, prof, repl, alloc, shadow=shadow, exclude=exclude)
         vpns = flat.present_vpns()
         pfns = flat.pfn[vpns - flat.base]
-        keep = (pfns < alloc.store.fast_frames) & ~np.isin(vpns, sorted(exclude))
+        keep = (pfns < alloc.store.fast_frames) & ~np.isin(vpns, exclude)
         vpns, pfns = vpns[keep], pfns[keep]
         h = prof.heat_of(pid, vpns)
         shadowed = ~flat.dirty[vpns - flat.base] & shadow.shadowed_mask(pfns)
         order = np.lexsort((vpns, h * np.where(shadowed, 0.5, 1.0)))[:n]
-        assert [(p.vpn, p.heat) for p in got] == list(
-            zip(vpns[order].tolist(), h[order].tolist())
-        )
+        assert got.vpns.tolist() == vpns[order].tolist()
+        assert got.heats.tolist() == h[order].tolist()
 
 
 def test_budget_zero_returns_nothing():
     alloc, space, prof, policy = setup()
-    assert policy.select_promotions(space.process.pid, 0, prof) == []
-    assert policy.select_demotions(space.process.pid, 0, prof, space.process.repl, alloc) == []
+    assert len(policy.select_promotions(space.process.pid, 0, prof)) == 0
+    assert len(policy.select_demotions(space.process.pid, 0, prof, space.process.repl, alloc)) == 0
 
 
 def test_forget_clears_queues():
@@ -150,4 +154,4 @@ def test_forget_clears_queues():
     feed(prof, space, vma.start_vpn + 6, 20)
     policy.refresh_candidates(space.process.pid, prof, space.process.repl, alloc)
     policy.forget(space.process.pid)
-    assert policy.select_promotions(space.process.pid, 10, prof) == []
+    assert len(policy.select_promotions(space.process.pid, 10, prof)) == 0

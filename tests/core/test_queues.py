@@ -15,8 +15,11 @@ def test_pop_serves_priority_order():
     q.enqueue(11, heat=5.0, page_class=PageClass.PRIVATE_READ)
     q.enqueue(12, heat=5.0, page_class=PageClass.SHARED_READ)
     q.enqueue(13, heat=5.0, page_class=PageClass.PRIVATE_WRITE)
-    order = [p.vpn for p in q.pop(4)]
-    assert order == [11, 12, 13, 10]
+    vpns, heats, classes = q.pop(4)
+    assert vpns.tolist() == [11, 12, 13, 10]
+    assert classes.tolist() == [PageClass.PRIVATE_READ, PageClass.SHARED_READ,
+                                PageClass.PRIVATE_WRITE, PageClass.SHARED_WRITE]
+    assert heats.tolist() == [5.0] * 4
 
 
 def test_hottest_first_within_class():
@@ -24,14 +27,17 @@ def test_hottest_first_within_class():
     q.enqueue(10, heat=1.0, page_class=PageClass.PRIVATE_READ)
     q.enqueue(11, heat=9.0, page_class=PageClass.PRIVATE_READ)
     q.enqueue(12, heat=5.0, page_class=PageClass.PRIVATE_READ)
-    assert [p.vpn for p in q.pop(3)] == [11, 12, 10]
+    vpns, heats, _ = q.pop(3)
+    assert vpns.tolist() == [11, 12, 10]
+    assert heats.tolist() == [9.0, 5.0, 1.0]
 
 
 def test_budget_respected():
     q = PromotionQueues(1)
     for vpn in range(10):
         q.enqueue(vpn, heat=1.0, page_class=PageClass.PRIVATE_READ)
-    assert len(q.pop(3)) == 3
+    vpns, heats, classes = q.pop(3)
+    assert vpns.size == heats.size == classes.size == 3
     assert len(q) == 7
 
 
@@ -39,9 +45,9 @@ def test_reenqueue_supersedes_old_entry():
     q = PromotionQueues(1)
     q.enqueue(10, heat=1.0, page_class=PageClass.PRIVATE_READ)
     q.enqueue(10, heat=8.0, page_class=PageClass.PRIVATE_READ)
-    served = q.pop(10)
-    assert len(served) == 1
-    assert served[0].heat == 8.0
+    vpns, heats, _ = q.pop(10)
+    assert vpns.tolist() == [10]
+    assert heats.tolist() == [8.0]
 
 
 def test_mlfq_escalation_on_hot_page_in_low_queue():
@@ -87,6 +93,9 @@ def test_validation():
         q.enqueue(1, heat=-1.0, page_class=PageClass.SHARED_READ)
     with pytest.raises(ValueError):
         q.pop(-1)
+    vpns, heats, classes = q.pop(5)  # empty queues serve empty arrays
+    assert (vpns.dtype, heats.dtype, classes.dtype) == (np.int64, np.float64, np.int8)
+    assert vpns.size == heats.size == classes.size == 0
     # A negative heat anywhere in a batch rejects the whole batch.
     with pytest.raises(ValueError):
         q.enqueue_many(np.array([1, 2]), np.array([1.0, -1.0]), np.array([3, 3]))
@@ -121,11 +130,11 @@ def test_pop_order_property(entries):
     q = PromotionQueues(1)
     for vpn, heat, cls in entries:
         q.enqueue(vpn, heat=heat, page_class=cls)
-    served = q.pop(len(entries))
-    keys = [(-p.effective_class, -p.heat) for p in served]
+    vpns, heats, classes = q.pop(len(entries))
+    keys = list(zip((-classes).tolist(), (-heats).tolist()))
     assert keys == sorted(keys)
     # Each live page served at most once.
-    assert len({p.vpn for p in served}) == len(served)
+    assert len(set(vpns.tolist())) == vpns.size
 
 
 class _ReferenceQueues:
@@ -195,9 +204,9 @@ def test_matches_reference_semantics(ops, boost):
     ref = _ReferenceQueues(boost)
     for op in ops:
         if isinstance(op, int):
-            got = [(p.vpn, p.heat, p.effective_class) for p in q.pop(op)]
+            vpns, heats, classes = q.pop(op)
+            got = list(zip(vpns.tolist(), heats.tolist(), classes.tolist()))
             assert got == ref.pop(op)
-            assert all(type(v) is int and type(h) is float for v, h, _ in got)
         else:
             eff = q.enqueue_many(
                 np.array([v for v, _, _ in op], dtype=np.int64),

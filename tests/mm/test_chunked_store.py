@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.mm.frame_alloc import FrameAllocator, FreeFrameList
+from repro.mm.page import PhysPage
 from repro.mm.page_store import NONE_SENTINEL, STATE_FREE, STATE_MAPPED, PageStatsStore
 
 CHUNK = 16  # tests shrink the chunk so boundaries are cheap to cross
@@ -68,7 +69,8 @@ class TestChunkedGrowth:
         assert store.in_free_list[span].all()  # free_fill respected
         # tier partition holds across the growth boundary
         pfns = np.arange(lo, store.capacity)
-        np.testing.assert_array_equal(store.tier_id[span], (pfns >= store.fast_frames))
+        tiers = [PhysPage(pfn=p, store=store).tier_id for p in pfns.tolist()]
+        assert tiers == (pfns >= store.fast_frames).astype(int).tolist()
 
     def test_growth_preserves_written_prefix(self) -> None:
         store = make_store(4 * CHUNK)

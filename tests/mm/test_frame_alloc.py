@@ -1,5 +1,6 @@
 """Frame allocator: tiers, fallback, watermarks, conservation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,9 +164,104 @@ def test_free_pid_of_unknown_pid_is_empty_noop():
 def test_free_pid_detects_tampered_double_free():
     a = make_alloc()
     pages = _alloc_for_pid(a, pid=1, fast=2)
-    a.store.in_free_list[pages[0].pfn] = True  # corrupt the bitmap
-    with pytest.raises(RuntimeError, match="double free"):
+    a.store.in_free_list[pages[-1].pfn] = True  # corrupt the bitmap
+    before = alloc_state(a)
+    with pytest.raises(RuntimeError, match=f"teardown double free: pfn {pages[-1].pfn} of pid 1"):
         a.free_pid(1)
+    assert alloc_state(a) == before  # raised before freeing the first frame
+
+
+def alloc_state(a: FrameAllocator) -> dict:
+    store = a.store
+    return {
+        "free_lists": [(list(t.free_list), t.free_list.virgin_range) for t in a.tiers],
+        "store": {name: getattr(store, name).tolist() for name in store._COLUMNS},
+    }
+
+
+def scalar_free_pid(a: FrameAllocator, pid: int) -> dict[str, int]:
+    """The reference: one free() per owned frame, ascending."""
+    from repro.mm.page_store import STATE_MAPPED, STATE_MIGRATING, STATE_SHADOW
+
+    st = a.store
+    owned = st.owned_frames(pid)
+    counts = {
+        "mapped": int((st.state[owned] == STATE_MAPPED).sum()),
+        "migrating": int((st.state[owned] == STATE_MIGRATING).sum()),
+        "shadow": int((st.state[owned] == STATE_SHADOW).sum()),
+        "fast": int((owned < a.tiers[0].total).sum()),
+        "slow": int((owned >= a.tiers[0].total).sum()),
+    }
+    for pfn in owned.tolist():
+        if st.in_free_list[pfn]:
+            raise RuntimeError(f"teardown double free: pfn {pfn} of pid {pid}")
+        a.free(pfn)
+    return counts
+
+
+def churned_allocator(seed: int) -> FrameAllocator:
+    """Pids 1-3 interleaved on both tiers, pid 1 holding MAPPED,
+    MIGRATING and SHADOW frames, some recycled, some with counters, and
+    recycled frames already waiting on both free lists."""
+    from repro.mm.page import PageState
+
+    rng = np.random.default_rng(seed)
+    a = make_alloc(fast=12, slow=24)
+    live = []
+    for step in range(60):
+        if live and rng.random() < 0.35:
+            a.free(live.pop(int(rng.integers(len(live)))).pfn)
+            continue
+        tier = int(rng.integers(2))
+        if not a.tiers[tier].free:
+            continue
+        page = a.allocate(tier)
+        page.attach(1 if rng.random() < 0.5 else int(rng.integers(2, 4)), 100 + step)
+        page.epoch_reads = int(rng.integers(3))
+        page.state = [PageState.MAPPED, PageState.MIGRATING, PageState.SHADOW][int(rng.integers(3))]
+        live.append(page)
+    for tier in (0, 1):  # leave a recycled frame waiting on each list
+        a.free(next(p for p in live if p.tier_id == tier and p.pid != 1).pfn)
+    return a
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_free_pid_matches_scalar_free_loop(seed):
+    bulk, ref = churned_allocator(seed), churned_allocator(seed)
+    assert alloc_state(bulk) == alloc_state(ref)
+    owned = bulk.store.owned_frames(1)
+    assert {1, 3} <= set(bulk.store.state[owned].tolist())  # MAPPED and SHADOW
+    assert (owned < 12).any() and (owned >= 12).any()
+    assert all(t.free_list.recycled_array().size for t in bulk.tiers)
+    for pid in (1, 3, 2):
+        assert bulk.free_pid(pid) == scalar_free_pid(ref, pid)
+        assert alloc_state(bulk) == alloc_state(ref)
+        bulk.check_consistency()
+
+
+def test_free_pid_rejects_a_never_allocated_frame_before_freeing():
+    a = make_alloc()
+    pages = _alloc_for_pid(a, pid=1, fast=2, slow=1)
+    virgin = a.tiers[1].free_list.virgin_range[0]
+    a.store.pid[virgin], a.store.vpn[virgin] = 1, 999  # a virgin frame claims pid 1
+    a.store.state[virgin] = 1
+    a.store.in_free_list[virgin] = False
+    before = alloc_state(a)
+    with pytest.raises(ValueError, match=f"pfn {virgin} was never allocated"):
+        a.free_pid(1)
+    assert alloc_state(a) == before
+    assert virgin > max(p.pfn for p in pages)
+
+
+def test_free_pid_rejects_an_offline_frame_before_freeing():
+    a = make_alloc()
+    _alloc_for_pid(a, pid=1, fast=2, slow=2)
+    (off,) = a.offline_frames(1, 1)
+    a.store.pid[off], a.store.vpn[off], a.store.state[off] = 1, 999, 1  # offline, yet bound
+    before = alloc_state(a)
+    with pytest.raises(ValueError, match=f"pfn {off} was never allocated"):
+        a.free_pid(1)
+    assert alloc_state(a) == before
 
 
 def test_check_consistency_reports_a_recycled_frame_listed_twice():

@@ -187,7 +187,7 @@ class TestShadowing:
         old_pfn = space.translate(vma.start_vpn)
         engine.migrate(MigrationRequest(pid=1, vpn=vma.start_vpn, dest_tier=0))
         new_pfn = space.translate(vma.start_vpn)
-        assert engine.shadow.shadow_of(new_pfn) == old_pfn
+        assert engine.shadow.twins(np.array([new_pfn])).tolist() == [old_pfn]
         assert old_pfn not in alloc.tiers[1].free_list  # frame retained
         assert P.pte_decode(space.process.repl.lookup(vma.start_vpn)).shadowed
 
@@ -315,7 +315,7 @@ class TestFaultInjection:
         # Promote with shadowing: the slow frame is retained as a twin.
         assert engine.migrate(MigrationRequest(pid=1, vpn=vpn, dest_tier=0)) is MigrationOutcome.SUCCESS
         fast_pfn = space.translate(vpn)
-        assert engine.shadow.shadow_of(fast_pfn) is not None
+        assert engine.shadow.shadowed_mask(np.array([fast_pfn])).all()
         engine.fault_injector = self._injector({"poisoned_shadow": 1.0})
         out = engine.migrate(MigrationRequest(pid=1, vpn=vpn, dest_tier=1))
         # The corrupt twin was discarded and a full-copy demotion ran.

@@ -37,19 +37,18 @@ def make_store(n=64, fast=16):
 def test_fresh_store_passes_invariants():
     store = make_store()
     store.check_row_invariants()
-    assert (store.tier_id[:16] == 0).all()
-    assert (store.tier_id[16:] == 1).all()
+    assert [PhysPage(pfn=p, store=store).tier_id for p in range(64)] == [0] * 16 + [1] * 48
 
 
-def test_store_keeps_nine_columns_in_44_bytes_per_frame():
+def test_store_keeps_eight_columns_in_43_bytes_per_frame():
     """Every array the store holds is a listed column (growth copies only
-    those), and a frame costs 44 bytes; a column nothing reads should
+    those), and a frame costs 43 bytes; a column nothing reads should
     not come back."""
     store = make_store()
     arrays = {k for k, v in vars(store).items() if isinstance(v, np.ndarray)}
     assert arrays == set(PageStatsStore._COLUMNS)
-    assert len(PageStatsStore._COLUMNS) == 9
-    assert sum(getattr(store, c).itemsize for c in PageStatsStore._COLUMNS) == 44
+    assert len(PageStatsStore._COLUMNS) == 8
+    assert sum(getattr(store, c).itemsize for c in PageStatsStore._COLUMNS) == 43
 
 
 def test_record_batch_matches_scalar_model():
