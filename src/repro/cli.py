@@ -29,13 +29,10 @@ Commands
         python -m repro trace /tmp/t.json
 
 ``sweep``
-    Sensitivity sweep over fast-tier sizes × seeds, optionally fanned
-    out across worker processes with an on-disk result cache::
+    Sensitivity sweep over fast-tier sizes × seeds, one cell after
+    another in this process::
 
-        python -m repro sweep --policy vulcan --fast-gb 8 16 32 --seeds 1 2 3 \\
-            --workers 4 --cache-dir /tmp/sweep-cache
-        python -m repro sweep --fast-gb 8 16 32 --seeds 1 2 3 \\
-            --cache-dir /tmp/sweep-cache --resume   # re-runs only missing cells
+        python -m repro sweep --policy vulcan --fast-gb 8 16 32 --seeds 1 2 3
 
 ``fuzz``
     Property-based scenario fuzzing: generate arbitrary valid scenario
@@ -43,7 +40,7 @@ Commands
     optionally promote anything that fails::
 
         python -m repro fuzz --runs 25 --seed 7 --json
-        python -m repro fuzz --runs 100 --workers 4 --promote
+        python -m repro fuzz --runs 100 --promote
         python -m repro fuzz --replay tests/golden/fuzz_regressions
         python -m repro fuzz --fleet --runs 25 --promote
 
@@ -72,24 +69,22 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.harness import Sweep
+from repro.harness import Sweep, SweepCellError
 from repro.harness.export import to_json
 from repro.harness.recipes import (
+    STEADY_WINDOW,
     run_summary_json,
     standard_run,
+    steady_cfi,
     sweep_cell,
-    sweep_cfi,
     sweep_mean_ops,
 )
-from repro.metrics.fairness import cfi
 from repro.metrics.perf import normalize_to_min
 from repro.metrics.reporting import render_table
 from repro.mm.migration_costs import MigrationCostModel
 from repro.obs.export import read_trace, summarize, write_chrome_trace
 from repro.obs.trace import get_tracer
 from repro.policies import POLICY_REGISTRY
-
-WINDOW = 10
 
 
 def _check_trace_path(path: str) -> None:
@@ -136,23 +131,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(run_summary_json(res, mix=args.mix, seed=args.seed), indent=2))
         return 0
-    alloc = {p: np.asarray(t.fast_pages[-WINDOW:], float) for p, t in res.workloads.items()}
-    fthr = {p: np.asarray(t.fthr_true[-WINDOW:], float) for p, t in res.workloads.items()}
-    fairness = cfi(alloc, fthr)
+    fairness = steady_cfi(res)
     rows = []
     for ts in res.workloads.values():
         rows.append([
             ts.name,
             ts.rss_pages[-1],
             ts.fast_pages[-1],
-            float(np.mean(ts.fthr_true[-WINDOW:])),
-            float(np.mean(ts.hot_ratio[-WINDOW:])),
-            float(np.mean(ts.ops[-WINDOW:])),
+            float(np.mean(ts.fthr_true[-STEADY_WINDOW:])),
+            float(np.mean(ts.hot_ratio[-STEADY_WINDOW:])),
+            float(np.mean(ts.ops[-STEADY_WINDOW:])),
         ])
     print(render_table(
         ["workload", "rss_pages", "fast_pages", "FTHR", "hot_ratio", "ops/epoch"],
         rows,
-        title=f"policy={args.policy} mix={args.mix} epochs={args.epochs} (steady window {WINDOW})",
+        title=f"policy={args.policy} mix={args.mix} epochs={args.epochs} (steady window {STEADY_WINDOW})",
         float_fmt="{:.3g}",
     ))
     print(f"\nCFI (Eq. 4, steady window): {fairness:.3f}")
@@ -181,10 +174,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             save_trace(res)
         names = [ts.name for ts in res.workloads.values()]
         for ts in res.workloads.values():
-            perf.setdefault(ts.name, {})[policy] = float(np.mean(ts.ops[-WINDOW:]))
-        alloc = {p: np.asarray(t.fast_pages[-WINDOW:], float) for p, t in res.workloads.items()}
-        fthr = {p: np.asarray(t.fthr_true[-WINDOW:], float) for p, t in res.workloads.items()}
-        fairness[policy] = cfi(alloc, fthr)
+            perf.setdefault(ts.name, {})[policy] = float(np.mean(ts.ops[-STEADY_WINDOW:]))
+        fairness[policy] = steady_cfi(res)
         if args.json:
             results[policy] = to_json(res)
         print(f"  ran {policy}", file=sys.stderr)
@@ -492,7 +483,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         seed=args.seed,
         runs=args.runs,
         max_epochs=args.max_epochs,
-        workers=args.workers,
         shrink=not args.no_shrink,
         promote_dir=args.promote,
         log=lambda msg: print(msg, file=sys.stderr),
@@ -557,79 +547,48 @@ def cmd_trace(args: argparse.Namespace) -> int:
 # -- sweep -----------------------------------------------------------------------
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.resume:
-        if cache_dir is None:
-            raise SystemExit("--resume needs --cache-dir (and not --no-cache)")
-        if not Path(cache_dir).is_dir():
-            raise SystemExit(f"--resume: cache dir {cache_dir} does not exist; nothing to resume")
     factory = functools.partial(
         sweep_cell, policy=args.policy, mix=args.mix, epochs=args.epochs, accesses=args.accesses,
     )
     sweep = Sweep(
-        metrics={"mean_ops": sweep_mean_ops, "cfi": sweep_cfi},
+        metrics={"mean_ops": sweep_mean_ops, "cfi": steady_cfi},
         progress=lambda msg: print(f"  {msg}", file=sys.stderr),
     )
-    cells = sweep.run(
-        factory,
-        grid={"fast_gb": args.fast_gb},
-        seeds=args.seeds,
-        workers=args.workers,
-        cache_dir=cache_dir,
-        timeout=args.timeout,
-        derived_seeds=args.derive_seeds,
-        cache_extra={
-            "policy": args.policy, "mix": args.mix,
-            "epochs": args.epochs, "accesses": args.accesses,
-        },
-    )
-    if cache_dir is not None:
-        print(
-            f"cache: {sweep.cache_hits} restored, {sweep.cache_misses} computed",
-            file=sys.stderr,
-        )
-    for failure in sweep.errors:
-        print(
-            f"FAILED cell {dict(failure.params)} seed={failure.seed}: "
-            f"[{failure.kind}] {failure.error}: {failure.message}",
-            file=sys.stderr,
-        )
+    try:
+        cells = sweep.run(factory, grid={"fast_gb": args.fast_gb}, seeds=args.seeds)
+    except SweepCellError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps({
             "policy": args.policy,
             "mix": args.mix,
             "epochs": args.epochs,
             "seeds": args.seeds,
-            "workers": args.workers,
-            "cache": {"hits": sweep.cache_hits, "misses": sweep.cache_misses},
             "cells": [
                 {
                     "params": dict(c.params),
                     "metrics": {m: {"mean": v[0], "ci95": v[1]} for m, v in c.metrics.items()},
-                    "failures": [
-                        {"seed": f.seed, "kind": f.kind, "error": f.error, "message": f.message}
-                        for f in c.failures
-                    ],
                 }
                 for c in cells
             ],
         }, indent=2))
-        return 1 if sweep.errors else 0
+        return 0
     rows = []
     for cell in cells:
         mo, mo_ci = cell.metrics["mean_ops"]
         fa, fa_ci = cell.metrics["cfi"]
-        rows.append([cell.param("fast_gb"), mo, mo_ci, fa, fa_ci, len(cell.failures)])
+        rows.append([cell.param("fast_gb"), mo, mo_ci, fa, fa_ci])
     print(render_table(
-        ["fast_gb", "ops/epoch", "±ci95", "CFI", "±ci95", "failed"],
+        ["fast_gb", "ops/epoch", "±ci95", "CFI", "±ci95"],
         rows,
         title=(
             f"fast-tier sweep, policy={args.policy} mix={args.mix} "
-            f"epochs={args.epochs} seeds={args.seeds} workers={args.workers}"
+            f"epochs={args.epochs} seeds={args.seeds}"
         ),
         float_fmt="{:.3g}",
     ))
-    return 1 if sweep.errors else 0
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -659,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="capture one Chrome trace per policy (PATH gets a .<policy> infix)")
     comp.set_defaults(func=cmd_compare)
 
-    sweep = sub.add_parser("sweep", help="fast-tier-size sensitivity sweep (parallel + cached)")
+    sweep = sub.add_parser("sweep", help="fast-tier-size sensitivity sweep")
     sweep.add_argument("--policy", default="vulcan", choices=sorted(POLICY_REGISTRY))
     sweep.add_argument("--mix", default="dilemma", choices=["paper", "dilemma"])
     sweep.add_argument("--epochs", type=int, default=20)
@@ -667,18 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--fast-gb", type=float, nargs="+", default=[8.0, 16.0, 32.0],
                        help="fast-tier capacities (GiB) forming the grid")
     sweep.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="worker processes; 1 = serial in-process")
-    sweep.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="on-disk result cache; completed cells are reused")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="ignore the cache entirely (even with --cache-dir)")
-    sweep.add_argument("--resume", action="store_true",
-                       help="continue an interrupted sweep from --cache-dir (errors if it doesn't exist)")
-    sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-cell wall-clock timeout in seconds (parallel mode)")
-    sweep.add_argument("--derive-seeds", action="store_true",
-                       help="decorrelate grid cells: factory seed = stable hash of (params, seed)")
     sweep.add_argument("--json", action="store_true", help="emit machine-readable JSON instead of tables")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -694,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc_run.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     sc_run.add_argument("--epochs", type=int, default=None,
                         help="override the spec's epoch count (must not cut off events)")
-    sc_run.add_argument("--window", type=int, default=WINDOW,
+    sc_run.add_argument("--window", type=int, default=STEADY_WINDOW,
                         help="windowed-CFI window in epochs (default 10)")
     sc_run.add_argument("--json", action="store_true",
                         help="emit the full ScenarioResult as JSON")
@@ -743,8 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "--replay, replays fleet_crasher_*.json files")
     fuzz.add_argument("--max-epochs", type=int, default=24,
                       help="upper bound on generated timeline length")
-    fuzz.add_argument("--workers", type=int, default=1,
-                      help="worker processes (results identical to --workers 1)")
     fuzz.add_argument("--promote", metavar="DIR", nargs="?",
                       const="tests/golden/fuzz_regressions", default=None,
                       help="write minimized crashers as regression files "

@@ -15,6 +15,7 @@ its oracle is armed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
@@ -36,7 +37,6 @@ from repro.fleet.node import (
 )
 from repro.fleet.placer import make_placer
 from repro.fleet.spec import FleetSpec
-from repro.harness.parallel import derive_cell_seed
 from repro.obs.events import EventKind
 from repro.obs.trace import get_tracer
 
@@ -136,6 +136,17 @@ class FleetResult:
     def canonical_json(self) -> str:
         """The bit-identity surface the determinism tests and digests pin."""
         return json.dumps(self.to_dict(), sort_keys=True)
+
+
+def _node_round_seed(cell_json: str, seed: int) -> int:
+    """A node round's seed: sha256 of ``repr(([("node_cell", cell_json)],
+    seed))``, first 8 bytes big-endian, mod 2**63.
+
+    The fleet goldens and the bench's fleet digests pin the seeds these
+    exact bytes give.
+    """
+    blob = repr(([("node_cell", cell_json)], int(seed))).encode()
+    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") % (2**63)
 
 
 class FleetExperiment:
@@ -303,7 +314,7 @@ class FleetExperiment:
                 policy=self.spec.policy,
                 workloads=residents[node],
             )
-            seed = derive_cell_seed((("node_cell", build_node_cell(**cell)),), self.spec.seed)
+            seed = _node_round_seed(build_node_cell(**cell), self.spec.seed)
             telemetry[node] = run_node_round(**cell, seed=seed, check=self.check)
             self.result.node_epochs += self.spec.epochs_per_round
         return telemetry

@@ -8,9 +8,9 @@ No state crosses rounds inside a node — everything the fleet remembers
 (assignments, credit history, migration costs) lives in
 :class:`~repro.fleet.experiment.FleetExperiment`.
 
-The round's seed is derived from the canonical JSON
-:func:`build_node_cell` returns, exactly like a sweep cell's, so a
-node-round's random stream depends only on its own description.
+The round's seed is a hash of the canonical JSON :func:`build_node_cell`
+returns, so a node-round's random stream depends only on its own
+description.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ Submodules:
   *valid* :class:`~repro.scenario.spec.ScenarioSpec` timelines plus
   machine/policy configs (hypothesis wrapper when available);
 * :mod:`~repro.fuzz.runner` — the one campaign driver behind
-  ``repro fuzz`` and ``repro fuzz --fleet`` (parallel execution,
-  determinism replay, crasher replay),
-  with one :class:`~repro.fuzz.runner.CaseKind` per kind of case;
+  ``repro fuzz`` and ``repro fuzz --fleet`` (determinism replay,
+  crasher replay), with one :class:`~repro.fuzz.runner.CaseKind` per
+  kind of case;
 * :mod:`~repro.fuzz.shrink` — greedy timeline minimization holding the
   failing check fixed;
 * :mod:`~repro.fuzz.promote` — content-hashed crasher files under

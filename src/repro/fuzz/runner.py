@@ -2,10 +2,9 @@
 
 A campaign is a deterministic function of ``(kind, seed, runs,
 max_epochs)``: the full case list is generated up front from per-case
-seed pairs, each case runs with every invariant check armed, and the
-report is assembled in case order — so the same seed always yields the
-same run list and the same report, serial or parallel
-(``harness.parallel`` fans cases out exactly like sweep cells).
+seed pairs, each case runs in this process with every invariant check
+armed, and the report is assembled in case order — so the same seed
+always yields the same run list and the same report.
 
 Two kinds of case share this one driver: single-node scenario
 timelines (:data:`SCENARIO`) and multi-node fleets (:data:`FLEET`).  A
@@ -14,10 +13,8 @@ a case, its finding record, the replay cross-check, promotion and
 crasher replay are written once.
 
 On top of the per-case checks the campaign itself cross-checks
-**replay determinism**: every ``replay_every``-th case is re-run
-in-process and its full record compared field-for-field (this is also
-what proves serial ≡ workers>1: worker records must match the
-in-parent replay bit-for-bit).
+**replay determinism**: every ``replay_every``-th case is re-run and its
+full record compared field-for-field.
 
 Failing scenario cases are shrunk (:mod:`repro.fuzz.shrink`); failures
 of either kind are optionally promoted (:mod:`repro.fuzz.promote`) to
@@ -41,7 +38,6 @@ from repro.fuzz.oracle import InvariantOracle, InvariantViolation
 from repro.fuzz.promote import load_crasher, promote_crasher
 from repro.fuzz.shrink import shrink_case
 from repro.fuzz.strategies import FleetFuzzCase, FuzzCase, generate_case, generate_fleet_case
-from repro.harness.parallel import CellTask, execute_tasks
 from repro.scenario.spec import ScenarioSpecError
 
 #: epoch-horizon default for generated timelines
@@ -55,7 +51,7 @@ MAX_SHRINKS = 5
 class CaseKind:
     """Everything a campaign does differently for one kind of case."""
 
-    #: the key in :data:`KINDS` that worker tasks name their kind by
+    #: names the kind in log lines
     name: str
     case_type: type
     #: ``(master_seed, index, max_epochs) -> case``
@@ -152,13 +148,6 @@ FLEET = CaseKind(
     report_head=lambda seed, runs, _max_epochs: {"mode": "fleet", "seed": seed, "runs": runs},
 )
 
-KINDS = {k.name: k for k in (SCENARIO, FLEET)}
-
-
-def _crash(error: str, message: str) -> dict:
-    """The finding for a failure the oracle did not raise."""
-    return {"check": f"crash:{error}", "epoch": None, "message": message, "context": {}}
-
 
 def _run(kind: CaseKind, case) -> tuple[dict | None, Any]:
     """``(finding, result)`` of one case; exactly one of the two is None."""
@@ -167,16 +156,9 @@ def _run(kind: CaseKind, case) -> tuple[dict | None, Any]:
     except InvariantViolation as exc:
         return exc.to_dict(), None
     except Exception as exc:  # noqa: BLE001 — every crash is a finding
-        return _crash(type(exc).__name__, str(exc)), None
-
-
-def _record(kind: CaseKind, case, finding: dict | None, result_hash: str | None) -> dict:
-    return {
-        **kind.header(case),
-        "status": "ok" if finding is None else "violation",
-        "finding": finding,
-        "result_hash": result_hash,
-    }
+        finding = {"check": f"crash:{type(exc).__name__}", "epoch": None,
+                   "message": str(exc), "context": {}}
+        return finding, None
 
 
 def case_finding(kind: CaseKind, case) -> dict | None:
@@ -188,40 +170,12 @@ def case_finding(kind: CaseKind, case) -> dict | None:
 def run_case_record(kind: CaseKind, case) -> dict:
     """One case → its plain-data campaign record (order-free)."""
     finding, result = _run(kind, case)
-    return _record(kind, case, finding, None if finding is not None else kind.result_hash(result))
-
-
-def run_case(*, case: str, kind: str, seed: int = 0) -> dict:
-    """Worker-process entry: ``case`` is a case of kind ``kind`` as JSON.
-
-    Module-level with a ``seed`` kwarg so it satisfies the
-    ``harness.parallel`` factory contract (the seed is carried inside
-    the case; the task-level one is ignored).
-    """
-    k = KINDS[kind]
-    return run_case_record(k, k.case_type.from_dict(json.loads(case)))
-
-
-def _run_all(kind: CaseKind, cases: list, seed: int, workers: int) -> list[dict]:
-    if workers <= 1:
-        return [run_case_record(kind, c) for c in cases]
-    tasks = [
-        CellTask(
-            index=c.index, cell_index=c.index,
-            params=(("case", json.dumps(c.to_dict(), sort_keys=True)), ("kind", kind.name)),
-            seed=seed, cell_seed=seed,
-        )
-        for c in cases
-    ]
-    outcomes = execute_tasks(tasks, run_case, workers=workers)
-    records = []
-    for c in cases:
-        out = outcomes[c.index]
-        if out.ok:
-            records.append(out.result["data"])
-        else:  # the worker process itself died — still a finding
-            records.append(_record(kind, c, _crash(out.failure.error, out.failure.message), None))
-    return records
+    return {
+        **kind.header(case),
+        "status": "ok" if finding is None else "violation",
+        "finding": finding,
+        "result_hash": None if finding is not None else kind.result_hash(result),
+    }
 
 
 def replay_crasher(kind: CaseKind, path) -> dict:
@@ -256,7 +210,6 @@ def campaign(
     seed: int,
     runs: int,
     max_epochs: int = DEFAULT_MAX_EPOCHS,
-    workers: int = 1,
     shrink: bool = True,
     promote_dir=None,
     replay_every: int = 10,
@@ -272,7 +225,7 @@ def campaign(
     cases = [kind.generate(seed, i, max_epochs) for i in range(runs)]
 
     # -- execute ----------------------------------------------------------
-    records = _run_all(kind, cases, seed, workers)
+    records = [run_case_record(kind, c) for c in cases]
 
     # -- replay determinism ----------------------------------------------
     replay = {"checked": [], "mismatches": []}
@@ -315,7 +268,6 @@ def campaign(
     n_ok = sum(r["status"] == "ok" for r in records)
     return {
         **kind.report_head(seed, runs, max_epochs),
-        "workers": workers,
         "counts": {
             "ok": n_ok,
             "violations": runs - n_ok,

@@ -3,11 +3,11 @@
 The core generator is plain seeded numpy — :func:`generate_case` maps
 ``(master_seed, index)`` to one :class:`FuzzCase` through its own
 ``default_rng([master_seed, index])`` stream, so case *i* of a campaign
-is always the same spec regardless of worker count or which other cases
-run.  Validity is by construction: the generator walks the same
-alive/departed state machine ``ScenarioSpec.validate`` checks, and every
-emitted spec is passed through ``validate()`` before it leaves — a
-generator bug fails the fuzzer, not the target.
+is always the same spec regardless of which other cases run.  Validity
+is by construction: the generator walks the same alive/departed state
+machine ``ScenarioSpec.validate`` checks, and every emitted spec is
+passed through ``validate()`` before it leaves — a generator bug fails
+the fuzzer, not the target.
 
 When hypothesis is installed, :func:`spec_strategy` wraps the same
 generator (drawing only the seed pair), so hypothesis shrinking over

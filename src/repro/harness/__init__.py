@@ -1,6 +1,6 @@
-"""Experiment harness: the epoch-driven co-location simulator, sweeps
-(serial or fanned out to workers, with an on-disk result cache), result
-export, and the canonical recipes behind the CLI."""
+"""Experiment harness: the epoch-driven co-location simulator, in-process
+parameter sweeps, result export, and the canonical recipes behind the
+CLI."""
 
 from repro.harness.experiment import (
     ColocationExperiment,
@@ -8,10 +8,8 @@ from repro.harness.experiment import (
     WorkloadTimeseries,
 )
 
-from repro.harness.cache import ResultCache
 from repro.harness.export import to_json
-from repro.harness.parallel import CellFailure, SweepCellError, derive_cell_seed
-from repro.harness.sweeps import Sweep, SweepCell
+from repro.harness.sweeps import Sweep, SweepCell, SweepCellError
 
 __all__ = [
     "ColocationExperiment",
@@ -20,8 +18,5 @@ __all__ = [
     "Sweep",
     "SweepCell",
     "SweepCellError",
-    "CellFailure",
-    "ResultCache",
-    "derive_cell_seed",
     "to_json",
 ]

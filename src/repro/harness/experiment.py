@@ -24,11 +24,11 @@ the figure benches can print exactly the series the paper plots.
 from __future__ import annotations
 
 import heapq
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from repro.harness.jsonsafe import decode_nonfinite, encode_nonfinite
+from repro.harness.jsonsafe import encode_nonfinite
 from repro.machine.platform import Machine
 from repro.mm.address_space import AddressSpace, Process
 from repro.mm.frame_alloc import FrameAllocator
@@ -112,42 +112,19 @@ class WorkloadTimeseries:
         return float(np.mean(vals)) if vals else 0.0
 
     def to_dict(self) -> dict:
-        """Lossless plain-data form (cross-process transport, caching).
+        """Plain-data form: what the goldens pin and JSON output prints.
 
-        Every field is an int/float/str or a flat list thereof, so the
-        round trip through pickle *or* JSON is exact: Python's JSON
-        encoder emits ``repr``-style shortest-round-trip floats.
+        Every field is an int/float/str or a flat list thereof; Python's
+        JSON encoder emits ``repr``-style shortest-round-trip floats.
         Non-finite floats (a NaN CI on a single sample, an inf latency)
-        are carried as ``{"__float__": ...}`` markers so the payload
-        survives strict-JSON consumers of the result cache, which refuse
-        the non-standard ``NaN``/``Infinity`` literals.
+        are carried as ``{"__float__": ...}`` markers so the payload is
+        strict JSON, free of the non-standard ``NaN``/``Infinity``
+        literals.
         """
         return {
             f.name: encode_nonfinite(v) if isinstance(v := getattr(self, f.name), list) else v
             for f in fields(self)
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadTimeseries":
-        """Tolerant inverse of :meth:`to_dict`.
-
-        A departed pid's payload may omit series (or whole fields, when
-        produced by an older writer); anything missing falls back to the
-        field default so short / gappy timeseries round-trip instead of
-        raising.  ``pid`` and ``name`` stay mandatory.
-        """
-        kwargs = {}
-        for f in fields(cls):
-            if f.name in data:
-                v = data[f.name]
-                kwargs[f.name] = decode_nonfinite(v) if isinstance(v, list) else v
-            elif f.default_factory is not MISSING:
-                kwargs[f.name] = f.default_factory()
-            elif f.default is not MISSING:
-                kwargs[f.name] = f.default
-            else:
-                raise KeyError(f"timeseries payload missing required field {f.name!r}")
-        return cls(**kwargs)
 
 
 @dataclass
@@ -167,10 +144,10 @@ class ExperimentResult:
         raise KeyError(f"no workload named {name!r}")
 
     def to_dict(self) -> dict:
-        """Lossless plain-data form for cross-process transport / caching.
+        """Plain-data form (see :meth:`WorkloadTimeseries.to_dict`).
 
         Workloads are keyed by stringified pid (JSON object keys are
-        strings); :meth:`from_dict` restores the int keys.
+        strings).
         """
         return {
             "policy_name": self.policy_name,
@@ -179,19 +156,6 @@ class ExperimentResult:
             "migration_cycles": encode_nonfinite([float(c) for c in self.migration_cycles]),
             "workloads": {str(pid): ts.to_dict() for pid, ts in self.workloads.items()},
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentResult":
-        return cls(
-            policy_name=data["policy_name"],
-            n_epochs=data["n_epochs"],
-            workloads={
-                int(pid): WorkloadTimeseries.from_dict(ts)
-                for pid, ts in data.get("workloads", {}).items()
-            },
-            free_fast_pages=list(data.get("free_fast_pages", [])),
-            migration_cycles=decode_nonfinite(list(data.get("migration_cycles", []))),
-        )
 
 
 class ColocationExperiment:

@@ -4,9 +4,6 @@ The standard run, the sweep cell, the steady-state CFI and the JSON
 summary builders live here rather than in ``cli.py``, so the tests, the
 golden capture, the benchmark workloads and the fleet's node telemetry
 share one definition of each with the CLI.
-
-Everything in this module is importable from a forked worker process:
-no closures, no argparse, no stdout.
 """
 
 from __future__ import annotations
@@ -75,8 +72,7 @@ def scenario_summary_json(sres, *, window: int) -> dict:
 
 def sweep_cell(fast_gb: float, *, policy: str, mix: str, epochs: int, accesses: int, seed: int):
     """One fast-tier-size sweep cell: the chosen mix on a machine with
-    ``fast_gb`` of fast memory.  Module-level (not a closure) so worker
-    processes can import it under any multiprocessing start method."""
+    ``fast_gb`` of fast memory."""
     sim = SimulationConfig(epoch_seconds=2.0)
     exp = ColocationExperiment(
         policy, make_mix(mix, sim, accesses, seed),
@@ -88,8 +84,3 @@ def sweep_cell(fast_gb: float, *, policy: str, mix: str, epochs: int, accesses: 
 def sweep_mean_ops(result: ExperimentResult) -> float:
     """Steady-window ops/epoch averaged across the co-located workloads."""
     return float(np.mean([np.mean(ts.ops[-STEADY_WINDOW:]) for ts in result.workloads.values()]))
-
-
-def sweep_cfi(result: ExperimentResult) -> float:
-    """Steady-window FTHR-weighted CFI (Eq. 4)."""
-    return steady_cfi(result)

@@ -29,10 +29,16 @@ def jain_index(values) -> float:
         return 1.0
     if np.any(x < 0):
         raise ValueError("Jain's index requires non-negative values")
-    denom = x.size * float(np.sum(x * x))
-    if denom == 0.0:
-        return 1.0
-    return float(np.sum(x)) ** 2 / denom
+    squares = float(np.sum(x * x))
+    if squares < np.finfo(np.float64).tiny:
+        # The squares went subnormal or to zero and lost their precision;
+        # the index does not depend on scale, so rescale to a max of 1.
+        peak = float(x.max())
+        if peak == 0.0:
+            return 1.0
+        x = x / peak
+        squares = float(np.sum(x * x))
+    return float(np.sum(x)) ** 2 / (x.size * squares)
 
 
 def cfi(alloc_timeseries: dict[int, np.ndarray], fthr_timeseries: dict[int, np.ndarray]) -> float:

@@ -5,8 +5,8 @@ definitions plus a list of epoch-stamped events (departures, restarts,
 phase shifts, QoS changes, capacity events, fault windows) that the
 :class:`~repro.scenario.engine.ScenarioExperiment` applies at epoch
 boundaries.  Specs are plain data — JSON-loadable, validated up front,
-and content-hashable so ``harness.cache`` can key sweep cells on the
-exact scenario that produced them.
+and content-hashable so a result or a promoted crasher names the
+exact scenario that produced it.
 """
 
 from __future__ import annotations

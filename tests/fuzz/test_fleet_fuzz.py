@@ -129,19 +129,13 @@ RUNS = 2
 
 @pytest.fixture(scope="module")
 def small_report() -> dict:
-    return campaign(kind=FLEET, seed=13, runs=RUNS, workers=1)
+    return campaign(kind=FLEET, seed=13, runs=RUNS)
 
 
 class TestFleetCampaign:
     def test_same_seed_identical_report(self, small_report):
-        again = campaign(kind=FLEET, seed=13, runs=RUNS, workers=1)
+        again = campaign(kind=FLEET, seed=13, runs=RUNS)
         assert json.dumps(again, sort_keys=True) == json.dumps(small_report, sort_keys=True)
-
-    def test_serial_equals_two_workers(self, small_report):
-        par = campaign(kind=FLEET, seed=13, runs=RUNS, workers=2)
-        a = {**small_report, "workers": 0}
-        b = {**par, "workers": 0}
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_records_match_standalone_execution(self, small_report):
         rec = run_case_record(FLEET, generate_fleet_case(13, 0))

@@ -42,7 +42,7 @@ def minting_ledger():
 class TestSeededBugEndToEnd:
     def test_caught_shrunk_promoted_and_replayed(self, minting_ledger, tmp_path):
         report = campaign(
-            seed=SEED, runs=RUNS, workers=1,
+            seed=SEED, runs=RUNS,
             shrink=True, promote_dir=tmp_path,
         )
 
@@ -74,7 +74,7 @@ class TestSeededBugEndToEnd:
 
     def test_promoted_crasher_replays_green_after_fix(self, minting_ledger, tmp_path):
         report = campaign(
-            seed=SEED, runs=1, workers=1,
+            seed=SEED, runs=1,
             shrink=True, promote_dir=tmp_path,
         )
         assert report["counts"]["violations"] == 1

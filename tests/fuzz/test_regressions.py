@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 from repro.fuzz.promote import iter_crashers
-from repro.fuzz.runner import KINDS, replay_crasher
+from repro.fuzz.runner import FLEET, SCENARIO, replay_crasher
 
 REGRESSION_DIR = Path(__file__).resolve().parents[1] / "golden" / "fuzz_regressions"
 
-CRASHERS = [(kind, path) for kind in KINDS.values() for path in iter_crashers(kind, REGRESSION_DIR)]
+CRASHERS = [(kind, path) for kind in (SCENARIO, FLEET) for path in iter_crashers(kind, REGRESSION_DIR)]
 
 
 def test_regression_dir_exists():

@@ -1,4 +1,4 @@
-"""Campaign determinism, worker equivalence, and the ``repro fuzz`` CLI."""
+"""Campaign determinism and the ``repro fuzz`` CLI."""
 
 from __future__ import annotations
 
@@ -15,19 +15,13 @@ RUNS = 4
 
 @pytest.fixture(scope="module")
 def small_report() -> dict:
-    return campaign(seed=13, runs=RUNS, workers=1)
+    return campaign(seed=13, runs=RUNS)
 
 
 class TestCampaignDeterminism:
     def test_same_seed_identical_report(self, small_report):
-        again = campaign(seed=13, runs=RUNS, workers=1)
+        again = campaign(seed=13, runs=RUNS)
         assert json.dumps(again, sort_keys=True) == json.dumps(small_report, sort_keys=True)
-
-    def test_serial_equals_two_workers(self, small_report):
-        par = campaign(seed=13, runs=RUNS, workers=2)
-        a = {**small_report, "workers": 0}
-        b = {**par, "workers": 0}
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_report_carries_per_case_records_in_order(self, small_report):
         assert [r["index"] for r in small_report["cases"]] == list(range(RUNS))
@@ -48,10 +42,9 @@ class TestCampaignDeterminism:
 class TestCli:
     def test_parser_accepts_documented_flags(self):
         args = build_parser().parse_args(
-            ["fuzz", "--seed", "3", "--runs", "2", "--max-epochs", "10",
-             "--workers", "2", "--json"]
+            ["fuzz", "--seed", "3", "--runs", "2", "--max-epochs", "10", "--json"]
         )
-        assert (args.seed, args.runs, args.max_epochs, args.workers) == (3, 2, 10, 2)
+        assert (args.seed, args.runs, args.max_epochs) == (3, 2, 10)
         assert args.promote is None
 
     def test_promote_flag_defaults_to_golden_dir(self):

@@ -127,11 +127,9 @@ def test_hot_ratio_property_bounds():
     assert ((hr >= 0.0) & (hr <= 1.0)).all()
 
 
-# -- gap-tolerant timeseries + round-trips (churn support) -----------------------
+# -- gap-tolerant timeseries (churn support) -------------------------------------
 
-import json
-
-from repro.harness.experiment import ExperimentResult, WorkloadTimeseries
+from repro.harness.experiment import WorkloadTimeseries
 
 
 def _late_short_ts():
@@ -162,37 +160,3 @@ class TestGapTolerantSeries:
         al = ts.aligned("fast_pages", 4, fill=0.0)
         # Epoch 4 lies outside the requested axis and is dropped.
         assert al.tolist() == [0.0, 0.0, 1.0, 2.0]
-
-
-class TestRoundTrips:
-    def test_timeseries_round_trip(self):
-        ts = _late_short_ts()
-        assert WorkloadTimeseries.from_dict(ts.to_dict()) == ts
-
-    def test_from_dict_tolerates_missing_series(self):
-        d = {"pid": 3, "name": "old"}
-        ts = WorkloadTimeseries.from_dict(d)
-        assert ts.pid == 3 and ts.epochs == [] and ts.quota == []
-
-    def test_from_dict_requires_identity(self):
-        with pytest.raises(KeyError, match="pid"):
-            WorkloadTimeseries.from_dict({"name": "x"})
-        with pytest.raises(KeyError, match="name"):
-            WorkloadTimeseries.from_dict({"pid": 1})
-
-    def test_experiment_result_round_trip_with_departed_pid(self):
-        res = ExperimentResult(
-            policy_name="vulcan", n_epochs=8,
-            workloads={
-                100: WorkloadTimeseries(pid=100, name="stayer",
-                                        epochs=list(range(8)), ops=[1.0] * 8),
-                101: _late_short_ts(),  # departed at epoch 5
-            },
-            free_fast_pages=[4] * 8, migration_cycles=[0.0] * 8,
-        )
-        back = ExperimentResult.from_dict(res.to_dict())
-        assert back == res
-        assert back.workloads[101].last_epoch == 4
-        # JSON transport is exact, including the short series.
-        back2 = ExperimentResult.from_dict(json.loads(json.dumps(res.to_dict())))
-        assert back2 == res

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.classify import ServiceClass
-from repro.harness import ColocationExperiment, Sweep
+from repro.harness import ColocationExperiment, Sweep, SweepCellError
 from repro.sim.config import MachineConfig, SimulationConfig, TierConfig
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.memcached import MemcachedWorkload
@@ -24,6 +24,12 @@ def tiny_factory(fast_pages: int, seed: int):
     )
     exp = ColocationExperiment("memtis", [wl], machine_config=mc, sim=sim, seed=seed, cores_per_workload=4)
     return exp.run(4)
+
+
+def failing_factory(fast_pages: int, seed: int):
+    if seed == 2:
+        raise ValueError(f"injected failure at fast_pages={fast_pages}")
+    return tiny_factory(fast_pages, seed)
 
 
 class TestSweep:
@@ -53,10 +59,36 @@ class TestSweep:
         assert sweep.best("fthr", maximize=False).param("fast_pages") == 32
 
     def test_progress_callback(self):
+        """Cells run in sorted-name grid order, seeds in the order given."""
         seen = []
         sweep = Sweep(metrics=self.metric(), progress=seen.append)
-        sweep.run(tiny_factory, grid={"fast_pages": [32]}, seeds=[1, 2])
-        assert len(seen) == 2
+        sweep.run(
+            lambda fast_pages, b, seed: tiny_factory(fast_pages, seed),
+            grid={"fast_pages": [128, 32], "b": [0]},
+            seeds=[2, 1],
+        )
+        assert seen == [
+            "{'b': 0, 'fast_pages': 128} seed=2",
+            "{'b': 0, 'fast_pages': 128} seed=1",
+            "{'b': 0, 'fast_pages': 32} seed=2",
+            "{'b': 0, 'fast_pages': 32} seed=1",
+        ]
+
+    def test_failing_cell_raises_typed_error(self):
+        sweep = Sweep(metrics=self.metric())
+        with pytest.raises(SweepCellError) as exc_info:
+            sweep.run(failing_factory, grid={"fast_pages": [32, 128]}, seeds=[1, 2])
+        err = exc_info.value
+        assert err.params == (("fast_pages", 32),)
+        assert err.seed == 2
+        assert "injected failure" in str(err)
+        assert isinstance(err.__cause__, ValueError)
+
+    def test_failing_metric_raises_typed_error(self):
+        sweep = Sweep(metrics={"boom": lambda r: r.by_name("missing").mean_ops()})
+        with pytest.raises(SweepCellError, match="metric 'boom' failed: KeyError") as exc_info:
+            sweep.run(tiny_factory, grid={"fast_pages": [32]}, seeds=[1])
+        assert (exc_info.value.params, exc_info.value.seed) == ((("fast_pages", 32),), 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.fairness import cfi, jain_index
@@ -26,8 +26,14 @@ class TestJain:
         with pytest.raises(ValueError):
             jain_index([1, -1])
 
+    def test_underflowing_squares(self):
+        assert jain_index([1.78e-159, 1.78e-159]) == 1.0
+        assert jain_index([1e-200, 0.0]) == 0.5
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=16))
+    @example([1.78e-159, 1.78e-159])
+    @example([1e-200, 0.0])
     def test_bounds_property(self, values):
         j = jain_index(values)
         assert 0.0 <= j <= 1.0 + 1e-9

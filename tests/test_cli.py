@@ -135,48 +135,44 @@ def test_sweep_command_table(capsys):
     assert "fast-tier sweep" in out
 
 
-def test_sweep_command_json_parallel(capsys):
-    assert main([*SWEEP_BASE, "--workers", "2", "--json"]) == 0
+def test_sweep_command_json(capsys):
+    assert main([*SWEEP_BASE, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["policy", "mix", "epochs", "seeds", "cells"]
     assert [c["params"]["fast_gb"] for c in payload["cells"]] == [4.0, 8.0]
     for cell in payload["cells"]:
+        assert list(cell) == ["params", "metrics"]
         assert set(cell["metrics"]) == {"mean_ops", "cfi"}
-        assert cell["failures"] == []
-    assert payload["cache"] == {"hits": 0, "misses": 0}
 
 
-def test_sweep_cache_and_resume(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    assert main([*SWEEP_BASE, "--cache-dir", str(cache), "--json"]) == 0
-    first = json.loads(capsys.readouterr().out)
-    assert first["cache"] == {"hits": 0, "misses": 2}
+def test_sweep_failing_cell_exits_one(monkeypatch, capsys):
+    def broken_cell(fast_gb, **_kwargs):
+        raise RuntimeError(f"no machine with {fast_gb} GiB")
 
-    # --resume against the warm cache re-runs zero cells...
-    assert main([*SWEEP_BASE, "--cache-dir", str(cache), "--resume", "--json"]) == 0
+    monkeypatch.setattr("repro.cli.sweep_cell", broken_cell)
+    assert main([*SWEEP_BASE, "--json"]) == 1
     captured = capsys.readouterr()
-    second = json.loads(captured.out)
-    assert second["cache"] == {"hits": 2, "misses": 0}
-    assert "2 restored, 0 computed" in captured.err
-    # ...and reproduces the cold numbers exactly.
-    assert second["cells"] == first["cells"]
+    assert captured.out == ""
+    assert "sweep cell {'fast_gb': 4.0} seed=1: RuntimeError: no machine with 4.0 GiB" in captured.err
 
 
-def test_sweep_resume_requires_existing_cache(tmp_path):
-    import pytest
-
-    with pytest.raises(SystemExit):
-        main([*SWEEP_BASE, "--resume"])
-    with pytest.raises(SystemExit):
-        main([*SWEEP_BASE, "--cache-dir", str(tmp_path / "missing"), "--resume"])
-    with pytest.raises(SystemExit):
-        main([*SWEEP_BASE, "--cache-dir", str(tmp_path), "--no-cache", "--resume"])
-
-
-def test_sweep_no_cache_ignores_cache_dir(capsys, tmp_path):
-    assert main([*SWEEP_BASE, "--cache-dir", str(tmp_path / "c"), "--no-cache", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["cache"] == {"hits": 0, "misses": 0}
-    assert not (tmp_path / "c").exists()
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--workers", "2"],
+    ["sweep", "--cache-dir", "c"],
+    ["sweep", "--no-cache"],
+    ["sweep", "--resume"],
+    ["sweep", "--timeout", "5"],
+    ["sweep", "--derive-seeds"],
+    ["fuzz", "--workers", "2"],
+], ids=["sweep-workers", "sweep-cache-dir", "sweep-no-cache", "sweep-resume",
+        "sweep-timeout", "sweep-derive-seeds", "fuzz-workers"])
+def test_retired_sweep_and_fuzz_flags_are_gone(argv, capsys):
+    # sweeps and fuzz campaigns run in-process; the worker pool and the
+    # result cache these flags drove are gone
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- scenario subcommand ---------------------------------------------------------

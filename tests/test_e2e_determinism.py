@@ -6,7 +6,7 @@ same-seed :class:`ColocationExperiment` runs — fresh machine, policy,
 workloads each time — must produce identical per-workload metrics
 (every recorded timeseries, exactly), identical experiment-level
 series and identical obs event streams.  This is the foundation the
-sweep cache and the serial ≡ parallel differential guarantee stand on.
+goldens, the fuzz replay check and the bench digests stand on.
 """
 
 from __future__ import annotations
