@@ -9,9 +9,10 @@
   baseline: the fraction of a workload's resident set its fair share of
   fast memory could cover.
 
-* **FTHR** (Fast-Tier Hit Ratio), Eq. (1)-(2): per epoch, ``N`` samples
-  of (fast, slow) access counts are averaged into ``H̄_{i,t}`` and
-  folded into an EMA with α = 0.8 — responsive but stable.
+* **FTHR** (Fast-Tier Hit Ratio), Eq. (1)-(2): per epoch, ``H̄_{i,t}``
+  is the pooled ratio of the epoch's fast hits over all its hits (fast
+  plus slow; Eq. 1's ``N`` samples, one per thread, summed), folded into
+  an EMA with α = 0.8 — responsive but stable.
 
 * **demand**, Eq. (3)::
 
@@ -27,7 +28,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Eq. (2) EMA weight on the newest sample window ("empirically 0.8").
 FTHR_ALPHA = 0.8
@@ -112,20 +113,21 @@ class WorkloadQos:
     fthr: float = 0.0
     prev_window_avg: float = 0.0
     _initialized: bool = False
-    #: raw (fast, slow) sample pairs accumulated in the current window
-    _samples: list[tuple[int, int]] = field(default_factory=list)
+    #: fast and slow accesses summed over the current window
+    _fast: int = 0
+    _slow: int = 0
 
     def add_sample(self, fast_accesses: int, slow_accesses: int) -> None:
-        """One of the N intra-epoch samples of Eq. (1)."""
+        """Add (fast, slow) access counts to the current window (Eq. 1)."""
         if fast_accesses < 0 or slow_accesses < 0:
             raise ValueError("access counts must be non-negative")
-        self._samples.append((fast_accesses, slow_accesses))
+        self._fast += fast_accesses
+        self._slow += slow_accesses
 
     def window_average(self) -> float:
         """H̄_{i,t}: ratio of fast accesses over the sample window."""
-        fast = sum(s[0] for s in self._samples)
-        total = fast + sum(s[1] for s in self._samples)
-        return fast / total if total else 0.0
+        total = self._fast + self._slow
+        return self._fast / total if total else 0.0
 
     def end_window(self) -> float:
         """Fold the window into FTHR via Eq. (2) and reset samples."""
@@ -137,7 +139,7 @@ class WorkloadQos:
         else:
             self.fthr = FTHR_ALPHA * h_t + (1.0 - FTHR_ALPHA) * self.prev_window_avg
         self.prev_window_avg = h_t
-        self._samples.clear()
+        self._fast = self._slow = 0
         return self.fthr
 
     def demand(

@@ -213,8 +213,8 @@ def check_capacity_caps(policy) -> None:
     daemon = getattr(policy, "daemon", None)
     if daemon is None:
         return
-    granted = sum(daemon.partition.quotas.values())
-    capacity = daemon.partition.capacity_pages
+    granted = sum(daemon.quotas.values())
+    capacity = daemon.qos.fast_capacity_pages
     if granted > capacity:
         raise InvariantViolation(
             "capacity_cap",
@@ -251,7 +251,7 @@ def _profiler_heat_stores(profiler) -> list[tuple[str, object]]:
             if store is not None:
                 stores.append((f"{prefix}{attr.lstrip('_')}", store))
         # hybrid profilers nest mechanism profilers with their own books
-        for sub in ("pebs", "faults", "scan"):
+        for sub in ("pebs", "faults"):
             child = getattr(prof, sub, None)
             if child is not None and hasattr(child, "_heat"):
                 walk(f"{prefix}{sub}.", child)

@@ -6,13 +6,15 @@ Lifecycle per experiment::
     rt = policy.register_workload(pid, name, space, service, core_map, ...)
     # each epoch:
     policy.observe_plan(plan)        # each workload's epoch traffic
-    policy.record_tier_samples(...)  # per-thread FTHR samples
+    policy.record_tier_samples(...)  # its per-thread fast/slow hits
     result = policy.end_epoch()      # policy migrates; harness reads result
 
 Each workload gets its *own* :class:`MigrationEngine` so stall cycles
 are attributable per workload; whether that engine runs with Vulcan's
 mechanism optimizations is a class attribute each policy sets
-(baselines pay the global-drain / process-wide-shootdown costs).
+(baselines pay the global-drain / process-wide-shootdown costs).  The
+workload's :class:`WorkloadRuntime` is the one record of it in the
+policy layer: Vulcan's daemon manages the same objects.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ class WorkloadRuntime:
     thread_core_map: dict[int, int]
     shadow: ShadowTracker | None = None
     access_rate_per_kcycle: float = 0.0
-    #: harness-visible per-epoch counters (reset by end_epoch)
-    epoch_fast_hits: int = 0
-    epoch_slow_hits: int = 0
+    #: engine and profiler totals at the last end_epoch, for its deltas
+    prev_stall: float = 0.0
+    prev_migration_cycles: float = 0.0
+    prev_app_overhead: float = 0.0
 
 
 @dataclass
@@ -61,7 +64,6 @@ class EpochResult:
     migration_cycles: float = 0.0
     #: app-side profiling overhead charged this epoch (hint faults)
     profiling_app_cycles: dict[int, float] = field(default_factory=dict)
-    extras: dict[str, object] = field(default_factory=dict)
 
 
 class TieringPolicy:
@@ -87,9 +89,6 @@ class TieringPolicy:
         self.lru = lru
         self.rng = np.random.default_rng(seed)
         self.workloads: dict[int, WorkloadRuntime] = {}
-        self._prev_stall: dict[int, float] = {}
-        self._prev_migration_cycles: dict[int, float] = {}
-        self._prev_app_overhead: dict[int, float] = {}
 
     # -- hooks subclasses implement ----------------------------------------
 
@@ -141,9 +140,6 @@ class TieringPolicy:
             access_rate_per_kcycle=access_rate_per_kcycle,
         )
         self.workloads[pid] = rt
-        self._prev_stall[pid] = 0.0
-        self._prev_migration_cycles[pid] = 0.0
-        self._prev_app_overhead[pid] = 0.0
         self._on_register(rt)
         return rt
 
@@ -154,9 +150,6 @@ class TieringPolicy:
         rt = self.workloads.pop(pid, None)
         if rt is not None:
             rt.profiler.forget(pid)
-            self._prev_stall.pop(pid, None)
-            self._prev_migration_cycles.pop(pid, None)
-            self._prev_app_overhead.pop(pid, None)
             self._on_unregister(rt)
 
     def _on_unregister(self, rt: WorkloadRuntime) -> None:
@@ -169,11 +162,7 @@ class TieringPolicy:
             raise KeyError(f"pid {pid} not registered")
         old = rt.service
         rt.service = service
-        self._on_service_change(rt, old)
         return old
-
-    def _on_service_change(self, rt: WorkloadRuntime, old: ServiceClass) -> None:
-        """Subclass hook: propagate a service-class change inward."""
 
     def note_fast_capacity(self, online_pages: int) -> None:
         """Capacity event: online fast-tier pages changed (harness hook).
@@ -198,27 +187,15 @@ class TieringPolicy:
         migration when the fast tier stops being meaningfully faster.
         """
 
-    def record_tier_sample(self, pid: int, fast: int, slow: int) -> None:
-        """One FTHR sample (harness calls N times per epoch).
-
-        Base policies ignore it; Vulcan feeds its QoS tracker.  The
-        counters are still kept so any policy can report hit ratios.
-        """
-        rt = self.workloads.get(pid)
-        if rt is None:
-            return
-        rt.epoch_fast_hits += fast
-        rt.epoch_slow_hits += slow
-
     def record_tier_samples(self, pid: int, fast: np.ndarray, slow: np.ndarray) -> None:
-        """Per-segment FTHR samples for one epoch.
+        """One epoch's per-thread fast and slow hit counts for ``pid``.
 
-        Sample windows are per-segment state (Vulcan's QoS tracker keeps
-        the raw pairs), so this dispatches one :meth:`record_tier_sample`
-        per segment, in segment order.
+        Eq. 1 pools the samples, so the hook sees one (fast, slow) total.
         """
-        for f, s in zip(fast.tolist(), slow.tolist()):
-            self.record_tier_sample(pid, f, s)
+        self._on_tier_samples(pid, sum(fast.tolist()), sum(slow.tolist()))
+
+    def _on_tier_samples(self, pid: int, fast: int, slow: int) -> None:
+        """Subclass hook: the epoch's pooled FTHR sample (default none)."""
 
     def end_epoch(self) -> EpochResult:
         """Close the epoch: profilers roll over, migrations run."""
@@ -234,14 +211,12 @@ class TieringPolicy:
             result.promotions[pid] = rt.engine.stats.promotions - promos_before.get(pid, 0)
             result.demotions[pid] = rt.engine.stats.demotions - demos_before.get(pid, 0)
             stall = rt.engine.stats.stall_cycles
-            result.stall_cycles[pid] = stall - self._prev_stall.get(pid, 0.0)
-            self._prev_stall[pid] = stall
+            result.stall_cycles[pid] = stall - rt.prev_stall
+            rt.prev_stall = stall
             total = rt.engine.stats.total_cycles
-            result.migration_cycles += total - self._prev_migration_cycles.get(pid, 0.0)
-            self._prev_migration_cycles[pid] = total
+            result.migration_cycles += total - rt.prev_migration_cycles
+            rt.prev_migration_cycles = total
             app_ov = rt.profiler.stats.app_overhead_cycles
-            result.profiling_app_cycles[pid] = app_ov - self._prev_app_overhead.get(pid, 0.0)
-            self._prev_app_overhead[pid] = app_ov
-            rt.epoch_fast_hits = 0
-            rt.epoch_slow_hits = 0
+            result.profiling_app_cycles[pid] = app_ov - rt.prev_app_overhead
+            rt.prev_app_overhead = app_ov
         return result

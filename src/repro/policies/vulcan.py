@@ -7,15 +7,18 @@ Wires the :class:`repro.core.daemon.VulcanDaemon` behind the common
 * engines run with both mechanism optimizations (scoped drain, scoped
   shootdown) and shadowing;
 * profiling is the FlexMem-style hybrid (§3.2 default);
-* FTHR samples from the harness feed the QoS tracker (Eq. 1-2);
+* each epoch's pooled FTHR sample feeds the QoS tracker (Eq. 1-2);
 * each epoch's tick runs CBFRP and the biased migration policy.
+
+The daemon manages the policy's own :class:`WorkloadRuntime` records,
+so a QoS change needs no copying across.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.daemon import VulcanDaemon, WorkloadHandle
+from repro.core.daemon import VulcanDaemon
 from repro.mm.migration import OptimizationFlags
 from repro.policies.base import TieringPolicy, WorkloadRuntime
 from repro.profiling.base import Profiler
@@ -36,7 +39,6 @@ class VulcanPolicy(TieringPolicy):
             fast_capacity_pages=self.allocator.tiers[0].total,
             rng=np.random.default_rng(self.rng.integers(2**63)),
         )
-        self.last_report = None
         #: Colloid-style latency balancing (§3.6): suspend migration when
         #: the loaded fast tier stops being meaningfully faster.
         from repro.core.colloid import LatencyBalancer
@@ -58,34 +60,15 @@ class VulcanPolicy(TieringPolicy):
     def _on_register(self, rt: WorkloadRuntime) -> None:
         assert isinstance(rt.profiler, HybridProfiler)
         rt.profiler.register_pages(rt.pid, rt.space.process.repl.flat.present_vpns())
-        self.daemon.attach(
-            WorkloadHandle(
-                pid=rt.pid,
-                name=rt.name,
-                service=rt.service,
-                space=rt.space,
-                engine=rt.engine,
-                profiler=rt.profiler,
-                shadow=rt.shadow,
-                access_rate_per_kcycle=rt.access_rate_per_kcycle,
-            )
-        )
+        self.daemon.attach(rt)
 
     def _on_unregister(self, rt: WorkloadRuntime) -> None:
         self.daemon.detach(rt.pid)
 
-    def _on_service_change(self, rt: WorkloadRuntime, old) -> None:
-        # The daemon holds its own handle object; both views must agree
-        # or CBFRP would keep partitioning under the stale class.
-        handle = self.daemon.workloads.get(rt.pid)
-        if handle is not None:
-            handle.service = rt.service
-
     def note_fast_capacity(self, online_pages: int) -> None:
         self.daemon.set_fast_capacity(online_pages)
 
-    def record_tier_sample(self, pid: int, fast: int, slow: int) -> None:
-        super().record_tier_sample(pid, fast, slow)
+    def _on_tier_samples(self, pid: int, fast: int, slow: int) -> None:
         qos = self.daemon.qos.workloads.get(pid)
         if qos is not None:
             qos.add_sample(fast, slow)
@@ -94,7 +77,7 @@ class VulcanPolicy(TieringPolicy):
         self._migrate_this_epoch = self.balancer.update(fast_loaded_cycles, slow_loaded_cycles)
 
     def _plan_and_migrate(self) -> None:
-        self.last_report = self.daemon.tick(migrate=self._migrate_this_epoch)
+        self.daemon.tick(migrate=self._migrate_this_epoch)
         self._migrate_this_epoch = True  # default until next latency note
 
     # -- introspection for the Fig. 9 benches -------------------------------
@@ -108,4 +91,4 @@ class VulcanPolicy(TieringPolicy):
         return qos.gpt if qos is not None else 0.0
 
     def quota(self, pid: int) -> int:
-        return self.daemon.partition.quotas.get(pid, 0)
+        return self.daemon.quotas.get(pid, 0)

@@ -84,7 +84,7 @@ class TestTeardown:
         pid = exp.scenario_result.departures[0]["pid"]
         assert pid not in exp.policy.workloads
         assert pid not in exp.policy.daemon.workloads
-        assert pid not in exp.policy.daemon.partition.quotas
+        assert pid not in exp.policy.daemon.quotas
         assert pid not in exp.policy.daemon.qos.workloads
 
     def test_departed_series_ends_at_departure(self):
@@ -174,7 +174,7 @@ class TestEvents:
         assert evs[1]["fast_online"] == 160
         assert exp.allocator.tiers[0].online == 160
         # Vulcan's partition base follows the online capacity back up.
-        assert exp.policy.daemon.partition.capacity_pages == 160
+        assert exp.policy.daemon.qos.fast_capacity_pages == 160
         exp.allocator.check_consistency()
 
     def test_link_degrade_and_restore(self):
