@@ -20,8 +20,6 @@ than a race between two different notions of good.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from repro.metrics.fairness import jain_index
@@ -62,16 +60,27 @@ def oracle_assignment(
 ) -> tuple[dict[str, str], float]:
     """Exhaustive best placement under :func:`placement_score`.
 
-    Deterministic tie-break: candidates are enumerated in (sorted
-    workload keys) × (sorted node ids) lexicographic order and the
-    first maximum wins, so the oracle never depends on dict order.
-    ``max_per_node`` restricts the search to assignments hosting at
-    most that many workloads on any node (the core-block constraint
-    real placers face) so the oracle ratio compares feasible against
-    feasible.  Raises ``ValueError`` when the search space exceeds
-    ``ORACLE_MAX_ASSIGNMENTS`` — the oracle is a small-N scoring tool,
-    not a production placer — or when no assignment fits under
-    ``max_per_node``.
+    Deterministic tie-break: candidates are taken in (sorted workload
+    keys) × (sorted node ids) lexicographic order and the first maximum
+    wins, so the oracle never depends on dict order.  ``max_per_node``
+    restricts the search to assignments hosting at most that many
+    workloads on any node (the core-block constraint real placers face)
+    so the oracle ratio compares feasible against feasible; it prunes
+    the enumeration rather than filtering it.
+
+    Only one assignment of each class of relabellings of equal-capacity
+    nodes is scored: within a capacity class, nodes are first used in
+    ascending order.  A relabelled assignment hands ``placement_score``
+    the same share list and the same integer loads, so it scores the
+    same float; and the first maximum of the full enumeration is its own
+    canonical form (relabelling it canonically would give a
+    lexicographically smaller assignment with the same score), so the
+    tie-break is unchanged.
+
+    Raises ``ValueError`` when the full ``nodes ** workloads`` search
+    space exceeds ``ORACLE_MAX_ASSIGNMENTS`` — the oracle is a small-N
+    scoring tool, not a production placer — or when no assignment fits
+    under ``max_per_node``.
     """
     keys = sorted(demands)
     nodes = sorted(capacities)
@@ -83,16 +92,37 @@ def oracle_assignment(
             f"oracle search space {len(nodes)}^{len(keys)} = {n_candidates} exceeds "
             f"{ORACLE_MAX_ASSIGNMENTS}; use a heuristic placer at this scale"
         )
+    limit = len(keys) if max_per_node is None else max_per_node
+    # each node's next lower node of equal capacity, which must be in use first
+    lower: dict[str, str | None] = {}
+    last_of: dict[int, str] = {}
+    for node in nodes:
+        lower[node] = last_of.get(capacities[node])
+        last_of[capacities[node]] = node
+    counts = dict.fromkeys(nodes, 0)
+    combo: list[str] = []
     best: dict[str, str] | None = None
     best_score = -1.0
-    for combo in product(nodes, repeat=len(keys)):
-        if max_per_node is not None:
-            if max(combo.count(n) for n in set(combo)) > max_per_node:
+
+    def extend() -> None:
+        nonlocal best, best_score
+        if len(combo) == len(keys):
+            candidate = dict(zip(keys, combo))
+            score = placement_score(candidate, demands, capacities)
+            if score > best_score:
+                best, best_score = candidate, score
+            return
+        for node in nodes:
+            below = lower[node]
+            if counts[node] >= limit or (below is not None and not counts[below]):
                 continue
-        candidate = dict(zip(keys, combo))
-        score = placement_score(candidate, demands, capacities)
-        if score > best_score:
-            best, best_score = candidate, score
+            counts[node] += 1
+            combo.append(node)
+            extend()
+            combo.pop()
+            counts[node] -= 1
+
+    extend()
     if best is None:
         raise ValueError(
             f"no assignment of {len(keys)} workloads onto {len(nodes)} node(s) "

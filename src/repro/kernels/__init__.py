@@ -73,7 +73,6 @@ KERNEL_NAMES = (
     "heat_compact",
     "heat_min_live",
     "heat_gather",
-    "accumulate_unique",
     "write_fractions",
     "plan_span_stats",
     "plan_segment_unique",
@@ -91,7 +90,6 @@ heat_decay = _impl.heat_decay
 heat_compact = _impl.heat_compact
 heat_min_live = _impl.heat_min_live
 heat_gather = _impl.heat_gather
-accumulate_unique = _impl.accumulate_unique
 write_fractions = _impl.write_fractions
 plan_span_stats = _impl.plan_span_stats
 plan_segment_unique = _impl.plan_segment_unique

@@ -29,27 +29,26 @@ _STATE_MIGRATING = 2
 
 
 @njit(cache=True)
-def zipf_invert(cdf, lut, m, u):
+def zipf_invert(cdf, lut, wide, m, u):
     n = u.size
     out = np.empty(n, dtype=np.int64)
     csize = cdf.size
     for i in range(n):
         ui = u[i]
         b = np.int64(ui * m)
-        if ui < b / m:
-            b -= 1
-        if ui >= (b + 1) / m:
-            b += 1
-        lo = lut[b]
-        hi = lut[b + 1]
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            j = mid if mid < csize else csize - 1
-            if cdf[j] <= ui:
-                lo = mid + 1
-            else:
-                hi = mid
-        out[i] = lo
+        r = np.int64(lut[b])
+        if wide[b]:
+            # bracket [lut[b], lut[b+1]]; the last bucket's top is n
+            hi = np.int64(lut[b + 1]) if b + 1 < m else csize
+            while r < hi:
+                mid = (r + hi) >> 1
+                if cdf[mid] <= ui:
+                    r = mid + 1
+                else:
+                    hi = mid
+        elif cdf[r] <= ui:
+            r += 1
+        out[i] = r
     return out
 
 
@@ -199,32 +198,6 @@ def heat_gather(heat, base, vpns):
 
 
 @njit(cache=True)
-def accumulate_unique(vpns, weights, write_weights):
-    n = vpns.size
-    sv = np.sort(vpns)
-    m = 0
-    for i in range(n):
-        if i == 0 or sv[i] != sv[i - 1]:
-            m += 1
-    uniq = np.empty(m, dtype=np.int64)
-    if n:
-        uniq[0] = sv[0]
-    j = 0
-    for i in range(1, n):
-        if sv[i] != sv[i - 1]:
-            j += 1
-            uniq[j] = sv[i]
-    sums = np.zeros(m, dtype=np.float64)
-    wsums = np.zeros(m, dtype=np.float64)
-    # adds land in array order per slot — the bincount association
-    for i in range(n):
-        s = np.searchsorted(uniq, vpns[i])
-        sums[s] += weights[i]
-        wsums[s] += write_weights[i]
-    return uniq, sums, wsums
-
-
-@njit(cache=True)
 def write_fractions(h, w):
     out = np.zeros(h.size, dtype=np.float64)
     for i in range(h.size):
@@ -258,24 +231,29 @@ def plan_span_stats(key, pfn_span, fast_frames, offsets, span):
 def plan_segment_unique(key, offsets, scratch):
     n_seg = offsets.size - 1
     out = np.empty(key.size, dtype=np.int64)
+    flag = np.empty(key.size, dtype=np.bool_)
     bounds = np.zeros(n_seg + 1, dtype=np.int64)
     pos = 0
     for k in range(n_seg):
         cnt = 0
         for i in range(offsets[k], offsets[k + 1]):
-            o = key[i] >> 1
-            if not scratch[o]:
-                scratch[o] = True
+            kk = key[i]
+            o = kk >> 1
+            if not (scratch[2 * o] or scratch[2 * o + 1]):
                 out[pos + cnt] = o
                 cnt += 1
+            scratch[kk] = True
         # first-occurrence order -> ascending (the flatnonzero order)
         seg = np.sort(out[pos:pos + cnt])
         for i in range(cnt):
-            out[pos + i] = seg[i]
-            scratch[seg[i]] = False
+            o = seg[i]
+            out[pos + i] = o
+            flag[pos + i] = scratch[2 * o + 1]
+            scratch[2 * o] = False
+            scratch[2 * o + 1] = False
         pos += cnt
         bounds[k + 1] = pos
-    return out[:pos], bounds
+    return out[:pos].copy(), flag[:pos].copy(), bounds
 
 
 # -- candidate gathering (bias / policies) ---------------------------------------
@@ -329,8 +307,8 @@ def warmup() -> None:
     i16 = np.zeros(2, dtype=np.int16)
     u = np.array([0.1, 0.9])
     cdf = np.array([0.5, 1.0])
-    lut = np.searchsorted(cdf, np.arange(65537) / 65536.0, side="right").astype(np.int64)
-    zipf_invert(cdf, lut, 65536, u)
+    lut = np.searchsorted(cdf, np.arange(65536) / 65536.0, side="right").astype(np.int32)
+    zipf_invert(cdf, lut, np.zeros(65536, dtype=np.bool_), 65536, u)
     page_record_rows(
         i64.copy(), i64.copy(), i64.copy(), b.copy(), np.array([0, 1], dtype=np.int64),
         i64, i64, 1,
@@ -344,8 +322,7 @@ def warmup() -> None:
     heat_compact(f64.copy(), b.copy(), 1e-6)
     heat_min_live(f64, b)
     heat_gather(f64, 0, i64)
-    accumulate_unique(i64, f64, f64)
     write_fractions(f64, f64)
     plan_span_stats(i64, i64, 1, np.array([0, 2], dtype=np.int64), 1)
-    plan_segment_unique(i64, np.array([0, 2], dtype=np.int64), np.zeros(2, dtype=np.bool_))
+    plan_segment_unique(i64, np.array([0, 2], dtype=np.int64), np.zeros(4, dtype=np.bool_))
     hot_slow_candidates(i64, f64, 0.5, i64, i16, 0, 1, -1)

@@ -35,25 +35,27 @@ def warmup() -> None:
 # -- Zipf LUT inversion ----------------------------------------------------------
 
 
-def zipf_invert(cdf: np.ndarray, lut: np.ndarray, m: int, u: np.ndarray) -> np.ndarray:
+def zipf_invert(
+    cdf: np.ndarray, lut: np.ndarray, wide: np.ndarray, m: int, u: np.ndarray
+) -> np.ndarray:
     """Exactly ``np.searchsorted(cdf, u, side='right')``, for ``u`` in [0, 1).
 
     ``m`` must be a power of two, so ``u * m`` is exact and its floor
-    ``b`` satisfies ``b/m <= u < (b+1)/m``; the LUT then brackets the
-    answer in ``[lut[b], lut[b+1]]``.  An empty bracket is the answer,
-    a one-step bracket needs one compare against the CDF, and only the
-    wider ones fall back to ``searchsorted``.
+    ``b`` satisfies ``b/m <= u < (b+1)/m``.  ``lut[b]`` (int32, ``m``
+    entries) counts the CDF steps ``<= b/m`` and ``wide[b]`` flags a
+    bucket holding more than one step.  Elsewhere ``r = lut[b]; r +=
+    cdf[r] <= u`` is the answer: a one-step bucket needs that compare,
+    and in an empty one ``cdf[lut[b]] > (b+1)/m > u`` keeps ``r``.
+    Flagged buckets fall back to ``searchsorted``.  Ranks are int64.
     """
-    b = (u * m).astype(np.int64)
-    lo = lut[b]
-    width = lut[b + 1] - lo
-    one = np.flatnonzero(width == 1)
-    if one.size:
-        lo[one] += cdf[lo[one]] <= u[one]
-    wide = np.flatnonzero(width > 1)
-    if wide.size:
-        lo[wide] = np.searchsorted(cdf, u[wide], side="right")
-    return lo
+    b = (u * m).astype(np.intp)
+    r = lut[b].astype(np.int64)
+    r += cdf[r] <= u
+    in_wide = wide[b]
+    if in_wide.any():
+        w = np.flatnonzero(in_wide)
+        r[w] = np.searchsorted(cdf, u[w], side="right")
+    return r
 
 
 # -- PageStatsStore hot updates --------------------------------------------------
@@ -201,20 +203,6 @@ def heat_gather(heat: np.ndarray, base: int, vpns: np.ndarray) -> np.ndarray:
 # -- profiler helpers ------------------------------------------------------------
 
 
-def accumulate_unique(
-    vpns: np.ndarray, weights: np.ndarray, write_weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(unique vpns ascending, per-vpn weight sums, write-weight sums).
-
-    Accumulation order per slot is array order, exactly what
-    ``np.bincount`` does — the float-add association the goldens pin.
-    """
-    uniq, inverse = np.unique(vpns, return_inverse=True)
-    sums = np.bincount(inverse, weights=weights)
-    wsums = np.bincount(inverse, weights=write_weights)
-    return uniq, sums, wsums
-
-
 def write_fractions(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``min(w/h, 1)`` where ``h > 0`` else 0, elementwise."""
     out = np.zeros(h.size, dtype=np.float64)
@@ -254,28 +242,39 @@ def plan_span_stats(
 
 def plan_segment_unique(
     key: np.ndarray, offsets: np.ndarray, scratch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique offsets of each segment, concatenated.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted unique offsets of each segment, with an any-write flag.
 
     ``key`` holds ``offset << 1 | is_write`` per access.  Returns
-    ``(ucat, bounds)``: segment ``k``'s unique offsets (ascending) are
-    ``ucat[bounds[k]:bounds[k+1]]``.  ``scratch`` is a caller-owned
-    all-False bool array over the span; it is returned all-False.
+    ``(ucat, written, bounds)``: segment ``k``'s unique offsets
+    (ascending) are ``ucat[bounds[k]:bounds[k+1]]``, and ``written[i]``
+    is true when segment ``k`` wrote ``ucat[i]`` at least once.  The
+    outputs are sized to the unique count, not to ``key``.
+    ``scratch`` is a caller-owned all-False bool array with one slot
+    per key bin (``2 * span``); it is returned all-False.
     """
     n_seg = offsets.size - 1
-    out = np.empty(key.size, dtype=np.int64)
+    # both bins of an offset read as one uint16 (nonzero when either is
+    # set); the odd bins are the write bins
+    pair = scratch.view(np.uint16)
+    write_bin = scratch[1::2]
+    uparts: list[np.ndarray] = []
+    wparts: list[np.ndarray] = []
     bounds = np.zeros(n_seg + 1, dtype=np.int64)
     pos = 0
     for k in range(n_seg):
         s, e = int(offsets[k]), int(offsets[k + 1])
         if s < e:
-            scratch[key[s:e] >> 1] = True
-            uoff = np.flatnonzero(scratch)
-            scratch[uoff] = False
-            out[pos:pos + uoff.size] = uoff
+            scratch[key[s:e]] = True
+            uoff = np.flatnonzero(pair != 0)
+            wparts.append(write_bin[uoff])
+            pair[uoff] = 0
+            uparts.append(uoff)
             pos += uoff.size
         bounds[k + 1] = pos
-    return out[:pos], bounds
+    if not uparts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool), bounds
+    return np.concatenate(uparts), np.concatenate(wparts), bounds
 
 
 # -- candidate gathering (bias / policies) ---------------------------------------

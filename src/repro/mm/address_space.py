@@ -103,8 +103,9 @@ class AddressSpace:
         self.allocator = allocator
         self.minor_faults = 0
         self.major_faults = 0
-        #: grow-only all-False span scratch reused by record_plan — the
-        #: per-segment unique pass borrows it and returns it all-False
+        #: grow-only all-False scratch, one slot per key bin of a plan's
+        #: span, reused by record_plan — the per-segment page-set pass
+        #: borrows it and returns it all-False
         self._span_scratch = np.zeros(0, dtype=bool)
 
     # -- structural access path (microbenchmarks) -------------------------
@@ -184,9 +185,12 @@ class AddressSpace:
         page table is read over the span as a view, so frames are
         gathered once per occupied page instead of once per access, and
         one frame-counter update covers the epoch.  Only the sharing
-        transitions, which are per-thread, walk the segments in order.
-        Returns per-segment ``(fast, slow)`` access-count arrays for
-        FTHR sampling (per-access tier membership, counted per segment).
+        transitions, which are per-thread, walk the segments in order,
+        over each segment's distinct pages; those page sets, with a
+        write flag each, stay on the plan (``plan.pages``) for the
+        profilers.  Returns per-segment ``(fast, slow)`` access-count
+        arrays for FTHR sampling (per-access tier membership, counted
+        per segment).
         """
         offsets = plan.offsets
         total_seg = np.diff(offsets)
@@ -225,19 +229,19 @@ class AddressSpace:
             raise KeyError(f"vpn {bad} not mapped; populate() the VMA first")
 
         # Sharing transitions must run per thread, in segment order (a
-        # transition by tid 0 changes what tid 1 sees); the per-segment
-        # sorted-unique offsets are precomputed in one kernel pass over
-        # the reusable span scratch.
-        if self._span_scratch.size < span:
-            self._span_scratch = np.zeros(span, dtype=bool)
-        ucat, bounds = kernels.plan_segment_unique(
-            key, offsets, self._span_scratch[:span]
-        )
+        # transition by tid 0 changes what tid 1 sees); each segment's
+        # sorted distinct pages are computed in one kernel pass over the
+        # reusable key-bin scratch and left on the plan, with their
+        # write flags, for the profilers.
+        if self._span_scratch.size < 2 * span:
+            self._span_scratch = np.zeros(2 * span, dtype=bool)
+        pages = plan.index_pages(key, lo, self._span_scratch[:2 * span])
+        bounds = pages.bounds
         minor = 0
         for k in range(total_seg.size):
             s, e = int(bounds[k]), int(bounds[k + 1])
             if s < e:
-                minor += repl.bulk_note_access(ucat[s:e] + lo, int(plan.tids[k]))
+                minor += repl.bulk_note_access(pages.vpns[s:e], int(plan.tids[k]))
         self.minor_faults += minor
 
         store.record_epoch_rows(pfn_occ, n_reads[occ], n_writes[occ], cycle)

@@ -1,8 +1,14 @@
-"""Profiler interface and shared heat bookkeeping."""
+"""Profiler interface and shared heat bookkeeping.
+
+A profiler observes one process's whole epoch per call
+(:meth:`Profiler.observe_plan`); a single :class:`AccessBatch` is a
+one-segment :class:`EpochPlan`.  Each mechanism must produce exactly
+what feeding the plan's segments one at a time, in order, would.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,14 +45,33 @@ class AccessBatch:
 
 
 @dataclass(frozen=True)
+class PlanPages:
+    """Each segment's distinct pages, each with an any-write flag.
+
+    Segment ``k``'s pages, ascending, are ``vpns[bounds[k]:bounds[k+1]]``;
+    ``written[i]`` is true when that segment wrote ``vpns[i]`` at least
+    once.  A page recurs once per segment that touched it.
+    """
+
+    vpns: np.ndarray  # int64
+    written: np.ndarray  # bool, same shape
+    bounds: np.ndarray  # int64, len n_segments + 1
+
+
+@dataclass(eq=False)
 class EpochPlan:
     """One epoch of traffic for one process, all threads concatenated.
 
     Segment ``i`` covers ``vpns[offsets[i]:offsets[i+1]]`` and belongs
     to thread ``tids[i]``; segments appear in tid order (0, 1, ...).
-    Consumers either iterate :meth:`segments` as per-thread
-    :class:`AccessBatch` views or use the flat arrays plus
-    ``np.add.reduceat``-style reductions over ``offsets``.
+    Consumers work on the flat arrays with per-segment reductions over
+    ``offsets``; a single :class:`AccessBatch` is a one-segment plan.
+
+    ``pages`` holds the plan's :class:`PlanPages` once someone computed
+    them: ``AddressSpace.record_plan`` builds them in its own pass and
+    leaves them here for the profilers, and :meth:`page_sets` computes
+    them with the same kernel when no one has.  The traffic arrays are
+    read-only by contract.
     """
 
     pid: int
@@ -54,6 +79,7 @@ class EpochPlan:
     is_write: np.ndarray  # bool, same shape
     offsets: np.ndarray  # int64, len n_segments + 1, offsets[0] == 0
     tids: np.ndarray  # int64, len n_segments
+    pages: PlanPages | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.vpns.shape != self.is_write.shape:
@@ -67,45 +93,47 @@ class EpochPlan:
     def n(self) -> int:
         return int(self.vpns.size)
 
-    @property
-    def n_segments(self) -> int:
-        return int(self.tids.size)
+    def index_pages(self, key: np.ndarray, lo: int, scratch: np.ndarray) -> PlanPages:
+        """Compute and keep :attr:`pages` from the plan's access keys.
 
-    def segment(self, i: int) -> AccessBatch:
-        """Segment ``i`` as an :class:`AccessBatch` (array views)."""
-        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-        return AccessBatch(
-            pid=self.pid,
-            tid=int(self.tids[i]),
-            vpns=self.vpns[lo:hi],
-            is_write=self.is_write[lo:hi],
-        )
+        ``key`` holds ``(vpn - lo) << 1 | is_write`` per access and
+        ``scratch`` is an all-False bool array with a slot per key bin
+        (``2 * span``), returned all-False.
+        """
+        ucat, written, bounds = kernels.plan_segment_unique(key, self.offsets, scratch)
+        ucat += lo
+        self.pages = PlanPages(vpns=ucat, written=written, bounds=bounds)
+        return self.pages
 
-    def segments(self):
-        """Iterate the per-thread batches, in segment order."""
-        for i in range(self.n_segments):
-            yield self.segment(i)
+    def page_sets(self) -> PlanPages:
+        """The plan's :class:`PlanPages`, computed on first use."""
+        if self.pages is not None:
+            return self.pages
+        if self.n == 0:
+            return self.index_pages(self.vpns, 0, np.zeros(0, dtype=bool))
+        lo = int(self.vpns.min())
+        span = int(self.vpns.max()) - lo + 1
+        key = self.vpns - lo
+        key <<= 1
+        key |= self.is_write
+        return self.index_pages(key, lo, np.zeros(2 * span, dtype=bool))
 
 
 @dataclass
 class ProfilerStats:
-    """Cost/quality accounting common to all profilers."""
+    """Profiling cost charged to the *application* (e.g. hint faults),
+    in cycles; the policies fold each epoch's increase into stalls."""
 
-    epochs: int = 0
-    samples_taken: int = 0
-    accesses_seen: int = 0
-    #: profiling CPU overhead charged to the *system* (daemon side)
-    overhead_cycles: float = 0.0
-    #: profiling overhead charged to the *application* (e.g. hint faults)
     app_overhead_cycles: float = 0.0
 
 
 class Profiler:
     """Base class: per-(pid, vpn) exponentially-decayed heat.
 
-    Subclasses implement :meth:`observe` to turn the raw stream into
-    heat contributions via their mechanism's lens, then call
-    :meth:`_accumulate`.
+    Subclasses implement :meth:`observe_plan`, which turns one
+    process's whole epoch into heat contributions via their
+    mechanism's lens; :meth:`observe` feeds a single batch through it
+    as a one-segment plan.
 
     Heat decays by ``decay`` each epoch (Memtis-style halving when
     ``decay=0.5``), so hotness tracks the recent past.
@@ -131,37 +159,29 @@ class Profiler:
     # -- subclass API ----------------------------------------------------
 
     def observe(self, batch: AccessBatch) -> None:
-        """Ingest one access batch (mechanism-specific)."""
-        raise NotImplementedError
+        """Ingest one access batch: a one-segment plan."""
+        self.observe_plan(EpochPlan(
+            pid=batch.pid,
+            vpns=batch.vpns,
+            is_write=batch.is_write,
+            offsets=np.array([0, batch.n], dtype=np.int64),
+            tids=np.array([batch.tid], dtype=np.int64),
+        ))
 
     def observe_plan(self, plan: EpochPlan) -> None:
-        """Ingest one process's whole epoch.
+        """Ingest one process's whole epoch (mechanism-specific).
 
-        The default feeds the per-thread batches to :meth:`observe` in
-        segment order, which is exact for every mechanism; subclasses with fused fast
-        paths must preserve per-segment RNG draws, sequential state
-        (poison windows), and per-segment heat-insertion order.
+        The result must equal feeding the segments one at a time, in
+        order: per-segment RNG draws, sequential state (poison
+        windows), each heat slot's adds in segment order, and new
+        pages appended in (first segment, vpn) order.
         """
-        for batch in plan.segments():
-            self.observe(batch)
-
-    def _accumulate(self, pid: int, vpns: np.ndarray, weights: np.ndarray, write_weights: np.ndarray | None = None) -> None:
-        """Add heat mass to pages of ``pid`` (vectorized per unique page)."""
-        if vpns.size == 0:
-            return
-        ww = write_weights if write_weights is not None else np.zeros(vpns.size)
-        uniq, sums, wsums = kernels.accumulate_unique(vpns, weights, ww)
-        self._heat.accumulate(pid, uniq, sums)
-        if write_weights is not None:
-            written = wsums > 0.0
-            if written.any():
-                self._write_heat.accumulate(pid, uniq[written], wsums[written])
+        raise NotImplementedError
 
     # -- common API ---------------------------------------------------------
 
     def end_epoch(self) -> None:
         """Decay heat; subclasses extend for rotation/scan bookkeeping."""
-        self.stats.epochs += 1
         if self.decay < 1.0:
             self._heat.decay_all(self.decay)
             self._write_heat.decay_all(self.decay)

@@ -11,15 +11,17 @@ decisions and are preserved exactly:
 
 * **Values** — every float is produced by the same elementwise
   arithmetic the dict path used (one add per unique vpn per batch, one
-  multiply per epoch), so heats are bit-identical.
+  multiply per epoch, each slot's adds in segment order), so heats are
+  bit-identical.
 * **Iteration order** — promotion-queue heat averages and the
   tpp/nomad shuffle consume heats in dict *insertion* order, so each
   pid keeps its live vpns in one append-only int64 array, in insertion
-  order: new vpns append in ascending order per batch (``np.unique``
-  sorts), and decay compaction filters dead vpns out into a new array,
-  exactly the order dict keys kept.  Appends write past the live count
-  and compaction never writes in place, so a view handed out by
-  :meth:`HeatStore.ordered_vpns` never changes under its holder.
+  order: new vpns append in (first segment, vpn) order per plan, the
+  order one ascending batch per thread gave, and decay compaction
+  filters dead vpns out into a new array, exactly the order dict keys
+  kept.  Appends write past the live count and compaction never writes
+  in place, so a view handed out by :meth:`HeatStore.ordered_vpns`
+  never changes under its holder.
 """
 
 from __future__ import annotations
@@ -116,23 +118,35 @@ class HeatStore:
 
     # -- writes ----------------------------------------------------------
 
-    def accumulate(self, pid: int, vpns: np.ndarray, sums: np.ndarray) -> None:
-        """Add ``sums`` to ``vpns`` (unique, ascending) for ``pid``.
+    def accumulate(
+        self, pid: int, vpns: np.ndarray, sums: np.ndarray, cuts: np.ndarray | None = None
+    ) -> None:
+        """Add ``sums`` to ``vpns`` for ``pid``, batch by batch.
 
-        Equivalent to ``heat[vpn] = heat.get(vpn, 0.0) + w`` per entry;
-        new keys append to the order in ascending-vpn order, matching
-        the dict path (``np.unique`` output is sorted).
+        ``cuts`` splits the entries into consecutive batches,
+        ``vpns[cuts[i]:cuts[i + 1]]`` (default: one batch); the vpns of
+        a batch are unique, in any order.  Each entry is ``heat[vpn] =
+        heat.get(vpn, 0.0) + w``, a batch after the one before, so a vpn
+        listed in several batches receives its sums in batch order (the
+        profilers pass one batch per segment, each ascending).  New keys
+        append to the order in the order given.
         """
         if vpns.size == 0:
             return
-        ph = self._pids.setdefault(pid, _PidHeat())
-        ph.ensure(int(vpns[0]), int(vpns[-1]))
+        ph = self._pids.get(pid)
+        if ph is None:
+            ph = self._pids[pid] = _PidHeat()
+        ph.ensure(int(vpns.min()), int(vpns.max()))
         idx = vpns - ph.base
-        new, written_min = kernels.heat_accumulate(ph.heat, ph.live, idx, sums)
-        if new.any():
-            ph.append(vpns[new])
-        if written_min < ph.min_live:
-            ph.min_live = written_min
+        bounds = [0, vpns.size] if cuts is None else cuts.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if lo == hi:
+                continue
+            new, written_min = kernels.heat_accumulate(ph.heat, ph.live, idx[lo:hi], sums[lo:hi])
+            if new.any():
+                ph.append(vpns[lo:hi][new])
+            if written_min < ph.min_live:
+                ph.min_live = written_min
 
     def add_scaled(self, pid: int, vpns: np.ndarray, heats: np.ndarray, scale: float) -> None:
         """``heat[vpn] = heat.get(vpn, 0.0) + h * scale`` in given order.
@@ -143,7 +157,9 @@ class HeatStore:
         """
         if vpns.size == 0:
             return
-        ph = self._pids.setdefault(pid, _PidHeat())
+        ph = self._pids.get(pid)
+        if ph is None:
+            ph = self._pids[pid] = _PidHeat()
         ph.ensure(int(vpns.min()), int(vpns.max()))
         idx = vpns - ph.base
         new, written_min = kernels.heat_add_scaled(ph.heat, ph.live, idx, heats, scale)

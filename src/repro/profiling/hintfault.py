@@ -5,7 +5,13 @@ Models AutoNUMA/TPP-style hinting: a rotating window of pages is
 poisoned page traps, revealing an exact (page, time, thread) event.  The
 signal is precise for the sampled window but costs the *application* a
 fault (~2.5K cycles) per hit — the extra latency the paper attributes to
-this mechanism.
+this mechanism.  Re-poisoning costs the daemon, which is not charged
+anywhere (ROADMAP item 2).
+
+A profiler call covers a whole epoch plan and reads the plan's per-
+segment page sets (which ``AddressSpace.record_plan`` leaves on it), so
+the fault pass looks at each segment's distinct pages, not at every
+access.
 
 The rotation walks each process's known page set window-by-window so
 every page is eventually sampled (TPP poisons pages on the slow tier to
@@ -17,12 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.profiling.base import AccessBatch, Profiler
+from repro.profiling.base import EpochPlan, Profiler
 
 #: Application-side cost of taking one hinting fault.
 HINT_FAULT_COST_CYCLES = 2_500.0
-#: Daemon-side cost of re-poisoning one PTE.
-POISON_COST_CYCLES = 150.0
 
 
 class HintFaultProfiler(Profiler):
@@ -70,40 +74,47 @@ class HintFaultProfiler(Profiler):
         mask[pages[idx] - base] = True
         self._window[pid] = (base, mask)
         self._cursor[pid] = (start + window) % pages.size
-        self.stats.overhead_cycles += window * POISON_COST_CYCLES
 
-    def observe(self, batch: AccessBatch) -> None:
-        """Accesses hitting poisoned pages fault and get recorded exactly."""
-        self.stats.accesses_seen += batch.n
-        win = self._window.get(batch.pid)
-        if batch.n == 0 or win is None:
+    def observe_plan(self, plan: EpochPlan) -> None:
+        """Accesses hitting poisoned pages fault and get recorded exactly.
+
+        Works from the plan's page sets (:meth:`EpochPlan.page_sets`):
+        a poisoned page faults once, in the first segment that touches
+        it, and is then unpoisoned until the next rotation; its write
+        flag is set when that segment wrote the page at all.  Each hit
+        page carries one heat unit, and hits append in (segment, vpn)
+        order.
+        """
+        win = self._window.get(plan.pid)
+        if plan.n == 0 or win is None:
             return
         base, mask = win
         if not mask.any():
             return
-        hit = mask.take(batch.vpns - base, mode="clip")
-        hits = batch.vpns[hit]
-        if hits.size == 0:
+        pages = plan.page_sets()
+        poisoned = mask.take(pages.vpns - base, mode="clip")
+        touched = pages.vpns[poisoned]
+        if touched.size == 0:
             return
-        # Each poisoned page faults once, then is unpoisoned until the
-        # next rotation — so count unique pages, not raw hits.  Sorting
-        # and keeping each first of a run is np.unique's result without
-        # its hash path (which imports numpy.ma on first use).
-        uniq = np.sort(hits)
-        first = np.empty(uniq.size, dtype=bool)
+        # keep each page's first occurrence: page sets list segments in
+        # order, so a stable sort puts the earliest segment first
+        order = np.argsort(touched, kind="stable")
+        ordered = touched[order]
+        first = np.empty(ordered.size, dtype=bool)
         first[0] = True
-        np.not_equal(uniq[1:], uniq[:-1], out=first[1:])
-        uniq = uniq[first]
-        mask[uniq - base] = False
-        self.stats.samples_taken += int(uniq.size)
-        self.stats.app_overhead_cycles += uniq.size * HINT_FAULT_COST_CYCLES
-        # The first-touch indicator carries one heat unit; exact
-        # write/read split is visible for the faulting access.
-        writes_first = np.zeros(uniq.size, dtype=np.float64)
-        w_hits = hits[batch.is_write[hit]]
-        if w_hits.size:
-            writes_first[np.searchsorted(uniq, w_hits)] = 1.0
-        self._accumulate(batch.pid, uniq, np.ones(uniq.size), write_weights=writes_first)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        keep = np.zeros(touched.size, dtype=bool)
+        keep[order[first]] = True
+        hits = touched[keep]
+        wrote = pages.written[poisoned][keep]
+        mask[hits - base] = False
+        # one add for the epoch's faults: every per-segment term is a
+        # multiple of 2500 and the total stays an integer below 2**53,
+        # so the running sum is exact either way
+        self.stats.app_overhead_cycles += hits.size * HINT_FAULT_COST_CYCLES
+        ones = np.ones(hits.size)
+        self._heat.accumulate(plan.pid, hits, ones)
+        self._write_heat.accumulate(plan.pid, hits[wrote], ones[wrote])
 
     def end_epoch(self) -> None:
         for pid in list(self._pages):

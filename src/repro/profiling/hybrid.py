@@ -7,14 +7,15 @@ sampling-based memory tracking".
 
 Fusion rule: heat is the PEBS frequency estimate, boosted by the
 hint-fault indicator for pages sampling under-reports.  Each mechanism
-keeps its own cost accounting; the hybrid's overhead is their sum.
+keeps its own cost accounting; the hybrid's application overhead is
+their sum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.profiling.base import AccessBatch, Profiler
+from repro.profiling.base import EpochPlan, Profiler
 from repro.profiling.hintfault import HintFaultProfiler
 from repro.profiling.pebs import PebsProfiler
 
@@ -46,10 +47,11 @@ class HybridProfiler(Profiler):
         """Expose the fault rotation's coverage registration."""
         self.faults.register_pages(pid, vpns)
 
-    def observe(self, batch: AccessBatch) -> None:
-        self.stats.accesses_seen += batch.n
-        self.pebs.observe(batch)
-        self.faults.observe(batch)
+    def observe_plan(self, plan: EpochPlan) -> None:
+        """One call to each mechanism; their states are disjoint, so this
+        equals interleaving them segment by segment."""
+        self.pebs.observe_plan(plan)
+        self.faults.observe_plan(plan)
 
     def end_epoch(self) -> None:
         self.pebs.end_epoch()
@@ -73,9 +75,6 @@ class HybridProfiler(Profiler):
                 pid, wvpns, self.faults._write_heat.gather(pid, wvpns), self.fault_boost
             )
         # Aggregate cost accounting.
-        self.stats.epochs += 1
-        self.stats.samples_taken = self.pebs.stats.samples_taken + self.faults.stats.samples_taken
-        self.stats.overhead_cycles = self.pebs.stats.overhead_cycles + self.faults.stats.overhead_cycles
         self.stats.app_overhead_cycles = (
             self.pebs.stats.app_overhead_cycles + self.faults.stats.app_overhead_cycles
         )

@@ -6,6 +6,12 @@ epoch.  Per-thread generation matters: Vulcan's page classification
 distinguishes *which* threads touch a page, so generators partition or
 share their working sets across threads explicitly.
 
+Generators write in place: :meth:`Workload.planned_epoch` hands each
+thread's hook its slice of one reusable plan buffer, the hook writes
+its accesses there and returns how many it wrote, and samplers are
+built at bind time with the VMA base folded in, so a thread's traffic
+is never built elsewhere and copied.
+
 The issue model separates *intent* from *achievement*: a workload asks
 to issue ``issue_rate(epoch)`` × budget accesses; the harness converts
 achieved memory latency into achieved throughput (the performance
@@ -41,7 +47,7 @@ class WorkloadSpec:
 
 
 class Workload:
-    """Base class; subclasses implement :meth:`_thread_access`."""
+    """Base class; subclasses implement :meth:`_write_thread`."""
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0) -> None:
         self.spec = spec
@@ -103,14 +109,15 @@ class Workload:
 
     def planned_epoch(self, epoch: int) -> tuple[float, EpochPlan]:
         """The epoch's ``(issue_rate, EpochPlan)``: one batch of accesses
-        per thread, in tid order, ``_thread_access`` supplying each.
+        per thread, in tid order, each written by :meth:`_write_thread`.
 
         RNG draw order: ``issue_rate`` once for the harness's ops budget
         (the returned rate), once more for the plan's access count, then
-        each thread's traffic.  The plan is written into one reusable
-        buffer without per-epoch allocations, so its arrays are views
-        valid until the next call, which the epoch-driven harness
-        guarantees by consuming each plan within its epoch.
+        each thread's traffic.  Each thread's hook writes straight into
+        its slice of one reusable buffer, packed behind the previous
+        thread's accesses, so the plan's arrays are views valid until
+        the next call, which the epoch-driven harness guarantees by
+        consuming each plan within its epoch.
         """
         if self.pid is None or self.vma is None:
             raise RuntimeError(f"workload {self.name!r} not bound to a process")
@@ -139,14 +146,11 @@ class Workload:
         buf_w = self._plan_writes
         pos = 0
         for tid in range(nt):
-            vpns, writes = self._thread_access(tid, n, epoch)
-            m = vpns.size
-            if m > n:
+            m = self._write_thread(tid, epoch, buf_v[pos : pos + n], buf_w[pos : pos + n])
+            if not 0 <= m <= n:
                 raise ValueError(
-                    f"workload {self.name!r} thread {tid} emitted {m} accesses, more than its {n}"
+                    f"workload {self.name!r} thread {tid} reported {m} accesses, outside its 0..{n}"
                 )
-            buf_v[pos : pos + m] = vpns
-            buf_w[pos : pos + m] = writes
             pos += m
             offsets[tid + 1] = pos
         return issue, EpochPlan(
@@ -157,9 +161,10 @@ class Workload:
             tids=self._plan_tids,
         )
 
-    def _thread_access(self, tid: int, n: int, epoch: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (vpns, is_write) for one thread's epoch traffic: at most
-        ``n`` accesses."""
+    def _write_thread(self, tid: int, epoch: int, vpns: np.ndarray, writes: np.ndarray) -> int:
+        """Write one thread's epoch traffic into ``vpns``/``writes`` (the
+        thread's slice of the plan buffer, ``n`` long) and return how
+        many accesses were written, at most ``n``, from the front."""
         raise NotImplementedError
 
     def first_touch_tids(self) -> np.ndarray:

@@ -57,6 +57,7 @@ class LiblinearWorkload(Workload):
         self._feature_sampler: ZipfSampler | None = None
 
     def _on_bind(self) -> None:
+        assert self.vma is not None
         n = self.spec.rss_pages
         self._feature_pages = max(int(n * self.feature_region_frac), 1)
         self._data_pages = n - self._feature_pages
@@ -65,10 +66,12 @@ class LiblinearWorkload(Workload):
             self.feature_skew,
             permute=True,
             rng=np.random.default_rng(self.seed),
+            items=self.vma.vpns()[: self._feature_pages],
         )
 
-    def _thread_access(self, tid: int, n: int, epoch: int) -> tuple[np.ndarray, np.ndarray]:
+    def _write_thread(self, tid: int, epoch: int, vpns: np.ndarray, writes: np.ndarray) -> int:
         assert self.vma is not None and self._feature_sampler is not None
+        n = vpns.size
         rng = np.random.default_rng((self.seed, epoch, tid, 13))
         n_feat = int(n * self.feature_access_frac)
         n_scan = n - n_feat
@@ -79,17 +82,15 @@ class LiblinearWorkload(Workload):
         shard_start = self.vma.start_vpn + self._feature_pages + tid * shard_pages
         shard_end = min(shard_start + shard_pages, self.vma.end_vpn)
         span = max(shard_end - shard_start, 1)
-        pos = (epoch * n_scan + np.arange(n_scan)) % span
-        scan_vpns = shard_start + pos
-        scan_writes = np.zeros(n_scan, dtype=bool)
+        scan = vpns[:n_scan]
+        np.remainder(np.arange(epoch * n_scan, (epoch + 1) * n_scan), span, out=scan)
+        scan += shard_start
+        writes[:n_scan] = False
 
         # Shared feature weights: popularity-skewed read-modify-writes.
-        feat_vpns = self.vma.start_vpn + self._feature_sampler.sample(n_feat, rng)
-        feat_writes = rng.random(n_feat) < self.feature_write_fraction
-
-        vpns = np.concatenate([scan_vpns, feat_vpns])
-        writes = np.concatenate([scan_writes, feat_writes])
-        return vpns, writes
+        self._feature_sampler.sample(n_feat, rng, out=vpns[n_scan:])
+        np.less(rng.random(n_feat), self.feature_write_fraction, out=writes[n_scan:])
+        return n
 
     def first_touch_tids(self) -> np.ndarray:
         """Shards are faulted in by their training thread; the shared

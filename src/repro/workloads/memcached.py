@@ -59,19 +59,20 @@ class MemcachedWorkload(Workload):
         self.hot_mass = hot_mass
         self.burst_period_epochs = burst_period_epochs
         self.idle_rate = idle_rate
-        self._hot_pages: np.ndarray | None = None
-        self._cold_pages: np.ndarray | None = None
+        #: cold keys' vpns; the hot keys' vpns are the sampler's items
+        self._cold_vpns: np.ndarray | None = None
         self._hot_sampler: ZipfSampler | None = None
 
     def _on_bind(self) -> None:
+        assert self.vma is not None
         n = self.spec.rss_pages
         n_hot = max(int(n * self.hot_frac), 1)
         # Hash-addressed store: hot keys scatter across the page space.
-        perm = np.random.default_rng(self.seed).permutation(n).astype(np.int64)
-        self._hot_pages = perm[:n_hot]
-        self._cold_pages = perm[n_hot:] if n_hot < n else perm[:0]
+        vpns = np.random.default_rng(self.seed).permutation(n).astype(np.int64)
+        vpns += self.vma.start_vpn
+        self._cold_vpns = vpns[n_hot:] if n_hot < n else vpns[:0]
         # Mild skew within the keyset; every hot page stays clearly hot.
-        self._hot_sampler = ZipfSampler(n_hot, 0.3)
+        self._hot_sampler = ZipfSampler(n_hot, 0.3, items=vpns[:n_hot])
 
     def issue_rate(self, epoch: int) -> float:
         """Square-wave bursts with jitter: LC services idle between peaks."""
@@ -80,24 +81,20 @@ class MemcachedWorkload(Workload):
         jitter = float(self._rng.uniform(-0.05, 0.05))
         return float(np.clip(base + jitter, 0.05, 1.0))
 
-    def _thread_access(self, tid: int, n: int, epoch: int) -> tuple[np.ndarray, np.ndarray]:
-        assert self._hot_pages is not None and self._hot_sampler is not None
-        assert self._cold_pages is not None and self.vma is not None
+    def _write_thread(self, tid: int, epoch: int, vpns: np.ndarray, writes: np.ndarray) -> int:
+        assert self._hot_sampler is not None and self._cold_vpns is not None
+        n = vpns.size
         rng = np.random.default_rng((self.seed, epoch, tid))
         to_hot = rng.random(n) < self.hot_mass
-        n_hot = int(to_hot.sum())
-        offsets = np.empty(n, dtype=np.int64)
-        offsets[to_hot] = self._hot_pages[self._hot_sampler.sample(n_hot, rng)]
+        n_hot = int(np.count_nonzero(to_hot))
+        vpns[to_hot] = self._hot_sampler.sample(n_hot, rng)
         n_cold = n - n_hot
         if n_cold:
-            if self._cold_pages.size:
-                offsets[~to_hot] = self._cold_pages[rng.integers(0, self._cold_pages.size, size=n_cold)]
-            else:
-                offsets[~to_hot] = self._hot_pages[rng.integers(0, self._hot_pages.size, size=n_cold)]
-        vpns = self.vma.start_vpn + offsets
+            cold = self._cold_vpns if self._cold_vpns.size else self._hot_sampler.items
+            vpns[~to_hot] = cold[rng.integers(0, cold.size, size=n_cold)]
         # SETs are writes; GETs reads.  Same key space for both.
-        writes = rng.random(n) >= self.get_fraction
-        return vpns, writes
+        np.greater_equal(rng.random(n), self.get_fraction, out=writes)
+        return n
 
     def write_fraction(self) -> float:
         return 1.0 - self.get_fraction

@@ -47,20 +47,25 @@ class MicrobenchWorkload(Workload):
         self._sampler: ZipfSampler | None = None
 
     def _on_bind(self) -> None:
+        assert self.vma is not None
         support = self._wss if self.shared_threads else max(self._wss // self.spec.n_threads, 1)
-        self._sampler = ZipfSampler(support, self.zipf_skew, permute=True, rng=np.random.default_rng(self.seed))
+        self._sampler = ZipfSampler(
+            support,
+            self.zipf_skew,
+            permute=True,
+            rng=np.random.default_rng(self.seed),
+            items=self.vma.vpns()[:support],
+        )
 
-    def _thread_access(self, tid: int, n: int, epoch: int) -> tuple[np.ndarray, np.ndarray]:
-        assert self._sampler is not None and self.vma is not None
+    def _write_thread(self, tid: int, epoch: int, vpns: np.ndarray, writes: np.ndarray) -> int:
+        assert self._sampler is not None
+        n = vpns.size
         rng = np.random.default_rng((self.seed, epoch, tid, 29))
-        offsets = self._sampler.sample(n, rng)
-        if self.shared_threads:
-            vpns = self.vma.start_vpn + offsets
-        else:
-            slice_pages = max(self._wss // self.spec.n_threads, 1)
-            vpns = self.vma.start_vpn + tid * slice_pages + offsets
-        writes = rng.random(n) >= self.read_ratio
-        return vpns, writes
+        self._sampler.sample(n, rng, out=vpns)
+        if not self.shared_threads:
+            vpns += tid * max(self._wss // self.spec.n_threads, 1)
+        np.greater_equal(rng.random(n), self.read_ratio, out=writes)
+        return n
 
     def first_touch_tids(self) -> np.ndarray:
         """Private mode: each thread faults in its own WSS slice."""

@@ -53,36 +53,40 @@ class PageRankWorkload(Workload):
         self._rank_pages = 0
 
     def _on_bind(self) -> None:
+        assert self.vma is not None
         n = self.spec.rss_pages
         self._rank_pages = max(int(n * self.rank_region_frac), 1)
         self._adj_pages = n - self._rank_pages
         self._adj_sampler = ZipfSampler(
-            self._adj_pages, self.degree_skew, permute=True, rng=np.random.default_rng(self.seed)
+            self._adj_pages,
+            self.degree_skew,
+            permute=True,
+            rng=np.random.default_rng(self.seed),
+            items=self.vma.vpns()[: self._adj_pages],
         )
 
-    def _thread_access(self, tid: int, n: int, epoch: int) -> tuple[np.ndarray, np.ndarray]:
+    def _write_thread(self, tid: int, epoch: int, vpns: np.ndarray, writes: np.ndarray) -> int:
         assert self._adj_sampler is not None and self.vma is not None
+        n = vpns.size
         rng = np.random.default_rng((self.seed, epoch, tid, 7))
         n_gather = int(n * self.gather_fraction)
         n_sweep = n - n_gather
 
         # Irregular gathers over the shared adjacency region.
-        gather_vpns = self.vma.start_vpn + self._adj_sampler.sample(n_gather, rng)
-        gather_writes = np.zeros(n_gather, dtype=bool)
+        self._adj_sampler.sample(n_gather, rng, out=vpns[:n_gather])
+        writes[:n_gather] = False
 
         # Sequential sweep over this thread's private rank slice.
         slice_pages = max(self._rank_pages // self.spec.n_threads, 1)
         slice_start = self.vma.start_vpn + self._adj_pages + tid * slice_pages
         slice_end = min(slice_start + slice_pages, self.vma.end_vpn)
         span = max(slice_end - slice_start, 1)
-        pos = (epoch * n_sweep + np.arange(n_sweep)) % span
-        sweep_vpns = slice_start + pos
+        sweep = vpns[n_gather:]
+        np.remainder(np.arange(epoch * n_sweep, (epoch + 1) * n_sweep), span, out=sweep)
+        sweep += slice_start
         # Rank updates: read old + write new → half the sweep writes.
-        sweep_writes = rng.random(n_sweep) < 0.5
-
-        vpns = np.concatenate([gather_vpns, sweep_vpns])
-        writes = np.concatenate([gather_writes, sweep_writes])
-        return vpns, writes
+        np.less(rng.random(n_sweep), 0.5, out=writes[n_gather:])
+        return n
 
     def first_touch_tids(self) -> np.ndarray:
         """Rank slices are faulted in by their owning thread; the shared

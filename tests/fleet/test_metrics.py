@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 
 from repro.fleet.metrics import (
@@ -72,6 +75,60 @@ class TestOracle:
         demands = {"a": 10, "b": 10, "c": 10}
         with pytest.raises(ValueError, match="satisfies max"):
             oracle_assignment(demands, {"n0": 100}, max_per_node=2)
+
+
+def brute_force_oracle(demands, capacities, *, max_per_node=None):
+    """Every ``nodes ** workloads`` candidate in lexicographic order,
+    first maximum wins: the search the canonical enumeration replaced."""
+    keys = sorted(demands)
+    nodes = sorted(capacities)
+    if not keys:
+        return {}, 1.0
+    best, best_score = None, -1.0
+    for combo in product(nodes, repeat=len(keys)):
+        if max_per_node is not None and max(combo.count(n) for n in set(combo)) > max_per_node:
+            continue
+        candidate = dict(zip(keys, combo))
+        score = placement_score(candidate, demands, capacities)
+        if score > best_score:
+            best, best_score = candidate, score
+    if best is None:
+        raise ValueError("no assignment satisfies max per node")
+    return best, best_score
+
+
+class TestCanonicalOracle:
+    """The canonical search against brute force: mixed capacities,
+    repeated demands (ties), no cap or caps 1-4, infeasible inputs."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_brute_force(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            n_nodes = rng.randint(1, 4)
+            n_work = rng.randint(0, 6 if n_nodes < 4 else 5)
+            caps = {f"n{i}": rng.choice([100, 100, 200, 400]) for i in range(n_nodes)}
+            demands = {f"w{i}": rng.choice([10, 50, 50, 120, 300]) for i in range(n_work)}
+            cap = rng.choice([None, 1, 2, 3, 4])
+            try:
+                want = brute_force_oracle(demands, caps, max_per_node=cap)
+            except ValueError:
+                with pytest.raises(ValueError, match="satisfies max"):
+                    oracle_assignment(demands, caps, max_per_node=cap)
+                continue
+            assert oracle_assignment(demands, caps, max_per_node=cap) == want
+
+    def test_equal_nodes_tie_break_keeps_first_maximum(self):
+        caps = {"a": 100, "b": 100, "c": 100}
+        demands = {"x": 60, "y": 60, "z": 60}
+        assert oracle_assignment(demands, caps) == brute_force_oracle(demands, caps)
+        assert oracle_assignment(demands, caps)[0] == {"x": "a", "y": "b", "z": "c"}
+
+    def test_refusal_counts_the_raw_search_space(self):
+        # 2 equal nodes x 18 workloads: few canonical candidates, but
+        # 2**18 raw ones, above the cap
+        with pytest.raises(ValueError, match="exceeds"):
+            oracle_assignment({f"w{i}": 1 for i in range(18)}, {"a": 10, "b": 10})
 
 
 class TestRollups:

@@ -37,11 +37,14 @@ def _rng():
 def test_zipf_invert_matches_searchsorted(be):
     from repro.workloads.zipf import ZipfSampler
 
-    s = ZipfSampler(n=5000, s=0.99)
-    u = _rng().random(20_000)
-    got = be.zipf_invert(s._cdf, s._lut, s._LUT_BUCKETS, u)
-    want = np.searchsorted(s._cdf, u, side="right")
-    np.testing.assert_array_equal(got, want)
+    # 300k ranks: most buckets are wide, so both finishing paths run
+    for n, skew in ((5000, 0.99), (300_000, 0.0)):
+        s = ZipfSampler(n=n, s=skew)
+        u = _rng().random(20_000)
+        got = be.zipf_invert(s._cdf, s._lut, s._wide, s._LUT_BUCKETS, u)
+        want = np.searchsorted(s._cdf, u, side="right")
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 # -- page store ------------------------------------------------------------------
@@ -211,18 +214,6 @@ def test_heat_gather_out_of_range_is_zero(be):
 # -- profiler helpers ------------------------------------------------------------
 
 
-def test_accumulate_unique_matches_dict_oracle(be):
-    rng = _rng()
-    vpns = rng.integers(0, 40, 500).astype(np.int64)
-    w = rng.random(500)
-    ww = rng.random(500) * (rng.random(500) < 0.3)
-    uniq, sums, wsums = be.accumulate_unique(vpns, w, ww)
-    ref_u, inv = np.unique(vpns, return_inverse=True)
-    np.testing.assert_array_equal(uniq, ref_u)
-    np.testing.assert_array_equal(sums, np.bincount(inv, weights=w))
-    np.testing.assert_array_equal(wsums, np.bincount(inv, weights=ww))
-
-
 def test_write_fractions(be):
     h = np.array([0.0, 2.0, 4.0, 1.0])
     w = np.array([1.0, 1.0, 8.0, 0.0])
@@ -272,14 +263,21 @@ def test_plan_span_stats_oracle(be):
 
 def test_plan_segment_unique_oracle(be):
     for write_p, span in _PLAN_CASES:
-        off_all, _, key, offsets = _plan_fixture(write_p, span)
-        scratch = np.zeros(span, dtype=bool)
-        ucat, bounds = be.plan_segment_unique(key, offsets, scratch)
+        off_all, is_write, key, offsets = _plan_fixture(write_p, span)
+        scratch = np.zeros(2 * span, dtype=bool)
+        ucat, written, bounds = be.plan_segment_unique(key, offsets, scratch)
         assert not scratch.any(), "scratch must be returned all-False"
         assert bounds[0] == 0 and bounds.size == offsets.size
+        assert ucat.dtype == bounds.dtype == np.int64 and written.dtype == bool
+        # sized to the unique count, owning its memory
+        assert ucat.size == written.size == bounds[-1]
+        assert ucat.base is None or ucat.base.size == ucat.size
         for k in range(offsets.size - 1):
             seg = off_all[offsets[k] : offsets[k + 1]]
-            np.testing.assert_array_equal(ucat[bounds[k] : bounds[k + 1]], np.unique(seg))
+            seg_w = is_write[offsets[k] : offsets[k + 1]]
+            uniq = np.unique(seg)
+            np.testing.assert_array_equal(ucat[bounds[k] : bounds[k + 1]], uniq)
+            np.testing.assert_array_equal(written[bounds[k] : bounds[k + 1]], np.isin(uniq, seg[seg_w]))
 
 
 # -- candidate gathering ---------------------------------------------------------
@@ -315,8 +313,13 @@ def test_empty_inputs(be):
     e_i = np.empty(0, dtype=np.int64)
     e_f = np.empty(0, dtype=np.float64)
     e_b = np.empty(0, dtype=bool)
-    uniq, sums, wsums = be.accumulate_unique(e_i, e_f, e_f)
-    assert uniq.size == sums.size == wsums.size == 0
+    ucat, written, bounds = be.plan_segment_unique(
+        e_i, np.zeros(3, dtype=np.int64), np.zeros(0, dtype=bool)
+    )
+    assert ucat.size == written.size == 0 and bounds.tolist() == [0, 0, 0]
+    cdf = np.array([0.5, 1.0])
+    lut = np.zeros(65536, dtype=np.int32)
+    assert be.zipf_invert(cdf, lut, np.zeros(65536, dtype=bool), 65536, e_f).size == 0
     v, h, p = be.hot_slow_candidates(
         e_i, e_f, 1.0, np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int16), 0, 2, 255
     )

@@ -29,12 +29,31 @@ def plain_nb(monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 200])
-def test_accumulate_unique_body_matches_numpy(plain_nb, n):
-    rng = np.random.default_rng(n)
-    vpns = rng.integers(0, 12, n).astype(np.int64)
-    weights, write_weights = rng.random(n), rng.random(n)
-    got = plain_nb.accumulate_unique(vpns, weights, write_weights)
-    want = np_backend.accumulate_unique(vpns, weights, write_weights)
+@pytest.mark.parametrize("n, skew", [(1, 0.99), (700, 0.99), (300_000, 0.0)])
+def test_zipf_invert_body_matches_numpy(plain_nb, n, skew):
+    """Both finishing paths: 300k ranks make most buckets wide, and the
+    draws include every bucket's lower edge and the last bucket."""
+    from repro.workloads.zipf import ZipfSampler
+
+    s = ZipfSampler(n, skew)
+    m = s._LUT_BUCKETS
+    edges = np.arange(0, m, 97, dtype=np.float64) / m
+    u = np.concatenate([np.random.default_rng(n).random(500), edges, [1.0 - 2.0**-53]])
+    got = plain_nb.zipf_invert(s._cdf, s._lut, s._wide, m, u)
+    np.testing.assert_array_equal(got, np_backend.zipf_invert(s._cdf, s._lut, s._wide, m, u))
+    np.testing.assert_array_equal(got, np.searchsorted(s._cdf, u, side="right"))
+
+
+@pytest.mark.parametrize("sizes", [(0, 0), (1,), (5, 0, 9), (60, 40, 0, 80)])
+def test_plan_segment_unique_body_matches_numpy(plain_nb, sizes):
+    rng = np.random.default_rng(len(sizes))
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    span = 13
+    key = rng.integers(0, span, int(offsets[-1])) << 1 | (rng.random(int(offsets[-1])) < 0.3)
+    scratch = np.zeros(2 * span, dtype=bool)
+    got = plain_nb.plan_segment_unique(key, offsets, scratch)
+    assert not scratch.any()
+    want = np_backend.plan_segment_unique(key, offsets, scratch)
     for g, w in zip(got, want):
+        assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)

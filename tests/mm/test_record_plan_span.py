@@ -3,7 +3,9 @@
 The reference reads the page table once per access and scatters each
 access into the frame counters one at a time, with the scalar
 ``note_access`` for sharing transitions: the semantics the span-view
-path must reproduce exactly.
+path must reproduce exactly.  The page sets record_plan leaves on the
+plan (and ``EpochPlan.page_sets`` computes on demand) are checked
+against each segment's distinct pages and any-write flags.
 """
 
 from __future__ import annotations
@@ -52,19 +54,43 @@ def reference_record(space: AddressSpace, plan: EpochPlan, cycle: int):
     if unmapped:
         raise KeyError(f"vpn {min(unmapped)} not mapped; populate() the VMA first")
     fast = []
-    for seg in plan.segments():
+    cuts = plan.offsets.tolist()
+    for tid, lo, hi in zip(plan.tids.tolist(), cuts[:-1], cuts[1:]):
         n_fast = 0
-        for vpn, write in zip(seg.vpns.tolist(), seg.is_write.tolist()):
+        for vpn, write in zip(plan.vpns[lo:hi].tolist(), plan.is_write[lo:hi].tolist()):
             p = pfn_of(vpn)
             n_fast += p < store.fast_frames
             (store.epoch_writes if write else store.epoch_reads)[p] += 1
             store.last_access_cycle[p] = cycle
             store.touched[p] = True
-        for vpn in sorted(set(seg.vpns.tolist())):
-            space.minor_faults += repl.note_access(vpn, seg.tid)
+        for vpn in sorted(set(plan.vpns[lo:hi].tolist())):
+            space.minor_faults += repl.note_access(vpn, tid)
         fast.append(n_fast)
     fast = np.array(fast, dtype=np.int64)
     return fast, np.diff(plan.offsets) - fast
+
+
+def reference_pages(plan: EpochPlan) -> list[dict[int, bool]]:
+    """Each segment's distinct pages, each with whether it wrote them."""
+    out = []
+    cuts = plan.offsets.tolist()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        pages: dict[int, bool] = {}
+        for vpn, write in zip(plan.vpns[lo:hi].tolist(), plan.is_write[lo:hi].tolist()):
+            pages[vpn] = pages.get(vpn, False) or write
+        out.append(dict(sorted(pages.items())))
+    return out
+
+
+def pages_of(plan: EpochPlan) -> list[dict[int, bool]]:
+    """The page sets left on ``plan``, as :func:`reference_pages` lays them out."""
+    pages = plan.pages
+    assert pages.vpns.dtype == np.int64 and pages.written.dtype == bool
+    cuts = pages.bounds.tolist()
+    return [
+        dict(zip(pages.vpns[lo:hi].tolist(), pages.written[lo:hi].tolist()))
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
 
 
 def snapshot(space: AddressSpace):
@@ -144,6 +170,12 @@ def test_record_plan_matches_per_access_reference(case, seed):
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         assert_same(snapshot(got_space), snapshot(ref_space))
+        # the page sets record_plan leaves, and the on-demand ones
+        assert pages_of(plan) == reference_pages(plan)
+        recomputed = dataclasses.replace(plan, pages=None)
+        recomputed.page_sets()
+        assert pages_of(recomputed) == reference_pages(plan)
+    assert not got_space._span_scratch.any()
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.profiling.base import AccessBatch, EpochPlan, Profiler
-from repro.profiling.hintfault import (
-    HINT_FAULT_COST_CYCLES,
-    POISON_COST_CYCLES,
-    HintFaultProfiler,
-)
+from repro.profiling.hintfault import HINT_FAULT_COST_CYCLES, HintFaultProfiler
 
 
 def batch(vpns, writes=None, pid=1):
@@ -39,7 +35,7 @@ def test_fault_costs_charged_to_application():
 def test_page_faults_once_per_rotation():
     p = prof_with_pages(n=8, window=0.5)
     p.observe(batch([0] * 100))  # many touches, one fault
-    assert p.stats.samples_taken == 1
+    assert p.stats.app_overhead_cycles == HINT_FAULT_COST_CYCLES
     assert p.hotness(1)[0] == pytest.approx(1.0)
 
 
@@ -96,9 +92,10 @@ def test_window_fraction_validation():
 class _SetWindowModel(Profiler):
     """The hint-fault window as a Python set, one access at a time.
 
-    A page poisoned when a batch starts faults once in that batch, is
-    then unpoisoned until the next rotation, and carries a write flag if
-    any access to it in the batch wrote.  Faults enter heat ascending.
+    A page poisoned when a segment starts faults once in that segment,
+    is then unpoisoned until the next rotation, and carries a write flag
+    if any access to it in the segment wrote.  Faults enter heat
+    ascending per segment, segments in order.
     """
 
     def __init__(self, window_fraction: float) -> None:
@@ -123,23 +120,26 @@ class _SetWindowModel(Profiler):
         start = self.cursor[pid] % len(pages)
         self.poisoned[pid] = {pages[(start + i) % len(pages)] for i in range(window)}
         self.cursor[pid] = (start + window) % len(pages)
-        self.stats.overhead_cycles += window * POISON_COST_CYCLES
 
-    def observe(self, batch):
-        self.stats.accesses_seen += batch.n
-        poisoned = self.poisoned.get(batch.pid, set())
+    def observe_plan(self, plan):
+        bounds = plan.offsets.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            self._observe_segment(plan.pid, plan.vpns[lo:hi], plan.is_write[lo:hi])
+
+    def _observe_segment(self, pid, vpns, is_write):
+        poisoned = self.poisoned.get(pid, set())
         written: dict[int, bool] = {}
-        for vpn, w in zip(batch.vpns.tolist(), batch.is_write.tolist()):
+        for vpn, w in zip(vpns.tolist(), is_write.tolist()):
             if vpn in poisoned or vpn in written:
                 poisoned.discard(vpn)
                 written[vpn] = written.get(vpn, False) or w
         if not written:
             return
         uniq = np.array(sorted(written), dtype=np.int64)
-        self.stats.samples_taken += uniq.size
         self.stats.app_overhead_cycles += uniq.size * HINT_FAULT_COST_CYCLES
-        flags = np.array([float(written[v]) for v in uniq.tolist()])
-        self._accumulate(batch.pid, uniq, np.ones(uniq.size), write_weights=flags)
+        flags = np.array([written[v] for v in uniq.tolist()])
+        self._heat.accumulate(pid, uniq, np.ones(uniq.size))
+        self._write_heat.accumulate(pid, uniq[flags], np.ones(int(flags.sum())))
 
     def end_epoch(self):
         for pid in list(self.pages):
@@ -173,8 +173,7 @@ def _assert_same(model, prof, pids, probe):
         np.testing.assert_array_equal(
             prof.write_fraction_many(pid, probe), model.write_fraction_many(pid, probe)
         )
-    for field in ("samples_taken", "accesses_seen", "app_overhead_cycles", "overhead_cycles"):
-        assert getattr(prof.stats, field) == getattr(model.stats, field), field
+    assert prof.stats.app_overhead_cycles == model.stats.app_overhead_cycles
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -214,4 +213,4 @@ def test_dense_window_matches_set_model(seed):
         model.end_epoch()
         prof.end_epoch()
         _assert_same(model, prof, (1, 2, 3, 9), probe)
-    assert prof.stats.samples_taken > 0
+    assert prof.stats.app_overhead_cycles > 0

@@ -56,7 +56,6 @@ def test_cost_accounting_aggregates_both():
     p = make(period=4)
     p.observe(batch(list(range(32)) * 8))
     p.end_epoch()
-    assert p.stats.overhead_cycles == p.pebs.stats.overhead_cycles + p.faults.stats.overhead_cycles
     assert p.stats.app_overhead_cycles == p.faults.stats.app_overhead_cycles
     assert p.stats.app_overhead_cycles > 0  # faults hit the app
 
@@ -70,9 +69,3 @@ def test_forget_clears_all_children():
     assert p.pebs.hotness(1) == {}
     assert p.faults.hotness(1) == {}
 
-
-def test_epochs_counted():
-    p = make()
-    p.end_epoch()
-    p.end_epoch()
-    assert p.stats.epochs == 2

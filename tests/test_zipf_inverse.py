@@ -5,10 +5,11 @@ the very integer ``np.searchsorted(cdf, u, side='right')`` would, for
 every float input — any divergence silently changes which pages a
 workload touches and breaks bit-identical replay.  These tests pin the
 equality on random draws, adversarial inputs sitting exactly on LUT
-bucket boundaries, inputs equal to CDF steps themselves, and supports
-that send most samples down each of the kernel's two finishing branches,
-and they pin the counted lookup table to the ``searchsorted`` grid it
-replaces.
+bucket boundaries, on the edges of the wide buckets and in the last
+bucket, inputs equal to CDF steps themselves, and supports that send
+most samples through empty, one-step and wide buckets; they pin the
+counted int32 table and its wide flags to the ``searchsorted`` grid
+they replace, and the tables' size to the int64 table's.
 """
 
 from __future__ import annotations
@@ -23,20 +24,42 @@ def _reference(sampler: ZipfSampler, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(sampler._cdf, u, side="right").astype(np.int64)
 
 
+def _grid(sampler: ZipfSampler) -> np.ndarray:
+    """``searchsorted`` at every bucket edge b/M, b = 0 .. M."""
+    m = sampler._LUT_BUCKETS
+    grid = np.arange(m + 1, dtype=np.float64) / m
+    return np.searchsorted(sampler._cdf, grid, side="right").astype(np.int64)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 24, 221, 1000, 65_537, 300_000])
 @pytest.mark.parametrize("s", [0.0, 0.3, 0.99, 6.0])
 def test_lut_equals_searchsorted_over_the_bucket_grid(n: int, s: float) -> None:
     # The table is counted from ceil(cdf * M), not searched; it must
-    # still be searchsorted's answer at every bucket edge b/M.  s = 6.0
-    # reaches cdf == 1.0 long before the last rank (many steps share
-    # bucket M); n = 300k has more ranks than buckets.
+    # still be searchsorted's answer at every bucket edge b/M, and the
+    # wide flags must mark exactly the buckets holding several steps.
+    # s = 6.0 reaches cdf == 1.0 long before the last rank (many steps
+    # share bucket M); n = 300k has more ranks than buckets.
     sampler = ZipfSampler(n, s)
     m = sampler._LUT_BUCKETS
-    grid = np.arange(m + 1, dtype=np.float64) / m
-    want = np.searchsorted(sampler._cdf, grid, side="right").astype(np.int64)
-    assert sampler._lut.dtype == np.int64
-    assert sampler._lut.shape == (m + 1,)
-    np.testing.assert_array_equal(sampler._lut, want)
+    want = _grid(sampler)
+    assert sampler._lut.dtype == np.int32
+    assert sampler._lut.shape == (m,)
+    np.testing.assert_array_equal(sampler._lut, want[:m])
+    assert sampler._wide.dtype == np.bool_
+    np.testing.assert_array_equal(sampler._wide, np.diff(want) > 1)
+
+
+@pytest.mark.parametrize("n", [1, 1000, 65_537, 300_000])
+def test_tables_hold_no_more_than_an_int64_lut(n: int) -> None:
+    # the int32 table plus the flag table replace an (M + 1)-entry int64
+    # table; the items replace the permutation they are built from
+    sampler = ZipfSampler(n, 0.99, permute=True, rng=np.random.default_rng(0))
+    m = sampler._LUT_BUCKETS
+    table = sampler._lut.base if sampler._lut.base is not None else sampler._lut
+    assert table.nbytes + sampler._wide.nbytes <= 8 * (m + 1)
+    assert sampler.items.nbytes == 8 * n and sampler.items.base is None
+    items = np.arange(10, 10 + n, dtype=np.int64)
+    assert ZipfSampler(n, 0.99, items=items).items is items
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 65_537])
@@ -49,10 +72,11 @@ def test_invert_matches_searchsorted_on_random_draws(n: int, s: float) -> None:
 
 
 def _bracket_widths(sampler: ZipfSampler, u: np.ndarray) -> np.ndarray:
-    """``lut[b+1] - lut[b]`` for each sample's bucket ``b``: 0 needs no
-    CDF read, 1 takes the one-compare branch, more takes searchsorted."""
+    """Steps in each sample's bucket ``b``: 0 or 1 finish with one
+    compare, more take searchsorted (the bucket's wide flag)."""
     b = (u * sampler._LUT_BUCKETS).astype(np.int64)
-    return sampler._lut[b + 1] - sampler._lut[b]
+    grid = _grid(sampler)
+    return grid[b + 1] - grid[b]
 
 
 @pytest.mark.parametrize(
@@ -62,15 +86,47 @@ def _bracket_widths(sampler: ZipfSampler, u: np.ndarray) -> np.ndarray:
         (300_000, 0.0, "wide"),
         # mild skew, 50k ranks: each step has a bucket to itself
         (50_000, 0.2, "one"),
+        # few ranks: most buckets hold no step at all
+        (300, 0.5, "empty"),
     ],
 )
 def test_invert_branches_match_searchsorted(n: int, s: float, branch: str) -> None:
     sampler = ZipfSampler(n, s)
     u = np.random.default_rng(11).random(50_000)
     width = _bracket_widths(sampler, u)
-    taken = (width > 1) if branch == "wide" else (width == 1)
+    taken = {"wide": width > 1, "one": width == 1, "empty": width == 0}[branch]
     assert taken.mean() > 0.5
+    b = (u * sampler._LUT_BUCKETS).astype(np.int64)
+    np.testing.assert_array_equal(sampler._wide[b], width > 1)
     np.testing.assert_array_equal(sampler._invert(u.copy()), _reference(sampler, u))
+
+
+def test_invert_matches_on_wide_bucket_edges() -> None:
+    # every edge of every wide bucket, the floats beside them, and each
+    # CDF step inside the wide buckets: the searchsorted fallback path
+    sampler = ZipfSampler(90_000, 0.3)
+    m = sampler._LUT_BUCKETS
+    wide = np.flatnonzero(sampler._wide)
+    assert wide.size > 1000
+    lo = wide / m
+    hi = (wide + 1) / m
+    steps = sampler._cdf[(sampler._cdf * m).astype(np.int64) < m]
+    steps = steps[sampler._wide[(steps * m).astype(np.int64)]]
+    u = np.concatenate([
+        lo, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)[hi < 1.0],
+        steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0)[steps < np.nextafter(1.0, 0.0)],
+    ])
+    u = u[u < 1.0]
+    np.testing.assert_array_equal(sampler._invert(u.copy()), _reference(sampler, u))
+
+
+def test_last_bucket_inverts_exactly() -> None:
+    # the table has M entries; the last bucket's bracket top is n
+    for n, s in ((300_000, 0.0), (70_000, 0.0), (5, 0.99)):
+        sampler = ZipfSampler(n, s)
+        m = sampler._LUT_BUCKETS
+        u = np.linspace((m - 1) / m, np.nextafter(1.0, 0.0), 4097)
+        np.testing.assert_array_equal(sampler._invert(u.copy()), _reference(sampler, u))
 
 
 def test_invert_matches_on_lut_bucket_boundaries() -> None:
@@ -110,6 +166,24 @@ def test_sample_consumes_one_uniform_block_per_call() -> None:
     np.testing.assert_array_equal(out, np.clip(_reference(sampler, u), 0, sampler.n - 1))
     # both generators are now in the same state
     assert r1.random() == r2.random()
+
+
+def test_sample_gathers_items_into_out() -> None:
+    # items fold a base and a permutation in: one gather yields them,
+    # written into ``out`` when given
+    perm = np.random.default_rng(5).permutation(4096)
+    sampler = ZipfSampler(
+        4096, 0.99, permute=True, rng=np.random.default_rng(5),
+        items=np.arange(7000, 7000 + 4096, dtype=np.int64),
+    )
+    np.testing.assert_array_equal(sampler.items, 7000 + perm)
+    u = np.random.default_rng(4).random(300)
+    buf = np.full(302, -1, dtype=np.int64)
+    got = sampler.sample(300, np.random.default_rng(4), out=buf[1:301])
+    assert got.base is buf
+    np.testing.assert_array_equal(buf[1:301], 7000 + perm[_reference(sampler, u)])
+    assert buf[0] == buf[301] == -1
+    assert sampler.sample(0, np.random.default_rng(4), out=buf[:0]).size == 0
 
 
 class _TopDraws:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.classify import ServiceClass
 from repro.mm.address_space import Vma
+from repro.profiling.base import AccessBatch, EpochPlan
 from repro.workloads.base import Workload, WorkloadSpec
 from repro.workloads.liblinear import LiblinearWorkload
 from repro.workloads.memcached import MemcachedWorkload
@@ -18,9 +19,18 @@ def bind(wl: Workload, pid: int = 1) -> Vma:
     return vma
 
 
+def segments(plan: EpochPlan) -> list[AccessBatch]:
+    """A plan's per-thread batches, in segment order (array views)."""
+    cuts = plan.offsets.tolist()
+    return [
+        AccessBatch(pid=plan.pid, tid=int(tid), vpns=plan.vpns[lo:hi], is_write=plan.is_write[lo:hi])
+        for tid, lo, hi in zip(plan.tids.tolist(), cuts[:-1], cuts[1:])
+    ]
+
+
 def thread_batches(wl: Workload, epoch: int = 0):
     """The epoch's per-thread batches (views valid until the next plan)."""
-    return list(wl.planned_epoch(epoch)[1].segments())
+    return segments(wl.planned_epoch(epoch)[1])
 
 
 def all_accesses(wl: Workload, epoch: int = 0):
@@ -70,22 +80,31 @@ class TestBase:
 
 
 class _Toy(Workload):
-    """Thread ``t`` emits ``n + extra[t]`` accesses to vpn ``start + t``."""
+    """Thread ``t`` writes ``n + extra[t]`` accesses to vpn ``start + t``
+    (at most its slice) and reports ``n + extra[t]``."""
 
     def __init__(self, extra: list[int]) -> None:
         super().__init__(spec(name="toy", threads=len(extra), apt=10))
         self.extra = extra
 
-    def _thread_access(self, tid, n, epoch):
-        m = n + self.extra[tid]
-        return np.full(m, self.vma.start_vpn + tid, dtype=np.int64), np.zeros(m, dtype=bool)
+    def _write_thread(self, tid, epoch, vpns, writes):
+        m = vpns.size + self.extra[tid]
+        vpns[:m] = self.vma.start_vpn + tid
+        writes[:m] = False
+        return m
 
 
 class TestPlanBuffer:
     def test_thread_over_its_budget_rejected(self):
         wl = _Toy([0, 1, 0])
         bind(wl)
-        with pytest.raises(ValueError, match="'toy' thread 1 emitted 11 accesses"):
+        with pytest.raises(ValueError, match="'toy' thread 1 reported 11 accesses, outside its 0..10"):
+            wl.planned_epoch(0)
+
+    def test_negative_count_rejected(self):
+        wl = _Toy([0, -11, 0])
+        bind(wl)
+        with pytest.raises(ValueError, match="'toy' thread 1 reported -1 accesses, outside its 0..10"):
             wl.planned_epoch(0)
 
     def test_short_thread_gets_correct_offsets(self):
@@ -95,7 +114,7 @@ class TestPlanBuffer:
         assert plan.offsets.tolist() == [0, 9, 19, 28]
         expected = np.repeat(vma.start_vpn + np.arange(3), [9, 10, 9])
         np.testing.assert_array_equal(plan.vpns, expected)
-        assert [b.tid for b in plan.segments()] == [0, 1, 2]
+        assert [b.tid for b in segments(plan)] == [0, 1, 2]
 
 
 class TestMemcached:
